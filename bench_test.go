@@ -9,6 +9,7 @@ package pimeval
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -269,21 +270,38 @@ func BenchmarkMicroprogramCompile(b *testing.B) {
 	})
 }
 
-// BenchmarkMicroOpInterpreter measures the gate-level functional engine on
-// a full-width row batch (8192 lanes), the verification hot path.
+// BenchmarkMicroOpInterpreter measures the gate-level functional engine
+// through EvalElements, layout transforms included, at the two call shapes
+// the pimperf microprogram-eval workload runs: one 16 Ki-element call (two
+// 8192-lane batches, the pimasm -run shape) and a one-element call (the
+// fuzz-target shape).
 func BenchmarkMicroOpInterpreter(b *testing.B) {
-	p, err := bitserial.Build(isa.OpAdd, isa.Int32, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := bitserial.NewEngine(p.Rows, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(p, 0); err != nil {
+	for _, c := range []struct {
+		op isa.Op
+		dt isa.DataType
+	}{{isa.OpAdd, isa.Int32}, {isa.OpDiv, isa.Int64}} {
+		p, err := bitserial.BuildCached(c.op, c.dt, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, n := range []int{2 * bitserial.BatchWidth, 1} {
+			rng := rand.New(rand.NewSource(1))
+			operands := make([][]int64, 2)
+			for k := range operands {
+				operands[k] = make([]int64, n)
+				for i := range operands[k] {
+					operands[k][i] = c.dt.Truncate(rng.Int63())
+				}
+			}
+			b.Run(fmt.Sprintf("%v.%v/n=%d", c.op, c.dt, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := bitserial.EvalElements(p, c.dt.Bits(), n, operands, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
-	b.SetBytes(int64(p.Rows) * 8192 / 8)
 }
 
 // BenchmarkExtensionsKernels runs the paper's future-work kernels (prefix

@@ -23,7 +23,11 @@
 // digital-vs-analog argument.
 package analog
 
-import "fmt"
+import (
+	"fmt"
+
+	"pimeval/internal/bitserial"
+)
 
 // Kind identifies an analog micro-op.
 type Kind uint8
@@ -198,44 +202,15 @@ func (e *Engine) Run(p *Program, base int) error {
 	return nil
 }
 
-// SetBit, Bit, LoadVertical, ReadVertical mirror the digital engine's
-// helpers for vertical-layout verification.
-
-// SetBit sets one operand cell.
-func (e *Engine) SetBit(row, col int, v bool) {
-	w, m := col/64, uint64(1)<<(col%64)
-	if v {
-		e.rows[row][w] |= m
-	} else {
-		e.rows[row][w] &^= m
-	}
-}
-
-// Bit reads one operand cell.
-func (e *Engine) Bit(row, col int) bool {
-	return e.rows[row][col/64]&(uint64(1)<<(col%64)) != 0
-}
-
-// LoadVertical stores values vertically (element j at column j).
+// LoadVertical stores values vertically (element j at column j, bit i at
+// row base+i), through the digital engine's layout transform.
 func (e *Engine) LoadVertical(base, bits int, values []int64) {
-	for j, v := range values {
-		for i := 0; i < bits; i++ {
-			e.SetBit(base+i, j, (v>>uint(i))&1 != 0)
-		}
-	}
+	bitserial.LoadPlanes(e.rows[base:base+bits], values)
 }
 
 // ReadVertical extracts count elements of the given width at row base.
 func (e *Engine) ReadVertical(base, bits, count int) []int64 {
 	out := make([]int64, count)
-	for j := 0; j < count; j++ {
-		var v int64
-		for i := 0; i < bits; i++ {
-			if e.Bit(base+i, j) {
-				v |= int64(1) << uint(i)
-			}
-		}
-		out[j] = v
-	}
+	bitserial.ReadPlanes(out, e.rows[base:base+bits])
 	return out
 }

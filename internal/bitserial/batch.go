@@ -65,7 +65,7 @@ func EvalElements(p *Program, bits, n int, operands [][]int64, workers int) ([]i
 			errs[i] = err
 			return
 		}
-		copy(out[lo:hi], e.ReadVertical(p.DstBase, bits, hi-lo))
+		e.readVertical(out[lo:hi], p.DstBase, bits)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -8,35 +8,37 @@ import (
 )
 
 // TestEvalElementsMatchesSingleEngine checks the batch runner against a
-// hand-driven single engine on one full-width batch.
+// hand-driven single engine: one element, a partial second word, one full
+// narrow batch, and one full-width batch plus a one-element second batch.
 func TestEvalElementsMatchesSingleEngine(t *testing.T) {
 	p, err := Build(isa.OpAdd, isa.Int16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	const n = 128
-	a := make([]int64, n)
-	b := make([]int64, n)
-	for i := range a {
-		a[i] = isa.Int16.Truncate(rng.Int63())
-		b[i] = isa.Int16.Truncate(rng.Int63())
-	}
-	e := NewEngine(p.Rows, n)
-	e.LoadVertical(0, 16, a)
-	e.LoadVertical(16, 16, b)
-	if err := e.Run(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := e.ReadVertical(p.DstBase, 16, n)
+	for _, n := range []int{1, 65, 128, BatchWidth + 1} {
+		a := make([]int64, n)
+		b := make([]int64, n)
+		for i := range a {
+			a[i] = isa.Int16.Truncate(rng.Int63())
+			b[i] = isa.Int16.Truncate(rng.Int63())
+		}
+		e := NewEngine(p.Rows, (n+63)&^63)
+		e.LoadVertical(0, 16, a)
+		e.LoadVertical(16, 16, b)
+		if err := e.Run(p, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := e.ReadVertical(p.DstBase, 16, n)
 
-	got, err := EvalElements(p, 16, n, [][]int64{a, b}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EvalElements[%d] = %d, want %d", i, got[i], want[i])
+		got, err := EvalElements(p, 16, n, [][]int64{a, b}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: EvalElements[%d] = %d, want %d", n, i, got[i], want[i])
+			}
 		}
 	}
 }

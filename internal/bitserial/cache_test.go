@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pimeval/internal/isa"
 )
@@ -38,6 +39,38 @@ func TestBuildCachedMatchesBuild(t *testing.T) {
 			if again != cached {
 				t.Errorf("BuildCached(%v, %v) did not memoize (distinct pointers)", op, dt)
 			}
+		}
+	}
+}
+
+// TestCompactPrograms pins the compact program representation: the live
+// size of the program caches sets the interpreter workloads' peak heap.
+func TestCompactPrograms(t *testing.T) {
+	if size := unsafe.Sizeof(MicroOp{}); size != 12 {
+		t.Errorf("MicroOp is %d bytes, want 12", size)
+	}
+	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
+		for dt := isa.Int8; dt <= isa.UInt64; dt++ {
+			p, err := BuildCached(op, dt, 3)
+			if err != nil {
+				continue // no microprogram
+			}
+			if cap(p.Ops) != len(p.Ops) {
+				t.Errorf("%v.%v: %d ops stored at capacity %d", op, dt, len(p.Ops), cap(p.Ops))
+			}
+		}
+	}
+	for _, spec := range []FusedSpec{
+		{Op1: isa.OpSub, Op2: isa.OpAbs, DT: isa.Int16},
+		{Op1: isa.OpMul, Op2: isa.OpAdd, DT: isa.Int32, Scalar1: true, S1: 5, Binary2: true},
+		{Op1: isa.OpAdd, Op2: isa.OpXor, DT: isa.UInt8, Scalar1: true, S1: -7, Scalar2: true, S2: 0x55},
+	} {
+		fp, err := BuildFusedCached(spec)
+		if err != nil {
+			t.Fatalf("BuildFusedCached(%+v): %v", spec, err)
+		}
+		if cap(fp.Ops) != len(fp.Ops) {
+			t.Errorf("fused %s.%v: %d ops stored at capacity %d", fp.Name, spec.DT, len(fp.Ops), cap(fp.Ops))
 		}
 	}
 }

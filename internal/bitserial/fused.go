@@ -89,7 +89,7 @@ func BuildFused(spec FusedSpec) (FusedProgram, error) {
 	}
 	fused := &Program{
 		Name:    p1.Name + "+" + p2.Name,
-		Ops:     append(p1.Ops, p2.Ops...),
+		Ops:     append(append(make([]MicroOp, 0, len(p1.Ops)+len(p2.Ops)), p1.Ops...), p2.Ops...),
 		Rows:    p1.Rows + p2.Rows - n,
 		DstBase: p1.Rows + p2.DstBase - n,
 	}

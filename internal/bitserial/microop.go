@@ -69,12 +69,13 @@ func (k Kind) String() string {
 
 // MicroOp is one broadcast step of a microprogram. Row indices are relative
 // to the virtual operand region laid out by the program builder (see
-// programs.go for the operand base convention).
+// programs.go for the operand base convention). Row comes first so the
+// struct packs into 12 bytes.
 type MicroOp struct {
+	Row     int32
 	Kind    Kind
 	Dst     Reg
 	A, B, C Reg
-	Row     int32
 	Val     bool
 }
 
@@ -122,8 +123,9 @@ func (p *Program) Counts() Counts {
 type Engine struct {
 	width int
 	words int
-	rows  [][]uint64
-	regs  [numRegs][]uint64
+	rows  int
+	cells []uint64          // the matrix, row-major, words apiece
+	regs  [numRegs][]uint64 // registers, in the same allocation as cells
 }
 
 // NewEngine allocates an engine with the given row count and bit width.
@@ -136,37 +138,48 @@ func NewEngine(rows, width int) *Engine {
 	if rows <= 0 {
 		panic("bitserial: rows must be positive")
 	}
-	e := &Engine{width: width, words: width / 64}
-	e.rows = make([][]uint64, rows)
-	backing := make([]uint64, rows*e.words)
-	for i := range e.rows {
-		e.rows[i], backing = backing[:e.words:e.words], backing[e.words:]
-	}
+	e := &Engine{width: width, words: width / 64, rows: rows}
+	mem := make([]uint64, (int(numRegs)+rows)*e.words)
 	for r := range e.regs {
-		e.regs[r] = make([]uint64, e.words)
+		e.regs[r], mem = mem[:e.words:e.words], mem[e.words:]
 	}
+	e.cells = mem
 	return e
+}
+
+// row returns matrix row r.
+func (e *Engine) row(r int) []uint64 {
+	o := r * e.words
+	return e.cells[o : o+e.words : o+e.words]
+}
+
+// planes returns views of rows [base, base+bits) in v.
+func (e *Engine) planes(v *[64][]uint64, base, bits int) [][]uint64 {
+	for i := 0; i < bits; i++ {
+		v[i] = e.row(base + i)
+	}
+	return v[:bits]
 }
 
 // Width returns the engine's bit width (columns).
 func (e *Engine) Width() int { return e.width }
 
 // Rows returns the engine's row count.
-func (e *Engine) Rows() int { return len(e.rows) }
+func (e *Engine) Rows() int { return e.rows }
 
 // Run interprets the program with its virtual region mapped at row `base`.
 // It returns an error if the program touches rows outside the matrix.
 func (e *Engine) Run(p *Program, base int) error {
-	if base < 0 || base+p.Rows > len(e.rows) {
+	if base < 0 || base+p.Rows > e.rows {
 		return fmt.Errorf("bitserial: program %q region [%d,%d) outside matrix of %d rows",
-			p.Name, base, base+p.Rows, len(e.rows))
+			p.Name, base, base+p.Rows, e.rows)
 	}
 	for i, op := range p.Ops {
 		switch op.Kind {
 		case KRead:
-			copy(e.regs[RSA], e.rows[base+int(op.Row)])
+			copy(e.regs[RSA], e.row(base+int(op.Row)))
 		case KWrite:
-			copy(e.rows[base+int(op.Row)], e.regs[RSA])
+			copy(e.row(base+int(op.Row)), e.regs[RSA])
 		case KSet:
 			var v uint64
 			if op.Val {
@@ -200,44 +213,41 @@ func (e *Engine) Run(p *Program, base int) error {
 	return nil
 }
 
-// SetBit sets one cell of the matrix.
+// SetBit sets one cell of the matrix: the cell-level definition of the
+// layout that LoadVertical implements word-parallel.
 func (e *Engine) SetBit(row, col int, v bool) {
 	w, m := col/64, uint64(1)<<(col%64)
 	if v {
-		e.rows[row][w] |= m
+		e.row(row)[w] |= m
 	} else {
-		e.rows[row][w] &^= m
+		e.row(row)[w] &^= m
 	}
 }
 
 // Bit reads one cell of the matrix.
 func (e *Engine) Bit(row, col int) bool {
-	return e.rows[row][col/64]&(uint64(1)<<(col%64)) != 0
+	return e.row(row)[col/64]&(uint64(1)<<(col%64)) != 0
 }
 
 // LoadVertical stores values in vertical layout: element j occupies column
-// j, with bit i of the element at row base+i. Values must already be
-// truncated to the bit width.
+// j, with bit i of the element at row base+i (bits <= 64). Columns at or
+// beyond len(values) keep their contents; value bits at or above bits are
+// ignored.
 func (e *Engine) LoadVertical(base, bits int, values []int64) {
-	for j, v := range values {
-		for i := 0; i < bits; i++ {
-			e.SetBit(base+i, j, (v>>uint(i))&1 != 0)
-		}
-	}
+	var v [64][]uint64
+	LoadPlanes(e.planes(&v, base, bits), values)
 }
 
-// ReadVertical extracts count elements of the given width from vertical
-// layout at row base, zero-extended into int64 carriers.
+// ReadVertical extracts count elements of the given width (at most 64)
+// from vertical layout at row base, zero-extended into int64 carriers.
 func (e *Engine) ReadVertical(base, bits, count int) []int64 {
 	out := make([]int64, count)
-	for j := 0; j < count; j++ {
-		var v int64
-		for i := 0; i < bits; i++ {
-			if e.Bit(base+i, j) {
-				v |= int64(1) << uint(i)
-			}
-		}
-		out[j] = v
-	}
+	e.readVertical(out, base, bits)
 	return out
+}
+
+// readVertical is ReadVertical into a caller-owned slice.
+func (e *Engine) readVertical(out []int64, base, bits int) {
+	var v [64][]uint64
+	ReadPlanes(out, e.planes(&v, base, bits))
 }

@@ -37,7 +37,10 @@ func (b *builder) sel(d, c, a, x Reg) {
 	b.p.Ops = append(b.p.Ops, MicroOp{Kind: KSel, Dst: d, C: c, A: a, B: x})
 }
 
+// done finishes the program, storing its ops at exact capacity: compiled
+// programs live in the process-wide caches for good.
 func (b *builder) done(name string, rows, dstBase int) *Program {
+	b.p.Ops = append(make([]MicroOp, 0, len(b.p.Ops)), b.p.Ops...)
 	b.p.Name = name
 	b.p.Rows = rows
 	b.p.DstBase = dstBase

@@ -20,6 +20,9 @@ else
     echo "==> staticcheck not installed; skipping (CI runs it)"
 fi
 
+echo "==> benchmark harness tests (every workload at miniature scale)"
+go -C bench test ./...
+
 echo "==> optimizer differential battery (race)"
 go test -race ./internal/streamopt/ ./internal/streamopt/difftest/
 
