@@ -244,6 +244,32 @@ func BenchmarkSuitePerApp(b *testing.B) {
 	}
 }
 
+// BenchmarkSuiteFunctional times one functional, golden-verified run of
+// every app (Table I and the extensions) on every target at twice its
+// default functional size with one worker — the suite path the pimperf
+// suite-live workload measures — and reports its allocations.
+func BenchmarkSuiteFunctional(b *testing.B) {
+	for _, bench := range append(suite.All(), suite.Extensions()...) {
+		for _, tgt := range pim.AllTargets {
+			bench, tgt := bench, tgt
+			b.Run(bench.Info().Name+"/"+tgt.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				cfg := suite.Config{Target: tgt, Functional: true, Workers: 1,
+					Size: 2 * bench.DefaultSize(true), EmitReport: true}
+				for i := 0; i < b.N; i++ {
+					r, err := bench.Run(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !r.Verified || r.Degraded {
+						b.Fatalf("not verified against the golden reference: %v", r.Err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMicroprogramCompile measures the two microprogram compilers —
 // the library's own hot path when cost caches are cold.
 func BenchmarkMicroprogramCompile(b *testing.B) {

@@ -7,8 +7,6 @@
 package knn
 
 import (
-	"sort"
-
 	"pimeval/benchmarks/suite"
 	"pimeval/internal/workload"
 	"pimeval/pim"
@@ -45,25 +43,26 @@ func (bench) DefaultSize(functional bool) int64 {
 	return 6_710_886
 }
 
-// classify returns the majority label among the k nearest points.
+// classify returns the majority label among the k nearest points, ordered
+// by distance then index. One streaming pass keeps the k nearest so far in
+// order; a later point never displaces an equal-distance earlier one.
 func classify(dist []int64, labels []int32) int32 {
-	type cand struct {
-		d   int64
-		idx int
-	}
-	cands := make([]cand, len(dist))
+	var top [k]int // indices of the nearest points so far, nearest first
+	m := 0
 	for i, d := range dist {
-		cands[i] = cand{d, i}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
+		if m == k && d >= dist[top[k-1]] {
+			continue
 		}
-		return cands[a].idx < cands[b].idx
-	})
-	votes := make([]int, classes)
-	for _, c := range cands[:k] {
-		votes[labels[c.idx]]++
+		j := min(m, k-1)
+		for ; j > 0 && dist[top[j-1]] > d; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+		m = min(m+1, k)
+	}
+	var votes [classes]int
+	for _, i := range top[:m] {
+		votes[labels[i]]++
 	}
 	best := int32(0)
 	for c := 1; c < classes; c++ {

@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"pimeval/benchmarks/suite"
@@ -22,6 +24,56 @@ func TestClassifyTieBreaksByIndex(t *testing.T) {
 	labels := []int32{0, 0, 0, 1, 1, 1}
 	if got := classify(dist, labels); got != 0 {
 		t.Fatalf("tie break classify = %d, want 0 (first k indices)", got)
+	}
+}
+
+// classifySorted is the full-sort reference for classify: sort every
+// candidate by distance then index and vote over the first min(k, n).
+func classifySorted(dist []int64, labels []int32) int32 {
+	idx := make([]int, len(dist))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if dist[idx[a]] != dist[idx[b]] {
+			return dist[idx[a]] < dist[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	votes := make([]int, classes)
+	for _, i := range idx[:min(k, len(idx))] {
+		votes[labels[i]]++
+	}
+	best := int32(0)
+	for c := 1; c < classes; c++ {
+		if votes[c] > votes[best] {
+			best = int32(c)
+		}
+	}
+	return best
+}
+
+// TestClassifyMatchesSortReference checks the streaming selection against
+// the full sort over sizes below, at and far above k, with distances drawn
+// from a narrow range so the index tie-break decides most selections.
+func TestClassifyMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sizes := []int{1, 2, k - 1, k, k + 1, 17, 64, 1000, 4096}
+	for trial := 0; trial < 400; trial++ {
+		n := sizes[trial%len(sizes)]
+		spread := int64(1 + trial%4) // 1..4 distinct distances
+		dist := make([]int64, n)
+		labels := make([]int32, n)
+		for i := range dist {
+			dist[i] = 1000 + rng.Int63n(spread)
+			labels[i] = rng.Int31n(classes)
+		}
+		if trial%3 == 0 {
+			dist[rng.Intn(n)] = -3 // a single clear nearest point
+		}
+		if got, want := classify(dist, labels), classifySorted(dist, labels); got != want {
+			t.Fatalf("trial %d, n=%d: classify = %d, sort reference = %d", trial, n, got, want)
+		}
 	}
 }
 

@@ -41,6 +41,10 @@ type resourceManager struct {
 	freed    map[ObjID]bool
 	nextID   ObjID
 	usedBits int64
+	// spares holds the storage of freed objects for reuse by allocations of
+	// the same length (see storage). Spare plus live storage never exceeds
+	// the device's peak live storage, and an idle device holds none.
+	spares [][]int64
 	// spanBuf is the reusable span slice handed out by spans(). The
 	// dispatcher is single-threaded and every forSpans/spansCollect batch
 	// drains before the next dispatch, so one buffer per device suffices
@@ -88,7 +92,7 @@ func (rm *resourceManager) alloc(n int64, dt isa.DataType) (*Object, error) {
 		activeCores:  int((n + elemsPerCore - 1) / elemsPerCore),
 	}
 	if rm.functional {
-		obj.data = make([]int64, n)
+		obj.data = rm.storage(n)
 	}
 	rm.objs[obj.id] = obj
 	rm.nextID++
@@ -135,7 +139,39 @@ func (rm *resourceManager) free(id ObjID) error {
 	rm.usedBits -= o.n * int64(o.dt.Bits())
 	delete(rm.objs, id)
 	rm.freed[id] = true
+	if o.data != nil {
+		rm.spares = append(rm.spares, o.data)
+		o.data = nil
+	}
+	if len(rm.objs) == 0 {
+		rm.dropSpares()
+	}
 	return nil
+}
+
+// storage returns zeroed storage for n elements, reusing a spare of exactly
+// that length when one exists. An allocation that finds none drops every
+// spare before allocating fresh, so spare plus live storage stays equal to
+// the live storage right after the last fresh allocation — never above the
+// device's peak.
+func (rm *resourceManager) storage(n int64) []int64 {
+	for i := len(rm.spares) - 1; i >= 0; i-- {
+		if s := rm.spares[i]; int64(len(s)) == n {
+			last := len(rm.spares) - 1
+			rm.spares[i], rm.spares[last] = rm.spares[last], nil
+			rm.spares = rm.spares[:last]
+			clear(s)
+			return s
+		}
+	}
+	rm.dropSpares()
+	return make([]int64, n)
+}
+
+// dropSpares releases every spare to the garbage collector.
+func (rm *resourceManager) dropSpares() {
+	clear(rm.spares)
+	rm.spares = rm.spares[:0]
 }
 
 // lookup resolves an object ID, distinguishing never-allocated IDs

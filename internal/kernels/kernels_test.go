@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"pimeval/internal/isa"
@@ -114,5 +117,69 @@ func TestSumSegSpansMidSegment(t *testing.T) {
 	SumSeg(a, 6, 8, 4, 1, p2)
 	if p1[0] != 10 || p1[1]+p2[0] != 26 {
 		t.Errorf("mid-segment partials: %v + %v", p1, p2)
+	}
+}
+
+// sumSegRef is SumSeg's per-element definition.
+func sumSegRef(a []int64, lo, hi, segLen, seg0 int64, vals []int64) {
+	for i := lo; i < hi; i++ {
+		vals[i/segLen-seg0] += a[i]
+	}
+}
+
+// TestSumSegMatchesPerElement checks SumSeg against its per-element
+// definition over seeded random segment lengths, spans cut at random
+// (mostly mid-segment) points, partials merged in span order, and values
+// near ±2^63 so that the sums wrap.
+func TestSumSegMatchesPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		segLen := 1 + rng.Int63n(300)
+		n := 1 + rng.Int63n(4*segLen+500)
+		a := make([]int64, n)
+		for i := range a {
+			switch rng.Intn(3) {
+			case 0:
+				a[i] = math.MaxInt64 - rng.Int63n(1000)
+			case 1:
+				a[i] = math.MinInt64 + rng.Int63n(1000)
+			default:
+				a[i] = rng.Int63() - rng.Int63()
+			}
+		}
+		segs := (n + segLen - 1) / segLen
+		want := make([]int64, segs)
+		sumSegRef(a, 0, n, segLen, 0, want)
+
+		cuts := []int64{0, n}
+		for c := rng.Intn(6); c > 0; c-- {
+			cuts = append(cuts, rng.Int63n(n+1))
+		}
+		sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+		got := make([]int64, segs)
+		for s := 0; s+1 < len(cuts); s++ {
+			lo, hi := cuts[s], cuts[s+1]
+			if lo == hi {
+				continue
+			}
+			seg0 := lo / segLen
+			part := make([]int64, (hi-1)/segLen-seg0+1)
+			ref := make([]int64, len(part))
+			SumSeg(a, lo, hi, segLen, seg0, part)
+			sumSegRef(a, lo, hi, segLen, seg0, ref)
+			for k := range part {
+				if part[k] != ref[k] {
+					t.Fatalf("trial %d segLen %d span [%d,%d): partial %d = %d, want %d",
+						trial, segLen, lo, hi, k, part[k], ref[k])
+				}
+				got[seg0+int64(k)] += part[k]
+			}
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d segLen %d cuts %v: segment %d = %d, want %d",
+					trial, segLen, cuts, k, got[k], want[k])
+			}
+		}
 	}
 }

@@ -42,9 +42,14 @@ func Sum(a []int64, lo, hi int64) int64 {
 // SumSeg accumulates a[lo:hi] into per-segment partials for fixed-length
 // segments of segLen elements: vals[k] accumulates segment seg0+k, where
 // seg0 is the first segment the span overlaps (the caller's sharding may cut
-// spans mid-segment; partials merge in span order, see Sum).
+// spans mid-segment; partials merge in span order, see Sum). Each segment's
+// run within the span is summed as one contiguous Sum, so the loop divides
+// once per segment rather than once per element.
 func SumSeg(a []int64, lo, hi, segLen, seg0 int64, vals []int64) {
-	for i := lo; i < hi; i++ {
-		vals[i/segLen-seg0] += a[i]
+	for i := lo; i < hi; {
+		seg := i / segLen
+		end := min((seg+1)*segLen, hi)
+		vals[seg-seg0] += Sum(a, i, end)
+		i = end
 	}
 }

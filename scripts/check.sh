@@ -34,4 +34,7 @@ go test -race -short -run 'TestRecoveryBattery' ./benchmarks/suite/replaytest/
 go test -race -run 'TestSnapshot' ./internal/device/
 go test -race ./internal/chaos/
 
+echo "==> object storage recycling (race)"
+go test -race -run 'TestObjectStorage' ./internal/device/ ./internal/device/paralleltest/
+
 echo "OK"
