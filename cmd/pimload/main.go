@@ -8,7 +8,7 @@
 //	pimload -addr 127.0.0.1:8080 -sessions 256 -concurrency 32 -out BENCH_server.json
 //
 // With -addr empty (the default) pimload spins up an in-process server —
-// the self-contained benchmarking mode used by scripts/bench.sh — sized by
+// the self-contained benchmarking mode behind BENCH_server.json — sized by
 // -devices/-workers. The JSON report written to -out carries the run
 // configuration, sessions/sec, latency percentiles, per-status counts, and
 // the server's final /metrics snapshot.

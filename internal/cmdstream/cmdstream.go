@@ -305,39 +305,59 @@ var knownKinds = map[Kind]bool{
 	KindRepeatBegin: true, KindRepeatEnd: true,
 }
 
-// KnownKind reports whether k is a record kind the replayer dispatches.
-func KnownKind(k Kind) bool { return knownKinds[k] }
+// ScopeCheck is the structural check every record walker — Validate, the
+// replayer, and the streaming optimizer — runs one record at a time: every
+// record kind must be known, and repeat scopes must be non-nested, carry a
+// positive factor, and close only a scope that is open. The zero value is
+// the state at the start of a stream.
+type ScopeCheck struct{ open bool }
 
-// Validate checks the stream's record structure statically: every record
-// kind must be known, and repeat scopes must be balanced, non-nested, and
-// carry a positive factor. Decode runs it so a malformed stream is rejected
-// up front instead of executing a prefix before failing mid-replay; the
-// replayer and optimizer run it for streams constructed in memory.
-func (s *Stream) Validate() error {
-	depth := 0
-	for i := range s.Records {
-		rec := &s.Records[i]
-		if !knownKinds[rec.Kind] {
-			return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
-		}
-		switch rec.Kind {
-		case KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
-			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth++
-		case KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth--
-		}
+// Check validates rec against the records checked so far.
+func (c *ScopeCheck) Check(rec *Record) error {
+	if !knownKinds[rec.Kind] {
+		return fmt.Errorf("cmdstream: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
 	}
-	if depth != 0 {
-		return fmt.Errorf("cmdstream: unterminated repeat scope (%d unclosed)", depth)
+	switch rec.Kind {
+	case KindRepeatBegin:
+		if c.open {
+			return fmt.Errorf("cmdstream: seq %d: nested repeat scope", rec.Seq)
+		}
+		if rec.Repeat < 1 {
+			return fmt.Errorf("cmdstream: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
+		}
+		c.open = true
+	case KindRepeatEnd:
+		if !c.open {
+			return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
+		}
+		c.open = false
 	}
 	return nil
+}
+
+// InScope reports whether the last checked record opened or sits inside a
+// repeat scope that has not been closed yet.
+func (c *ScopeCheck) InScope() bool { return c.open }
+
+// End is called at end of stream: a scope still open there fails with an
+// error wrapping ErrTruncated.
+func (c *ScopeCheck) End() error {
+	if c.open {
+		return fmt.Errorf("cmdstream: %w: unterminated repeat scope", ErrTruncated)
+	}
+	return nil
+}
+
+// Validate runs ScopeCheck over the whole materialized stream. Decode runs
+// it so a malformed stream is rejected up front instead of executing a
+// prefix before failing mid-replay; Replay and the optimizer run it for
+// streams constructed in memory.
+func (s *Stream) Validate() error {
+	var c ScopeCheck
+	for i := range s.Records {
+		if err := c.Check(&s.Records[i]); err != nil {
+			return err
+		}
+	}
+	return c.End()
 }

@@ -2,6 +2,7 @@ package cmdstream_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"pimeval/internal/dram"
 	"pimeval/internal/isa"
 	"pimeval/internal/perf"
+	"pimeval/internal/streamopt"
 )
 
 // sampleStream builds a stream exercising every field class, including
@@ -249,6 +251,10 @@ func TestReplayScopeErrors(t *testing.T) {
 		"unterminated": {
 			{Seq: 1, Kind: cmdstream.KindRepeatBegin, Repeat: 2},
 		},
+		"zero-factor": {
+			{Seq: 1, Kind: cmdstream.KindRepeatBegin, Repeat: 0},
+			{Seq: 2, Kind: cmdstream.KindRepeatEnd},
+		},
 		"unmatched-end": {
 			{Seq: 1, Kind: cmdstream.KindRepeatEnd},
 		},
@@ -265,11 +271,37 @@ func TestReplayScopeErrors(t *testing.T) {
 			{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "float128", N: 4},
 		},
 	}
+	// Every replay path runs the same structural check, so each must reject
+	// every case, and an unterminated scope must read as truncation.
+	paths := map[string]func(d *device.Device, recs []cmdstream.Record) error{
+		"Replay": func(d *device.Device, recs []cmdstream.Record) error {
+			return cmdstream.Replay(d, &cmdstream.Stream{Header: hdr, Records: recs})
+		},
+		"serial": func(d *device.Device, recs []cmdstream.Record) error {
+			return cmdstream.ReplaySourceOpts(d, cmdstream.FromRecords(hdr, recs), cmdstream.ReplayOptions{})
+		},
+		"pipelined": func(d *device.Device, recs []cmdstream.Record) error {
+			return cmdstream.ReplaySourceOpts(d, cmdstream.FromRecords(hdr, recs),
+				cmdstream.ReplayOptions{Pipelined: true})
+		},
+		"OptimizeSource": func(d *device.Device, recs []cmdstream.Record) error {
+			src, _, err := streamopt.OptimizeSource(cmdstream.FromRecords(hdr, recs),
+				streamopt.Config{DeadCode: true, Hoist: true})
+			if err != nil {
+				return err
+			}
+			return cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{})
+		},
+	}
 	for name, recs := range cases {
-		d := newDev(t)
-		err := cmdstream.Replay(d, &cmdstream.Stream{Header: hdr, Records: recs})
-		if err == nil {
-			t.Errorf("%s: replay accepted a malformed stream", name)
+		for path, replay := range paths {
+			err := replay(newDev(t), recs)
+			if err == nil {
+				t.Errorf("%s/%s: replay accepted a malformed stream", name, path)
+			}
+			if name == "unterminated" && !errors.Is(err, cmdstream.ErrTruncated) {
+				t.Errorf("%s/%s: error %v does not wrap ErrTruncated", name, path, err)
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func TestOutOfCoreReplay(t *testing.T) {
 	}
 	ms := &memSamplingSource{src: cs}
 	ms.sample()
-	if err := dev.ReplaySource(ms); err != nil {
+	if err := cmdstream.ReplaySourceOpts(dev, ms, cmdstream.ReplayOptions{}); err != nil {
 		t.Fatalf("streaming replay failed: %v", err)
 	}
 	wg.Wait()

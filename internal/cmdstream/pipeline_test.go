@@ -203,9 +203,9 @@ func TestReplayPipelinedMatchesSerial(t *testing.T) {
 		}
 		dev.StartRecording()
 		if pipelined {
-			err = dev.ReplayPipelined(src)
+			err = cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{Pipelined: true})
 		} else {
-			err = dev.ReplaySource(src)
+			err = cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -363,8 +363,8 @@ func (p *pacedReader) Read(buf []byte) (int, error) {
 	return n, err
 }
 
-// BenchmarkPipelinedReplay compares serial ReplaySource against
-// ReplayPipelined on a payload-heavy binary stream (the out-of-core shape;
+// BenchmarkPipelinedReplay compares serial ReplaySourceOpts against its
+// Pipelined mode on a payload-heavy binary stream (the out-of-core shape;
 // reduction results are verified during replay, so a completed run proves
 // bit-identity). MB/s of encoded stream replayed is the headline pipeline
 // number. The paced variants feed the stream at 100 MB/s — saturated
@@ -400,9 +400,9 @@ func BenchmarkPipelinedReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				if bc.pipelined {
-					err = dev.ReplayPipelined(src)
+					err = cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{Pipelined: true})
 				} else {
-					err = dev.ReplaySource(src)
+					err = cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{})
 				}
 				if err != nil {
 					b.Fatal(err)

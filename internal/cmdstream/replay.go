@@ -2,6 +2,7 @@ package cmdstream
 
 import (
 	"fmt"
+	"io"
 
 	"pimeval/internal/isa"
 	"pimeval/internal/perf"
@@ -68,56 +69,158 @@ func FusedFromRecord(rec *Record) (Fused, error) {
 	}, nil
 }
 
-// Replay re-executes every record of the stream against x, in order. The
-// stream is validated structurally first, so malformed scope nesting is
-// rejected before any record executes. When the stream was recorded
-// functionally, reduction results are verified against the recorded values —
-// a replay that diverges from the live run fails loudly instead of
-// producing silently different numbers.
+// ReplayOptions configures ReplaySourceOpts. The zero value replays the
+// whole source serially with no checkpoints.
+type ReplayOptions struct {
+	// Pipelined runs the source on its own goroutine behind a bounded queue
+	// (NewPipelineSource), overlapping I/O + decode with execution. Record
+	// order — and therefore the executor's write sequence, fault injection,
+	// statistics, latency, and energy — is exactly that of the serial path;
+	// only wall-clock time changes. The pipeline stage is closed before
+	// ReplaySourceOpts returns; src itself stays open.
+	Pipelined bool
+	// Skip is the resume cursor: the number of leading records (counting
+	// every record, including repeat.begin/repeat.end) to consume without
+	// executing before replay starts. It is the cursor a checkpoint reported,
+	// and it counts decoded records, so cursors are interchangeable between
+	// the serial and pipelined paths. A cursor that points past the end of
+	// the stream or into the middle of a repeat scope is rejected.
+	Skip int64
+	// CheckpointEvery is the minimum number of records between checkpoint
+	// callbacks. Checkpoints fire only at unit boundaries — never inside a
+	// repeat scope — so the executor's state is always self-contained when
+	// the callback runs. Zero disables checkpointing.
+	CheckpointEvery int64
+	// Checkpoint is called with the total record count consumed so far
+	// (Skip included): the cursor a later resume passes as Skip. An error
+	// aborts the replay.
+	Checkpoint func(consumed int64) error
+}
+
+// Replay re-executes every record of a materialized stream against x. The
+// whole stream is validated first, so malformed scope nesting is rejected
+// before any record executes; the records then run through
+// ReplaySourceOpts.
 func Replay(x Executor, s *Stream) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	return replay(x, s.Records, s.Header.Functional, len(s.Header.Optimized) > 0)
+	return ReplaySourceOpts(x, FromStream(s), ReplayOptions{})
 }
 
-// replay walks one record sequence. Repeat scopes delegate their body back
-// through x.WithRepeat so the executor applies the same charging semantics
-// the live run did.
-func replay(x Executor, recs []Record, verify, optimized bool) error {
-	for i := 0; i < len(recs); i++ {
-		rec := &recs[i]
-		switch rec.Kind {
-		case KindRepeatBegin:
-			end := -1
-			for j := i + 1; j < len(recs); j++ {
-				if recs[j].Kind == KindRepeatBegin {
-					return fmt.Errorf("cmdstream: seq %d: nested repeat scope", recs[j].Seq)
-				}
-				if recs[j].Kind == KindRepeatEnd {
-					end = j
-					break
-				}
+// ReplaySourceOpts is the stream replayer: it re-executes records against x
+// as src produces them, skipping the first opts.Skip and invoking
+// opts.Checkpoint at unit boundaries every opts.CheckpointEvery records.
+// Only the current record (or the current repeat-scope body) is resident,
+// and h2d payloads stream through bounded chunks when both the source and
+// the executor support it. Structure is checked incrementally (ScopeCheck),
+// so a malformed suffix is only detected after the preceding records have
+// executed. Repeat-scope bodies replay through x.WithRepeat, so the
+// executor applies the same charging semantics the live run did. When the
+// stream was recorded functionally, reduction results are verified against
+// the recorded values — a replay that diverges from the live run fails
+// loudly instead of producing silently different numbers.
+//
+// Because every layer of the stack is deterministic, a replay resumed from
+// a restored executor at cursor N is bit-identical to an uninterrupted
+// replay — the property the recovery battery in
+// benchmarks/suite/replaytest proves.
+func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
+	if opts.Skip < 0 {
+		return fmt.Errorf("cmdstream: negative resume cursor %d", opts.Skip)
+	}
+	if opts.CheckpointEvery < 0 {
+		return fmt.Errorf("cmdstream: negative checkpoint interval %d", opts.CheckpointEvery)
+	}
+	if opts.Pipelined {
+		ps := NewPipelineSource(src, 0)
+		defer ps.Close()
+		src = ps
+	}
+	h := src.Header()
+	verify := h.Functional
+	optimized := len(h.Optimized) > 0
+	cs, _ := src.(ChunkedSource)
+	ce, _ := x.(ChunkedExecutor)
+
+	var sc ScopeCheck
+	var consumed int64 // records pulled from src, skipped ones included
+	lastCheckpoint := opts.Skip
+	var scope []Record // buffered body of the open repeat scope
+	var factor int64
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			if consumed < opts.Skip {
+				return fmt.Errorf("cmdstream: %w: stream ends at record %d, resume cursor %d",
+					ErrTruncated, consumed, opts.Skip)
 			}
-			if end < 0 {
-				return fmt.Errorf("cmdstream: seq %d: unterminated repeat scope", rec.Seq)
+			return sc.End()
+		}
+		if err != nil {
+			return err
+		}
+		consumed++
+		if err := sc.Check(rec); err != nil {
+			return err
+		}
+		if consumed <= opts.Skip {
+			// The resume prefix is consumed without executing; undrained
+			// chunked payloads are discarded by the source's own Next
+			// contract.
+			if consumed == opts.Skip && sc.InScope() {
+				return fmt.Errorf("cmdstream: %w: resume cursor %d inside repeat scope", ErrFormat, opts.Skip)
 			}
-			inner := recs[i+1 : end]
-			if err := x.WithRepeat(rec.Repeat, func() error {
-				return replay(x, inner, verify, optimized)
+			continue
+		}
+		switch {
+		case rec.Kind == KindRepeatBegin:
+			factor, scope = rec.Repeat, scope[:0]
+			continue
+		case rec.Kind == KindRepeatEnd:
+			if err := x.WithRepeat(factor, func() error {
+				for i := range scope {
+					if err := replayOne(x, &scope[i], verify, optimized); err != nil {
+						return fmt.Errorf("cmdstream: seq %d (%s): %w", scope[i].Seq, scope[i].Kind, err)
+					}
+				}
+				return nil
 			}); err != nil {
 				return err
 			}
-			i = end
-		case KindRepeatEnd:
-			return fmt.Errorf("cmdstream: seq %d: repeat.end without matching begin", rec.Seq)
+		case sc.InScope():
+			// Scope bodies replay through WithRepeat as one unit, so the
+			// body is buffered (scopes are bounded; payloads inside them
+			// materialize).
+			if err := Materialize(src, rec); err != nil {
+				return err
+			}
+			scope = append(scope, *rec)
+			continue
+		case rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload():
+			// The out-of-core h2d path: the payload flows source → device
+			// in bounded chunks and is never materialized.
+			if err := ce.CopyHostToDeviceFrom(ObjID(rec.Obj), cs.NextPayloadChunk); err != nil {
+				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
+			}
 		default:
+			if err := Materialize(src, rec); err != nil {
+				return err
+			}
 			if err := replayOne(x, rec, verify, optimized); err != nil {
 				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
 			}
 		}
+		// A unit (single record or whole repeat scope) just completed
+		// outside any scope: a valid resume point.
+		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 &&
+			consumed-lastCheckpoint >= opts.CheckpointEvery {
+			if err := opts.Checkpoint(consumed); err != nil {
+				return fmt.Errorf("cmdstream: checkpoint at record %d: %w", consumed, err)
+			}
+			lastCheckpoint = consumed
+		}
 	}
-	return nil
 }
 
 // replayOne executes a single non-structural record.

@@ -178,14 +178,3 @@ func Pump(dst Sink, src Source) error {
 		}
 	}
 }
-
-// ReplaySource re-executes a stream record by record as it is produced, the
-// out-of-core counterpart of Replay: only the current record (or the current
-// repeat-scope body) is resident, and h2d payloads stream through bounded
-// chunks when both the source and the executor support it. Structure is
-// validated incrementally, so — unlike Replay, which validates the whole
-// materialized stream up front — a malformed suffix is only detected after
-// the preceding records have executed.
-func ReplaySource(x Executor, src Source) error {
-	return ReplaySourceOpts(x, src, ReplayOptions{})
-}

@@ -175,7 +175,7 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamDev.EnableTrace()
-	if err := streamDev.ReplaySource(src); err != nil {
+	if err := cmdstream.ReplaySourceOpts(streamDev, src, cmdstream.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +210,7 @@ func TestReplaySourceUnterminatedScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.ReplaySource(cmdstream.FromRecords(s.Header, s.Records[:cut]))
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromRecords(s.Header, s.Records[:cut]), cmdstream.ReplayOptions{})
 	if !errors.Is(err, cmdstream.ErrTruncated) {
 		t.Errorf("unterminated scope: error %v does not wrap ErrTruncated", err)
 	}

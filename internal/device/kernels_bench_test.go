@@ -22,8 +22,7 @@ import (
 //     pool, so EXPERIMENTS.md can report end-to-end wall-clock including
 //     dispatch, cost modeling, and span scheduling.
 //
-// scripts/bench.sh runs this benchmark and archives the output as
-// BENCH_kernels.json.
+// Its archived output is BENCH_kernels.json.
 func BenchmarkExecKernels(b *testing.B) {
 	const n = 1 << 16
 	shapes := []struct {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pimeval/internal/cmdstream"
 	"pimeval/internal/device"
 	"pimeval/internal/dram"
 	"pimeval/internal/fault"
@@ -185,7 +186,7 @@ func TestFaultReplayReproducesInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewFromStream: %v", err)
 			}
-			if err := rd.Replay(s); err != nil {
+			if err := cmdstream.Replay(rd, s); err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
 			if got := rd.FaultCounts(); got != ref.Counts {

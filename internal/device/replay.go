@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"pimeval/internal/cmdstream"
 )
@@ -38,72 +37,10 @@ func NewFromStream(s *cmdstream.Stream, workers int) (*Device, error) {
 	return NewFromHeader(s.Header, workers)
 }
 
-// Replay re-executes a recorded stream against the device. *Device satisfies
-// cmdstream.Executor, so this is a thin wrapper kept for discoverability.
-func (d *Device) Replay(s *cmdstream.Stream) error { return cmdstream.Replay(d, s) }
-
-// ReplaySource re-executes a streaming source against the device with
-// bounded memory: only the current record (or repeat-scope body) is
-// resident, and chunked h2d payloads stream straight into device storage —
-// *Device satisfies cmdstream.ChunkedExecutor via CopyHostToDeviceFrom.
-func (d *Device) ReplaySource(src cmdstream.Source) error {
-	return cmdstream.ReplaySource(d, src)
-}
-
-// ReplayPipelined re-executes a streaming source like ReplaySource, but
-// runs decode on its own goroutine behind a bounded queue
-// (cmdstream.PipelineSource), overlapping I/O + decode with execution.
-// Record order — and therefore the device's write sequence, fault
-// injection, statistics, latency, and energy — is exactly that of the
-// serial path; only wall-clock time changes. The source is left open, as
-// with ReplaySource.
-func (d *Device) ReplayPipelined(src cmdstream.Source) error {
-	return d.ReplayPipelinedOpts(src, cmdstream.ReplayOptions{})
-}
-
-// ReplaySourceOpts is ReplaySource with resume and checkpoint control: it
-// skips opts.Skip records before executing and invokes opts.Checkpoint at
-// unit boundaries. Pair the checkpoint callback with WriteSnapshot to
-// produce recovery points a later ReplayFrom can resume from.
-func (d *Device) ReplaySourceOpts(src cmdstream.Source, opts cmdstream.ReplayOptions) error {
-	return cmdstream.ReplaySourceOpts(d, src, opts)
-}
-
-// ReplayPipelinedOpts is ReplayPipelined with resume and checkpoint control;
-// see ReplaySourceOpts. Skipping happens on the decoded record sequence, so
-// cursors are interchangeable between the serial and pipelined paths.
-func (d *Device) ReplayPipelinedOpts(src cmdstream.Source, opts cmdstream.ReplayOptions) error {
-	ps := cmdstream.NewPipelineSource(src, 0)
-	defer ps.Close()
-	return cmdstream.ReplaySourceOpts(d, ps, opts)
-}
-
-// ReplayFrom restores a device from a snapshot and resumes replaying src
-// from the snapshot's cursor: the device skips the records the snapshotted
-// run already executed and continues with the tail. src must be the same
-// stream the snapshot was taken during — its header must describe the same
-// device — and the result is bit-identical to an uninterrupted replay.
-// Further checkpoints fire per opts; opts.Skip is overridden by the
-// snapshot's cursor.
-func ReplayFrom(snapshot io.Reader, src cmdstream.Source, workers int, opts cmdstream.ReplayOptions) (*Device, error) {
-	d, cursor, err := RestoreSnapshot(snapshot, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.CheckResume(src); err != nil {
-		return nil, err
-	}
-	opts.Skip = cursor
-	if err := cmdstream.ReplaySourceOpts(d, src, opts); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // CheckResume verifies that src is a stream this device may resume: its
 // header must describe the same device (see compatibleHeader). Callers that
-// restore a snapshot and drive the tail replay themselves run this check
-// first; ReplayFrom does it automatically.
+// restore a snapshot (RestoreSnapshot) run this check before replaying the
+// tail with cmdstream.ReplayOptions.Skip set to the snapshot's cursor.
 func (d *Device) CheckResume(src cmdstream.Source) error {
 	return compatibleHeader(d.streamHeader(), src.Header())
 }

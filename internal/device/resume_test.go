@@ -50,6 +50,19 @@ func scopeDepths(s *cmdstream.Stream) []int {
 	return depths
 }
 
+// resumeFrom restores a snapshot and replays the tail of src from the
+// snapshot's cursor, as pim.ResumeReplaySource does.
+func resumeFrom(snap []byte, src cmdstream.Source) (*Device, error) {
+	d, cursor, err := RestoreSnapshot(bytes.NewReader(snap), 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.CheckResume(src); err != nil {
+		return nil, err
+	}
+	return d, cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{Skip: cursor})
+}
+
 // TestResumeFromEveryCheckpoint checkpoints a replay at every unit boundary,
 // then restores each snapshot and replays the tail: every resumed device
 // must be bit-identical to the uninterrupted replay.
@@ -63,7 +76,7 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.EnableTrace()
-			if err := ref.ReplaySource(cmdstream.FromStream(stream)); err != nil {
+			if err := cmdstream.ReplaySourceOpts(ref, cmdstream.FromStream(stream), cmdstream.ReplayOptions{}); err != nil {
 				t.Fatalf("reference replay: %v", err)
 			}
 			want := fingerprint(t, ref)
@@ -75,7 +88,7 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 			}
 			ckpt.EnableTrace()
 			snaps := map[int64][]byte{}
-			err = ckpt.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+			err = cmdstream.ReplaySourceOpts(ckpt, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 				CheckpointEvery: 1,
 				Checkpoint: func(cursor int64) error {
 					var buf bytes.Buffer
@@ -104,9 +117,9 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 				if depths[cursor] != 0 {
 					t.Fatalf("checkpoint cursor %d inside repeat scope", cursor)
 				}
-				r, err := ReplayFrom(bytes.NewReader(snap), cmdstream.FromStream(stream), 1, cmdstream.ReplayOptions{})
+				r, err := resumeFrom(snap, cmdstream.FromStream(stream))
 				if err != nil {
-					t.Fatalf("ReplayFrom at cursor %d: %v", cursor, err)
+					t.Fatalf("resume at cursor %d: %v", cursor, err)
 				}
 				if got := fingerprint(t, r); got != want {
 					t.Fatalf("resume at cursor %d diverged from uninterrupted replay", cursor)
@@ -125,7 +138,7 @@ func TestResumeCheckpointCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cursors []int64
-	err = d.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 		CheckpointEvery: 3,
 		Checkpoint: func(cursor int64) error {
 			cursors = append(cursors, cursor)
@@ -155,7 +168,7 @@ func TestResumeCheckpointError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("checkpoint sink failed")
-	err = d.ReplaySourceOpts(cmdstream.FromStream(stream), cmdstream.ReplayOptions{
+	err = cmdstream.ReplaySourceOpts(d, cmdstream.FromStream(stream), cmdstream.ReplayOptions{
 		CheckpointEvery: 1,
 		Checkpoint:      func(int64) error { return boom },
 	})
@@ -178,15 +191,15 @@ func TestResumeCursorValidation(t *testing.T) {
 		return d
 	}
 
-	if err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	if err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: -1}); err == nil {
 		t.Error("negative skip accepted")
 	}
-	if err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	if err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{CheckpointEvery: -1}); err == nil {
 		t.Error("negative interval accepted")
 	}
-	err := newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	err := cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: total + 1})
 	if !errors.Is(err, cmdstream.ErrTruncated) {
 		t.Errorf("skip past end: %v", err)
@@ -202,14 +215,14 @@ func TestResumeCursorValidation(t *testing.T) {
 	if inScope < 0 {
 		t.Fatal("recorded stream has no repeat scope")
 	}
-	err = newReplayDev().ReplaySourceOpts(cmdstream.FromStream(stream),
+	err = cmdstream.ReplaySourceOpts(newReplayDev(), cmdstream.FromStream(stream),
 		cmdstream.ReplayOptions{Skip: inScope})
 	if !errors.Is(err, cmdstream.ErrFormat) {
 		t.Errorf("skip into scope: %v", err)
 	}
 }
 
-// TestResumeHeaderMismatch proves ReplayFrom rejects a stream recorded on a
+// TestResumeHeaderMismatch proves a resume rejects a stream recorded on a
 // different device than the snapshot's.
 func TestResumeHeaderMismatch(t *testing.T) {
 	v := snapVariant{functional: true}
@@ -221,15 +234,12 @@ func TestResumeHeaderMismatch(t *testing.T) {
 	other := *stream
 	other.Header.Target = TargetBitSerial.String()
 	other.Header.TargetID = int(TargetBitSerial)
-	if _, err := ReplayFrom(bytes.NewReader(snap.Bytes()), cmdstream.FromStream(&other), 1,
-		cmdstream.ReplayOptions{}); !errors.Is(err, ErrBadArgument) {
+	if _, err := resumeFrom(snap.Bytes(), cmdstream.FromStream(&other)); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched target accepted: %v", err)
 	}
 	modelHdr := stream.Header
 	modelHdr.Functional = false
-	if _, err := ReplayFrom(bytes.NewReader(snap.Bytes()),
-		cmdstream.FromRecords(modelHdr, stream.Records), 1,
-		cmdstream.ReplayOptions{}); !errors.Is(err, ErrBadArgument) {
+	if _, err := resumeFrom(snap.Bytes(), cmdstream.FromRecords(modelHdr, stream.Records)); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("mismatched functional mode accepted: %v", err)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // the bit-packed binary format, over recorded functional streams whose
 // payload element width varies (the binary format packs payload elements at
 // their true width, so narrow types compress hardest). The rendered table
-// is the EXPERIMENTS.md "binary stream format" artifact; scripts/bench.sh
-// captures the same comparison as BENCH_binstream.json via the
-// BenchmarkBinaryStream/BenchmarkJSONStream benchmarks.
+// is the EXPERIMENTS.md "binary stream format" artifact; the
+// BenchmarkBinaryStream/BenchmarkJSONStream benchmarks measure the same
+// comparison.
 func BinStream() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Binary vs JSON command-stream encoding (functional vecadd-style recording)\n\n")

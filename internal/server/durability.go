@@ -454,7 +454,7 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 			return discard("bad stream header", err)
 		}
 	}
-	if err := dev.ReplaySourceOpts(cs, cmdstream.ReplayOptions{Skip: skip}); err != nil {
+	if err := cmdstream.ReplaySourceOpts(dev, cs, cmdstream.ReplayOptions{Skip: skip}); err != nil {
 		// A truncated spool means the client never finished submitting; its
 		// retry carries the full stream.
 		return discard("replay failed", err)

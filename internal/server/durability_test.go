@@ -174,7 +174,7 @@ func crashJournal(t *testing.T, srv *Server, fileBase string, meta sessionMeta, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = d.ReplaySourceOpts(src, cmdstream.ReplayOptions{
+		err = cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{
 			CheckpointEvery: checkpointEvery,
 			Checkpoint:      func(cursor int64) error { j.checkpoint(d, cursor); return nil },
 		})

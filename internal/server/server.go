@@ -58,9 +58,9 @@ type Config struct {
 	TenantBurst int
 	// MaxBodyBytes caps a submitted stream's encoded size; 0 selects 1 GiB.
 	MaxBodyBytes int64
-	// Pipelined selects decode-ahead replay (Device.ReplayPipelined) as the
-	// default; a request may override it with ?pipelined=0/1. Results are
-	// bit-identical either way.
+	// Pipelined selects decode-ahead replay (cmdstream.ReplayOptions.
+	// Pipelined) as the default; a request may override it with
+	// ?pipelined=0/1. Results are bit-identical either way.
 	Pipelined bool
 	// Logger receives structured request logs; nil discards them.
 	Logger *slog.Logger

@@ -229,7 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.testHookReplayStart != nil {
 		s.testHookReplayStart(ctx, tenant, session)
 	}
-	var opts cmdstream.ReplayOptions
+	opts := cmdstream.ReplayOptions{Pipelined: pipelined}
 	if j != nil && s.cfg.checkpointEvery() > 0 {
 		opts.CheckpointEvery = s.cfg.checkpointEvery()
 		opts.Checkpoint = func(cursor int64) error {
@@ -237,11 +237,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 	}
-	if pipelined {
-		err = d.ReplayPipelinedOpts(cs, opts)
-	} else {
-		err = d.ReplaySourceOpts(cs, opts)
-	}
+	err = cmdstream.ReplaySourceOpts(d, cs, opts)
 	elapsedMS := float64(time.Since(start)) / 1e6
 	if err != nil {
 		st := statusFor(err)

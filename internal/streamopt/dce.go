@@ -8,22 +8,18 @@ import "pimeval/internal/cmdstream"
 // sweep. A second phase then removes alloc/free pairs of objects no
 // surviving record references.
 //
-// Liveness seeds with the objects still allocated at end-of-stream — they
-// are observable outputs (CopyDeviceToHost can read them after replay), so
-// their final contents are part of the bit-identity contract. Reductions,
-// d2h copies, and host records are always kept: their effects escape device
-// memory.
+// The same pass serves the whole-stream optimizer and each window of the
+// streaming one (a stream is its own unbounded window): an object counts as
+// live unless a later free in recs proves it dead, because a record after
+// the window — or a CopyDeviceToHost after replay, for objects still
+// allocated at end-of-stream — may read it. On a stream that replays this
+// equals seeding liveness with the objects allocated at end-of-stream:
+// every object is allocated in the stream and IDs are never reused.
+// Reductions, d2h copies, and host records are always kept: their effects
+// escape device memory. The alloc/free sweep is sound per window because a
+// lifetime wholly contained in the window cannot be referenced outside it.
 func deadCode(recs []cmdstream.Record) ([]cmdstream.Record, int) {
-	live := make(map[int64]bool)
-	for i := range recs {
-		switch recs[i].Kind {
-		case cmdstream.KindAlloc:
-			live[recs[i].Obj] = true
-		case cmdstream.KindFree:
-			delete(live, recs[i].Obj)
-		}
-	}
-
+	dead := make(map[int64]bool) // absent or false: live
 	keep := make([]bool, len(recs))
 	removed := 0
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -37,11 +33,11 @@ func deadCode(recs []cmdstream.Record) ([]cmdstream.Record, int) {
 			continue
 		case cmdstream.KindFree:
 			keep[i] = true
-			live[rec.Obj] = false
+			dead[rec.Obj] = true
 			continue
 		}
 		uses, defs, partial := recEffects(rec)
-		if removableStore(rec) && len(defs) == 1 && !live[defs[0]] {
+		if removableStore(rec) && len(defs) == 1 && dead[defs[0]] {
 			// Nothing reads defs[0] again before it is overwritten or
 			// freed: drop the store, and do not mark its inputs live.
 			removed++
@@ -50,11 +46,11 @@ func deadCode(recs []cmdstream.Record) ([]cmdstream.Record, int) {
 		keep[i] = true
 		if !partial {
 			for _, d := range defs {
-				live[d] = false
+				dead[d] = true
 			}
 		}
 		for _, u := range uses {
-			live[u] = true
+			dead[u] = false
 		}
 	}
 

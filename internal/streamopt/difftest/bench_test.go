@@ -36,7 +36,7 @@ func recordModelOnly(tb testing.TB, name string) *pim.Stream {
 // BenchmarkStreamOptimize measures the optimizer's wall-clock cost per
 // stream and reports the simulated latency/energy deltas of the optimized
 // replay as custom metrics (sim-speedup, sim-ms-saved, sim-mj-saved, and
-// records-removed), archived by scripts/bench.sh into BENCH_streamopt.json.
+// records-removed), archived in BENCH_streamopt.json.
 func BenchmarkStreamOptimize(b *testing.B) {
 	for _, name := range benchStreams {
 		b.Run(name, func(b *testing.B) {

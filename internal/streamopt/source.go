@@ -1,7 +1,6 @@
 package streamopt
 
 import (
-	"fmt"
 	"io"
 
 	"pimeval/internal/cmdstream"
@@ -107,22 +106,22 @@ func (s *windowSource) Next() (*cmdstream.Record, error) {
 
 func (s *windowSource) Close() error { return s.src.Close() }
 
-// fill pulls the next window from the source, validating scope structure
+// fill pulls the next window from the source, checking scope structure
 // incrementally (the slice pipeline gets this from Stream.Validate), and
-// runs the enabled window-local passes over it.
+// runs the enabled passes over it.
 func (s *windowSource) fill() error {
 	s.win = s.win[:0]
 	s.pos = 0
 	var payload int64
-	depth := 0
+	var sc cmdstream.ScopeCheck
 	for {
-		if depth == 0 && (len(s.win) >= windowRecs || payload >= windowPayloadElems) {
+		if !sc.InScope() && (len(s.win) >= windowRecs || payload >= windowPayloadElems) {
 			break
 		}
 		rec, err := s.src.Next()
 		if err == io.EOF {
-			if depth != 0 {
-				return fmt.Errorf("streamopt: %w: unterminated repeat scope", cmdstream.ErrTruncated)
+			if err := sc.End(); err != nil {
+				return err
 			}
 			s.done = true
 			break
@@ -130,26 +129,11 @@ func (s *windowSource) fill() error {
 		if err != nil {
 			return err
 		}
-		if !cmdstream.KnownKind(rec.Kind) {
-			return fmt.Errorf("streamopt: seq %d: unknown record kind %q", rec.Seq, rec.Kind)
+		if err := sc.Check(rec); err != nil {
+			return err
 		}
 		if err := cmdstream.Materialize(s.src, rec); err != nil {
 			return err
-		}
-		switch rec.Kind {
-		case cmdstream.KindRepeatBegin:
-			if depth != 0 {
-				return fmt.Errorf("streamopt: seq %d: nested repeat scope", rec.Seq)
-			}
-			if rec.Repeat < 1 {
-				return fmt.Errorf("streamopt: seq %d: repeat scope with factor %d", rec.Seq, rec.Repeat)
-			}
-			depth = 1
-		case cmdstream.KindRepeatEnd:
-			if depth == 0 {
-				return fmt.Errorf("streamopt: seq %d: repeat.end without matching begin", rec.Seq)
-			}
-			depth = 0
 		}
 		s.win = append(s.win, *rec)
 		payload += int64(len(rec.Data))
@@ -159,7 +143,7 @@ func (s *windowSource) fill() error {
 	}
 	if s.cfg.DeadCode {
 		var n int
-		s.win, n = windowDCE(s.win)
+		s.win, n = deadCode(s.win)
 		s.res.Eliminated += n
 	}
 	if s.cfg.Hoist {
@@ -168,89 +152,4 @@ func (s *windowSource) fill() error {
 		s.res.Hoisted += n
 	}
 	return nil
-}
-
-// windowDCE is the window-local variant of deadCode: identical structure,
-// but deadness must be proven within the window — any object not freed or
-// overwritten before the window ends is assumed live (a later window may
-// read it). The alloc/free sweep stays sound in-window because object IDs
-// are assigned sequentially and never reused: a lifetime wholly contained
-// in the window cannot be referenced outside it.
-func windowDCE(recs []cmdstream.Record) ([]cmdstream.Record, int) {
-	// dead[obj] true = provably unobserved before overwrite/free in-window;
-	// absent/false = assumed live.
-	dead := make(map[int64]bool)
-	keep := make([]bool, len(recs))
-	removed := 0
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := &recs[i]
-		switch rec.Kind {
-		case cmdstream.KindHost, cmdstream.KindRepeatBegin, cmdstream.KindRepeatEnd:
-			keep[i] = true
-			continue
-		case cmdstream.KindAlloc:
-			keep[i] = true
-			continue
-		case cmdstream.KindFree:
-			keep[i] = true
-			dead[rec.Obj] = true
-			continue
-		}
-		uses, defs, partial := recEffects(rec)
-		if removableStore(rec) && len(defs) == 1 && dead[defs[0]] {
-			removed++
-			continue
-		}
-		keep[i] = true
-		if !partial {
-			for _, d := range defs {
-				dead[d] = true
-			}
-		}
-		for _, u := range uses {
-			dead[u] = false
-		}
-	}
-
-	// Alloc/free pairs of objects no kept in-window record touches. Both
-	// endpoints must be inside the window for the lifetime-containment
-	// argument above to hold.
-	refs := make(map[int64]int)
-	hasAlloc := make(map[int64]bool)
-	hasFree := make(map[int64]bool)
-	for i := range recs {
-		if !keep[i] {
-			continue
-		}
-		rec := &recs[i]
-		switch rec.Kind {
-		case cmdstream.KindAlloc:
-			hasAlloc[rec.Obj] = true
-			continue
-		case cmdstream.KindFree:
-			hasFree[rec.Obj] = true
-			continue
-		}
-		uses, defs, _ := recEffects(rec)
-		for _, u := range uses {
-			refs[u]++
-		}
-		for _, d := range defs {
-			refs[d]++
-		}
-	}
-	out := make([]cmdstream.Record, 0, len(recs))
-	for i := range recs {
-		if !keep[i] {
-			continue
-		}
-		rec := &recs[i]
-		if (rec.Kind == cmdstream.KindAlloc || rec.Kind == cmdstream.KindFree) &&
-			hasAlloc[rec.Obj] && hasFree[rec.Obj] && refs[rec.Obj] == 0 {
-			removed++
-			continue
-		}
-		out = append(out, *rec)
-	}
-	return out, removed
 }

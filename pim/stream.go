@@ -8,6 +8,7 @@ package pim
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"pimeval/internal/cmdstream"
@@ -87,11 +88,11 @@ type ReplayConfig struct {
 	Trace bool
 	// Record re-records the replayed stream (for round-trip verification).
 	Record bool
-	// Pipelined runs decode on its own goroutine behind a bounded queue
-	// (ReplaySource only), overlapping I/O + decode with execution. Record
-	// order is exactly the serial path's, so every observable — data,
-	// statistics, trace, latency, energy, fault injection — is bit-identical;
-	// only wall-clock time changes.
+	// Pipelined runs decode on its own goroutine behind a bounded queue,
+	// overlapping I/O + decode with execution. Record order is exactly the
+	// serial path's, so every observable — data, statistics, trace,
+	// latency, energy, fault injection — is bit-identical; only wall-clock
+	// time changes.
 	Pipelined bool
 	// Context, when non-nil, installs a cancellation context on the replay
 	// device before the first record executes (Device.SetContext): once it
@@ -100,42 +101,29 @@ type ReplayConfig struct {
 	// error. This is how a server aborts a replay when its client goes away.
 	Context context.Context
 	// CheckpointEvery is the minimum number of stream records between
-	// Checkpoint callbacks (ReplaySource and ResumeReplaySource only).
-	// Checkpoints fire at unit boundaries — never inside a repeat scope —
-	// so the device state a callback observes is always self-contained.
-	// Zero disables checkpointing.
+	// Checkpoint callbacks. Checkpoints fire at unit boundaries — never
+	// inside a repeat scope — so the device state a callback observes is
+	// always self-contained. Zero disables checkpointing.
 	CheckpointEvery int64
 	// Checkpoint, when non-nil, is called during replay with the resume
 	// cursor (total records consumed so far) and the replaying device;
 	// pair it with Device.WriteSnapshot to produce recovery points a later
 	// ResumeReplaySource continues from. An error aborts the replay.
-	// Incompatible with Record: a snapshot cannot be taken while a stream
-	// recorder is attached.
+	// Incompatible with Record — a snapshot cannot be taken while a stream
+	// recorder is attached — so setting both fails with ErrBadArgument
+	// before any record executes.
 	Checkpoint func(cursor int64, d *Device) error
 }
 
-// Replay builds a fresh device from the stream's header and re-executes
-// every record against it. For streams recorded on a functional device,
-// reduction results are verified against the recorded values during replay.
-// The returned device holds the replayed run's state and statistics.
+// Replay validates a materialized stream, then replays it as ReplaySource
+// does. For streams recorded on a functional device, reduction results are
+// verified against the recorded values during replay. The returned device
+// holds the replayed run's state and statistics.
 func Replay(s *Stream, rc ReplayConfig) (*Device, error) {
-	d, err := device.NewFromStream(s, rc.Workers)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if rc.Context != nil {
-		d.SetContext(rc.Context)
-	}
-	if rc.Trace {
-		d.EnableTrace()
-	}
-	if rc.Record {
-		d.StartRecording()
-	}
-	if err := d.Replay(s); err != nil {
-		return nil, err
-	}
-	return &Device{d: d}, nil
+	return ReplaySource(cmdstream.FromStream(s), rc)
 }
 
 // ReplaySource builds a fresh device from the source's header and
@@ -144,12 +132,12 @@ func Replay(s *Stream, rc ReplayConfig) (*Device, error) {
 // into device storage in bounded chunks — a stream far larger than memory
 // replays with O(chunk) peak usage. The source is consumed but not closed.
 func ReplaySource(src StreamSource, rc ReplayConfig) (*Device, error) {
+	if rc.Record && rc.Checkpoint != nil {
+		return nil, fmt.Errorf("%w: ReplayConfig.Record and Checkpoint are incompatible", ErrBadArgument)
+	}
 	d, err := device.NewFromHeader(src.Header(), rc.Workers)
 	if err != nil {
 		return nil, err
-	}
-	if rc.Context != nil {
-		d.SetContext(rc.Context)
 	}
 	if rc.Trace {
 		d.EnableTrace()
@@ -157,24 +145,24 @@ func ReplaySource(src StreamSource, rc ReplayConfig) (*Device, error) {
 	if rc.Record {
 		d.StartRecording()
 	}
-	v := &Device{d: d}
-	if err := replayOpts(d, src, rc, v, 0); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return replayOpts(d, src, rc, 0)
 }
 
-// replayOpts drives the serial or pipelined resumable replay path with the
-// checkpoint knobs from rc, skipping the first skip records.
-func replayOpts(d *device.Device, src StreamSource, rc ReplayConfig, v *Device, skip int64) error {
-	opts := cmdstream.ReplayOptions{Skip: skip, CheckpointEvery: rc.CheckpointEvery}
+// replayOpts installs rc's context and replays src onto d from the resume
+// cursor skip, with rc's pipelining and checkpoint knobs.
+func replayOpts(d *device.Device, src StreamSource, rc ReplayConfig, skip int64) (*Device, error) {
+	if rc.Context != nil {
+		d.SetContext(rc.Context)
+	}
+	v := &Device{d: d}
+	opts := cmdstream.ReplayOptions{Pipelined: rc.Pipelined, Skip: skip, CheckpointEvery: rc.CheckpointEvery}
 	if rc.Checkpoint != nil {
 		opts.Checkpoint = func(cursor int64) error { return rc.Checkpoint(cursor, v) }
 	}
-	if rc.Pipelined {
-		return d.ReplayPipelinedOpts(src, opts)
+	if err := cmdstream.ReplaySourceOpts(d, src, opts); err != nil {
+		return nil, err
 	}
-	return d.ReplaySourceOpts(src, opts)
+	return v, nil
 }
 
 // WriteSnapshot serializes the device's complete state — object table,
@@ -218,14 +206,7 @@ func ResumeReplaySource(snapshot io.Reader, src StreamSource, rc ReplayConfig) (
 	if err := d.CheckResume(src); err != nil {
 		return nil, err
 	}
-	if rc.Context != nil {
-		d.SetContext(rc.Context)
-	}
-	v := &Device{d: d}
-	if err := replayOpts(d, src, rc, v, cursor); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return replayOpts(d, src, rc, cursor)
 }
 
 // PipelineStreamSource wraps a StreamSource in a decode-ahead pipeline

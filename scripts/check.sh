@@ -26,12 +26,15 @@ go -C bench test ./...
 echo "==> optimizer differential battery (race)"
 go test -race ./internal/streamopt/ ./internal/streamopt/difftest/
 
+echo "==> pipelined-replay battery (race)"
+go test -race -run 'TestPipelinedReplayBattery|TestReplayPipelined|TestReplayScopeErrors|TestPipelineSource|TestAsyncSink' ./benchmarks/suite/replaytest/ ./internal/cmdstream/
+
 echo "==> server battery (race)"
 go test -race ./internal/server/ ./internal/stats/ ./cmd/pimserved/ ./cmd/pimload/
 
 echo "==> recovery battery (race, short)"
 go test -race -short -run 'TestRecoveryBattery' ./benchmarks/suite/replaytest/
-go test -race -run 'TestSnapshot' ./internal/device/
+go test -race -run 'TestSnapshot|TestResume' ./internal/device/
 go test -race ./internal/chaos/
 
 echo "==> object storage recycling (race)"
