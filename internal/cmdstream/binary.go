@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"pimeval/internal/isa"
 )
 
 // The bit-packed binary stream encoding (DESIGN.md §13). Compared to the
@@ -72,20 +74,12 @@ var binOps = []string{
 	"broadcast", "copy.d2d",
 }
 
-// binType describes one element-type code: its name, packed width, and
-// signedness (signed values sign-extend from their top packed bit).
-type binType struct {
-	name   string
-	bytes  int
-	signed bool
-}
-
-// The element-type codes. Index = wire value; 0xFF (binTypeRaw) marks a
-// payload packed as raw 8-byte little-endian int64s — the lossless fallback
-// when a payload value does not fit its object's element width.
-var binTypes = []binType{
-	{"int8", 1, true}, {"int16", 2, true}, {"int32", 4, true}, {"int64", 8, true},
-	{"uint8", 1, false}, {"uint16", 2, false}, {"uint32", 4, false}, {"uint64", 8, false},
+// The element-type codes. Index = wire value; pinned like binOps. Payload
+// elements pack at the type's width (isa.DataType.Pack). 0xFF (binTypeRaw)
+// marks a payload packed as isa.Int64 — the lossless fallback when a
+// payload value does not fit its object's element width.
+var binTypes = []isa.DataType{
+	isa.Int8, isa.Int16, isa.Int32, isa.Int64, isa.UInt8, isa.UInt16, isa.UInt32, isa.UInt64,
 }
 
 const binTypeRaw = 0xFF
@@ -119,33 +113,11 @@ var (
 	binTypeCode = func() map[string]byte {
 		m := make(map[string]byte)
 		for c, t := range binTypes {
-			m[t.name] = byte(c)
+			m[t.String()] = byte(c)
 		}
 		return m
 	}()
 )
-
-// fitsType reports whether v round-trips through code's packed width.
-func fitsType(v int64, code byte) bool {
-	bt := binTypes[code]
-	if bt.bytes == 8 {
-		return true
-	}
-	return unpackElem(uint64(v), code) == v
-}
-
-// unpackElem reconstructs an element value from its packed raw bits.
-func unpackElem(raw uint64, code byte) int64 {
-	bt := binTypes[code]
-	bits := uint(bt.bytes) * 8
-	if bits < 64 {
-		raw &= (uint64(1) << bits) - 1
-	}
-	if bt.signed && bits < 64 && raw&(uint64(1)<<(bits-1)) != 0 {
-		raw |= ^uint64(0) << bits
-	}
-	return int64(raw)
-}
 
 // binWriter streams records into the binary encoding. It tracks each live
 // object's element type from the alloc records flowing through it, so h2d
@@ -316,12 +288,12 @@ func (bw *binWriter) Write(rec *Record) error {
 // first; frames then go to the buffered writer directly, already batched at
 // frame granularity.
 func (bw *binWriter) payload(rec *Record) error {
-	code := byte(binTypeRaw)
+	code, dt := byte(binTypeRaw), isa.Int64
 	if tc, ok := bw.objTypes[rec.Obj]; ok {
-		code = tc
+		code, dt = tc, binTypes[tc]
 		for _, v := range rec.Data {
-			if !fitsType(v, tc) {
-				code = binTypeRaw
+			if dt.Truncate(v) != v {
+				code, dt = binTypeRaw, isa.Int64
 				break
 			}
 		}
@@ -330,10 +302,7 @@ func (bw *binWriter) payload(rec *Record) error {
 	if err := bw.flush(); err != nil {
 		return err
 	}
-	width := 8
-	if code != binTypeRaw {
-		width = binTypes[code].bytes
-	}
+	width := dt.Bytes()
 	if cap(bw.packbuf) < payloadFrameElems*width {
 		bw.packbuf = make([]byte, payloadFrameElems*width)
 	}
@@ -347,12 +316,7 @@ func (bw *binWriter) payload(rec *Record) error {
 			return err
 		}
 		buf := bw.packbuf[:n*width]
-		for i, v := range rec.Data[off : off+n] {
-			raw := uint64(v)
-			for b := 0; b < width; b++ {
-				buf[i*width+b] = byte(raw >> (8 * b))
-			}
-		}
+		dt.Pack(buf, rec.Data[off:off+n])
 		if _, err := bw.w.Write(buf); err != nil {
 			return err
 		}
@@ -486,7 +450,7 @@ type binSource struct {
 
 	// Pending-payload state (the h2d record most recently returned).
 	pending  bool
-	pendCode byte
+	pendType isa.DataType // packing of the pending payload
 	chunkBuf []int64
 	packbuf  []byte
 	ended    bool // end-of-stream marker consumed
@@ -595,12 +559,12 @@ func (s *binSource) NextPayloadChunk() ([]int64, error) {
 		s.pending = false
 		return nil, fmt.Errorf("cmdstream: decode payload: frame of %d elements exceeds limit", n)
 	}
-	width := 8
-	if s.pendCode != binTypeRaw {
-		width = binTypes[s.pendCode].bytes
-	}
+	// Buffers are sized to the frame: any frame up to maxFrameElems is
+	// valid, even though encoders only emit payloadFrameElems.
+	size := max(int(n), payloadFrameElems)
+	width := s.pendType.Bytes()
 	if cap(s.packbuf) < int(n)*width {
-		s.packbuf = make([]byte, payloadFrameElems*width)
+		s.packbuf = make([]byte, size*width)
 	}
 	buf := s.packbuf[:int(n)*width]
 	if _, err := io.ReadFull(s.r, buf); err != nil {
@@ -608,54 +572,11 @@ func (s *binSource) NextPayloadChunk() ([]int64, error) {
 		return nil, binErr("payload frame", err)
 	}
 	if cap(s.chunkBuf) < int(n) {
-		s.chunkBuf = make([]int64, payloadFrameElems)
+		s.chunkBuf = make([]int64, size)
 	}
 	chunk := s.chunkBuf[:n]
-	unpackChunk(chunk, buf, width, s.pendCode)
+	s.pendType.Unpack(chunk, buf)
 	return chunk, nil
-}
-
-// unpackChunk decodes a packed little-endian frame into chunk. The
-// per-width loops keep the element stride constant so the compiler can
-// unroll and bounds-check-eliminate them — the generic dynamic-width loop
-// showed up as ~25% of pipeline decode CPU.
-func unpackChunk(chunk []int64, buf []byte, width int, code byte) {
-	switch width {
-	case 1:
-		for i := range chunk {
-			chunk[i] = unpackElem(uint64(buf[i]), code)
-		}
-	case 2:
-		for i := range chunk {
-			chunk[i] = unpackElem(uint64(binary.LittleEndian.Uint16(buf[i*2:])), code)
-		}
-	case 4:
-		for i := range chunk {
-			chunk[i] = unpackElem(uint64(binary.LittleEndian.Uint32(buf[i*4:])), code)
-		}
-	case 8:
-		if code == binTypeRaw {
-			for i := range chunk {
-				chunk[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			return
-		}
-		for i := range chunk {
-			chunk[i] = unpackElem(binary.LittleEndian.Uint64(buf[i*8:]), code)
-		}
-	default:
-		for i := range chunk {
-			var raw uint64
-			for b := 0; b < width; b++ {
-				raw |= uint64(buf[i*width+b]) << (8 * b)
-			}
-			if code == binTypeRaw {
-				chunk[i] = int64(raw)
-			} else {
-				chunk[i] = unpackElem(raw, code)
-			}
-		}
-	}
 }
 
 // swapPayloadBuffer installs buf (which may be nil) as the decode buffer
@@ -717,7 +638,7 @@ func (s *binSource) Next() (*Record, error) {
 		if int(tc) >= len(binTypes) {
 			return nil, fmt.Errorf("cmdstream: decode record: unknown element-type code %d", tc)
 		}
-		rec.Type = binTypes[tc].name
+		rec.Type = binTypes[tc].String()
 		if rec.N, err = s.uvarint("n"); err != nil {
 			return nil, err
 		}
@@ -740,10 +661,14 @@ func (s *binSource) Next() (*Record, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tc != binTypeRaw && int(tc) >= len(binTypes) {
-				return nil, fmt.Errorf("cmdstream: decode payload: unknown element-type code %d", tc)
+			pt := isa.Int64
+			if tc != binTypeRaw {
+				if int(tc) >= len(binTypes) {
+					return nil, fmt.Errorf("cmdstream: decode payload: unknown element-type code %d", tc)
+				}
+				pt = binTypes[tc]
 			}
-			s.pending, s.pendCode = true, tc
+			s.pending, s.pendType = true, pt
 		default:
 			return nil, fmt.Errorf("cmdstream: decode record: bad payload flag %d", flag)
 		}
@@ -829,7 +754,7 @@ func (s *binSource) exec(rec *Record) error {
 	if int(tc) >= len(binTypes) {
 		return fmt.Errorf("cmdstream: decode record: unknown element-type code %d", tc)
 	}
-	rec.Type = binTypes[tc].name
+	rec.Type = binTypes[tc].String()
 	if rec.N, err = s.uvarint("n"); err != nil {
 		return err
 	}

@@ -2,6 +2,9 @@ package cmdstream_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -117,6 +120,20 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Errorf("%s: re-encoding is not byte-identical (%d vs %d bytes)", name, buf.Len(), buf2.Len())
 		}
+	}
+}
+
+// TestBinaryGoldenBytes pins the PIMB encoding of fullStream byte for byte.
+// Streams and journals written by earlier builds must keep decoding, so the
+// wire format may not drift.
+func TestBinaryGoldenBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fullStream().EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "55f7c77c15c21a941a36e1f3e4d1de68078bd51aef1f41f1c33c72e5f5348804"; got != want {
+		t.Errorf("PIMB encoding of fullStream changed: sha256 %s, want %s", got, want)
 	}
 }
 
@@ -304,6 +321,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// mergedFrameEncoding encodes a 262144-element int8 h2d payload, then merges
+// its two canonical 131072-element frames into one frame. The result is a
+// valid, non-canonical stream: decoders accept frames up to 2Mi elements.
+func mergedFrameEncoding(tb testing.TB) []byte {
+	const n, frame = 262144, 131072
+	data := make([]int64, n)
+	for i := range data {
+		data[i] = int64(int8(i*7 - 3))
+	}
+	s := &cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+		{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int8", N: n},
+		{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: data},
+	}}
+	var buf bytes.Buffer
+	if err := s.EncodeBinary(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	enc := buf.Bytes()
+	hdr := binary.AppendUvarint(nil, frame)
+	i := bytes.Index(enc, hdr)
+	second := i + len(hdr) + frame
+	if i < 0 || !bytes.Equal(enc[second:second+len(hdr)], hdr) {
+		tb.Fatal("encoding does not hold two full payload frames")
+	}
+	merged := append([]byte(nil), enc[:i]...)
+	merged = binary.AppendUvarint(merged, n)
+	merged = append(merged, enc[i+len(hdr):second]...)
+	return append(merged, enc[second+len(hdr):]...)
+}
+
 // FuzzBinaryRoundTrip feeds arbitrary bytes to the binary decoder. Any
 // input that decodes must round-trip: re-encoding reaches a fixpoint within
 // one iteration (encode(decode(x)) is canonical), the canonical bytes
@@ -318,6 +365,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("PIMB\x01"))
+	f.Add(mergedFrameEncoding(f))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		src, err := cmdstream.OpenSource(bytes.NewReader(in))
 		if err != nil {

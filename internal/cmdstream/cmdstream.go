@@ -15,7 +15,6 @@ package cmdstream
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -261,8 +260,7 @@ func errOrEOF(err error) error {
 // (encoding/json emits shortest-form float64), so a decoded stream replays
 // to bit-identical statistics.
 func (s *Stream) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
+	return s.EncodeFormat(w, FormatJSON)
 }
 
 // EncodeBinary writes the stream in the bit-packed binary encoding.
@@ -270,11 +268,9 @@ func (s *Stream) EncodeBinary(w io.Writer) error {
 	return s.EncodeFormat(w, FormatBinary)
 }
 
-// EncodeFormat writes the stream in the given encoding.
+// EncodeFormat writes the stream in the given encoding through the same
+// streaming writer a recording sink uses.
 func (s *Stream) EncodeFormat(w io.Writer, f Format) error {
-	if f == FormatJSON {
-		return s.Encode(w)
-	}
 	return Pump(NewWriter(w, f), FromStream(s))
 }
 

@@ -1,6 +1,7 @@
 package cmdstream
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,14 @@ type payloadBufferSwapper interface {
 
 func (p *PipelineSource) produce() {
 	defer close(p.done)
+	// A panic in the wrapped source would otherwise kill the process from
+	// this goroutine, out of every caller's reach; it surfaces as the
+	// consumer's next error instead.
+	defer func() {
+		if r := recover(); r != nil {
+			p.send(pipeMsg{err: fmt.Errorf("cmdstream: pipeline source panicked: %v", r)})
+		}
+	}()
 	cs, _ := p.src.(ChunkedSource)
 	sw, _ := p.src.(payloadBufferSwapper)
 	for {

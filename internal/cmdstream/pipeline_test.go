@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,37 @@ func TestPipelineSourcePropagatesError(t *testing.T) {
 	}
 	if _, err := ps.Next(); !errors.Is(err, cmdstream.ErrTruncated) {
 		t.Fatalf("error not sticky: got %v", err)
+	}
+}
+
+// panicSource is a Source whose Next panics after its first n records.
+type panicSource struct {
+	cmdstream.Source
+	n int
+}
+
+func (s *panicSource) Next() (*cmdstream.Record, error) {
+	if s.n == 0 {
+		panic("poisoned source")
+	}
+	s.n--
+	return s.Source.Next()
+}
+
+// TestPipelineSourceRecoversPanic: a panic in the wrapped source runs on the
+// decode goroutine, where no caller could recover it; the pipeline must
+// surface it as the consumer's next error, after the records before it.
+func TestPipelineSourceRecoversPanic(t *testing.T) {
+	ps := cmdstream.NewPipelineSource(&panicSource{Source: cmdstream.FromStream(sampleStream()), n: 2}, 0)
+	defer ps.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := ps.Next(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	_, err := ps.Next()
+	if err == nil || err == io.EOF || !strings.Contains(err.Error(), "poisoned source") {
+		t.Fatalf("got %v, want the recovered panic", err)
 	}
 }
 

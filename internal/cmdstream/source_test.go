@@ -2,6 +2,7 @@ package cmdstream_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -36,22 +37,41 @@ func TestSliceAdapters(t *testing.T) {
 	}
 }
 
-// TestJSONWriterMatchesEncode: the streaming JSON sink must emit bytes
-// identical to the one-shot Stream.Encode, so files written by either path
-// are interchangeable.
+// TestJSONWriterMatchesEncode pins the JSON layout: the streaming JSON
+// writer behind Encode must emit exactly json.Marshal of the stream plus a
+// trailing newline, so files written by any earlier build stay
+// interchangeable. The one exception is a stream with no records, which
+// encodes "records":[] (json.Marshal gives null); both decode alike.
 func TestJSONWriterMatchesEncode(t *testing.T) {
-	s := sampleStream()
-	var want bytes.Buffer
-	if err := s.Encode(&want); err != nil {
-		t.Fatal(err)
+	for name, s := range map[string]*cmdstream.Stream{"sample": sampleStream(), "full": fullStream()} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		var got bytes.Buffer
+		if err := s.Encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: JSON encoding differs from json.Marshal:\n got: %s\nwant: %s", name, got.String(), want)
+		}
 	}
+
+	empty := &cmdstream.Stream{Header: sampleStream().Header}
 	var got bytes.Buffer
-	w := cmdstream.NewWriter(&got, cmdstream.FormatJSON)
-	if err := cmdstream.Pump(w, cmdstream.FromStream(s)); err != nil {
+	if err := empty.Encode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("streaming JSON writer output differs from Encode:\n got: %s\nwant: %s", got.String(), want.String())
+	if !bytes.HasSuffix(got.Bytes(), []byte(`,"records":[]}`+"\n")) {
+		t.Errorf("empty stream encodes as %s", got.String())
+	}
+	for _, in := range [][]byte{got.Bytes(), bytes.Replace(got.Bytes(), []byte("[]"), []byte("null"), 1)} {
+		if dec, err := cmdstream.Decode(bytes.NewReader(in)); err != nil {
+			t.Errorf("decode %s: %v", in, err)
+		} else if len(dec.Records) != 0 {
+			t.Errorf("decode %s: %d records", in, len(dec.Records))
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // pipeline is the staged dispatch path every device operation flows through:
 //
 //	validate → lower to cmdstream record → functional backend → cost model
-//	         → fan-out to sinks (stats, trace, recorder, extras)
+//	         → fan-out to sinks (stats, trace, recorder)
 //
 // Validation and the functional backend live with the entry points (exec.go,
 // copy.go); the pipeline owns lowering, cost finalization, and fan-out. The
@@ -22,7 +22,6 @@ type pipeline struct {
 	stats    statsSink
 	trace    traceSink
 	recorder *recorderSink
-	extra    []Sink
 	// repeat is the WithRepeat factor charged to every operation (1 when
 	// no scope is open).
 	repeat int64
@@ -38,10 +37,10 @@ func (p *pipeline) init(st *stats.Stats) {
 	p.repeat = 1
 }
 
-// wantRecord reports whether any attached sink consumes IR records; when
-// false, the lowering stage is skipped entirely (the built-in stats and
-// trace sinks read only the event's flat fields).
-func (p *pipeline) wantRecord() bool { return p.recorder != nil || len(p.extra) > 0 }
+// wantRecord reports whether the recorder, the only sink that consumes IR
+// records, is attached; when false, the lowering stage is skipped entirely
+// (the stats and trace sinks read only the event's flat fields).
+func (p *pipeline) wantRecord() bool { return p.recorder != nil }
 
 // emit fans a finished event out to every sink.
 func (p *pipeline) emit(ev *Event) {
@@ -49,9 +48,6 @@ func (p *pipeline) emit(ev *Event) {
 	p.trace.Emit(ev)
 	if p.recorder != nil {
 		p.recorder.Emit(ev)
-	}
-	for _, s := range p.extra {
-		s.Emit(ev)
 	}
 }
 

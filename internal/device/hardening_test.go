@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pimeval/internal/cmdstream"
 	"pimeval/internal/dram"
 	"pimeval/internal/fault"
 	"pimeval/internal/isa"
@@ -123,15 +124,19 @@ func TestDeadlineExceededMatchesErrCanceled(t *testing.T) {
 	}
 }
 
-// panicSink is a pluggable sink that panics on its first event, modeling a
-// poisoned extension at the dispatch boundary.
+// panicSink is a recording destination that panics on its first record
+// once armed, modeling a poisoned stage behind the dispatch boundary.
 type panicSink struct{ armed bool }
 
-func (p *panicSink) Emit(ev *Event) {
+func (p *panicSink) Begin(cmdstream.Header) error { return nil }
+func (p *panicSink) Close() error                 { return nil }
+
+func (p *panicSink) Write(*cmdstream.Record) error {
 	if p.armed {
 		p.armed = false
 		panic("sink poisoned")
 	}
+	return nil
 }
 
 // TestPanicRecoveredAtDispatchBoundary pins the panic boundary: on the
@@ -148,8 +153,9 @@ func TestPanicRecoveredAtDispatchBoundary(t *testing.T) {
 	if err := d.CopyHostToDevice(a, make([]int64, 64)); err != nil {
 		t.Fatal(err)
 	}
-	sink := &panicSink{armed: true}
-	d.AddSink(sink)
+	if err := d.StartRecordingTo(&panicSink{armed: true}); err != nil {
+		t.Fatal(err)
+	}
 	err = d.ExecBinary(isa.OpAdd, a, a, a)
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("got %v, want ErrPanic", err)

@@ -28,9 +28,8 @@ const (
 // single-threaded), so sinks must copy anything they retain.
 type Event struct {
 	// Record is the operation's command-stream IR record. Its payload
-	// fields are only materialized when a record-consuming sink (the
-	// stream recorder or a plugged-in sink) is attached; the built-in
-	// stats and trace sinks never read it.
+	// fields are only materialized when the stream recorder is attached;
+	// the stats and trace sinks never read it.
 	Record cmdstream.Record
 	Class  EventClass
 
@@ -56,19 +55,6 @@ type Event struct {
 	// Copy traffic attribution, already scaled by Reps (copy events).
 	H2D, D2H, D2D int64
 }
-
-// Sink consumes dispatch events. The built-in statistics, trace, and stream
-// recorder sinks implement it, and additional sinks can be attached with
-// AddSink to observe the command stream without touching the dispatcher.
-type Sink interface {
-	Emit(ev *Event)
-}
-
-// AddSink attaches an additional sink to the dispatch pipeline's fan-out
-// stage. Sinks are invoked in attachment order after the built-in stats,
-// trace, and recorder sinks, on every event (including structural ones).
-// The *Event is only valid during the call; copy what you keep.
-func (d *Device) AddSink(s Sink) { d.pipe.extra = append(d.pipe.extra, s) }
 
 // statsSink feeds the device's statistics collector: command costs, copy
 // traffic, and host-phase costs, exactly as charged by the cost stage.

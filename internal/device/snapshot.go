@@ -107,8 +107,8 @@ type snapMeta struct {
 // Snapshots capture semantic state only (objects, statistics, trace, fault
 // sequence); observational configuration such as Workers or ReferenceEval is
 // chosen anew at restore. A snapshot may not be taken inside a WithRepeat
-// scope or while stream recording or extra sinks are attached — the captured
-// state would not be self-contained.
+// scope or while stream recording is attached — the captured state would not
+// be self-contained.
 func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {
 	if cursor < 0 {
 		return fmt.Errorf("%w: snapshot cursor %d", ErrBadArgument, cursor)
@@ -118,9 +118,6 @@ func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {
 	}
 	if d.pipe.recorder != nil {
 		return fmt.Errorf("%w: snapshot while stream recording is attached", ErrBadArgument)
-	}
-	if len(d.pipe.extra) > 0 {
-		return fmt.Errorf("%w: snapshot with extra sinks attached", ErrBadArgument)
 	}
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
@@ -510,7 +507,7 @@ func (sw *snapWriter) blob(tag byte, payload []byte) error {
 }
 
 // object writes one object frame: the header fields, then the element data
-// packed at the type's true width, little-endian, in bounded chunks.
+// packed at the type's true width (isa.DataType.Pack), in bounded chunks.
 func (sw *snapWriter) object(o *Object) error {
 	name := o.dt.String()
 	hdr := binary.AppendUvarint(nil, uint64(o.id))
@@ -541,59 +538,13 @@ func (sw *snapWriter) object(o *Object) error {
 				hi = o.n
 			}
 			buf := sw.pack[:int(hi-lo)*width]
-			packElems(buf, o.data[lo:hi], width)
+			o.dt.Pack(buf, o.data[lo:hi])
 			if err := sw.write(buf); err != nil {
 				return err
 			}
 		}
 	}
 	return sw.frameEnd()
-}
-
-// packElems packs values at the given byte width, little-endian. Values are
-// canonical (truncated) so the low width bytes are lossless.
-func packElems(dst []byte, src []int64, width int) {
-	switch width {
-	case 1:
-		for i, v := range src {
-			dst[i] = byte(v)
-		}
-	case 2:
-		for i, v := range src {
-			binary.LittleEndian.PutUint16(dst[i*2:], uint16(v))
-		}
-	case 4:
-		for i, v := range src {
-			binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
-		}
-	default:
-		for i, v := range src {
-			binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
-		}
-	}
-}
-
-// unpackElems reverses packElems, re-truncating each element to canonical
-// form through the data type.
-func unpackElems(dst []int64, src []byte, dt isa.DataType, width int) {
-	switch width {
-	case 1:
-		for i := range dst {
-			dst[i] = dt.Truncate(int64(src[i]))
-		}
-	case 2:
-		for i := range dst {
-			dst[i] = dt.Truncate(int64(binary.LittleEndian.Uint16(src[i*2:])))
-		}
-	case 4:
-		for i := range dst {
-			dst[i] = dt.Truncate(int64(binary.LittleEndian.Uint32(src[i*4:])))
-		}
-	default:
-		for i := range dst {
-			dst[i] = dt.Truncate(int64(binary.LittleEndian.Uint64(src[i*8:])))
-		}
-	}
 }
 
 // snapReader parses CRC-framed sections, tracking the running CRC and the
@@ -773,19 +724,18 @@ func (sr *snapReader) restoreObject(d *Device) error {
 		return fmt.Errorf("%w: object %d data flag %d on functional=%v device",
 			ErrSnapshotCorrupt, id, hasData, d.cfg.Functional)
 	}
+	// Check the frame's data length before allocating, so a corrupt
+	// element count cannot allocate storage the frame does not carry.
+	width := dt.Bytes()
+	if want := uint64(hasData) * uint64(n) * uint64(width); sr.rem != want {
+		return fmt.Errorf("%w: object %d: %d data bytes, want %d", ErrSnapshotCorrupt, id, sr.rem, want)
+	}
 	obj, err := d.res.allocAt(ObjID(id), int64(n), dt)
 	if err != nil {
 		return fmt.Errorf("%w: object %d: %v", ErrSnapshotCorrupt, id, err)
 	}
-	width := dt.Bytes()
 	if hasData == 0 {
-		if sr.rem != 0 {
-			return fmt.Errorf("%w: object %d: %d stray payload bytes", ErrSnapshotCorrupt, id, sr.rem)
-		}
 		return nil
-	}
-	if want := uint64(n) * uint64(width); sr.rem != want {
-		return fmt.Errorf("%w: object %d: %d data bytes, want %d", ErrSnapshotCorrupt, id, sr.rem, want)
 	}
 	buf := make([]byte, snapPackElems*width)
 	for lo := int64(0); lo < obj.n; lo += snapPackElems {
@@ -797,7 +747,7 @@ func (sr *snapReader) restoreObject(d *Device) error {
 		if err := sr.read(chunk); err != nil {
 			return err
 		}
-		unpackElems(obj.data[lo:hi], chunk, dt, width)
+		dt.Unpack(obj.data[lo:hi], chunk)
 	}
 	return nil
 }

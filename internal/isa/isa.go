@@ -8,7 +8,10 @@
 // by the benchmarks.
 package isa
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Op identifies a PIM command.
 type Op int
@@ -211,6 +214,69 @@ func (t DataType) Truncate(v int64) int64 {
 		v |= ^mask
 	}
 	return v
+}
+
+// Pack writes vals into dst little-endian at the type's width, Bytes()
+// bytes per element; dst must hold len(vals)*Bytes() bytes. Each element
+// keeps only its low Bytes() bytes, so Unpack(Pack(v)) == Truncate(v). This
+// is the element packing of both the PIMB stream and the PIMS snapshot wire
+// formats.
+func (t DataType) Pack(dst []byte, vals []int64) {
+	switch t.Bytes() {
+	case 1:
+		for i, v := range vals {
+			dst[i] = byte(v)
+		}
+	case 2:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(dst[i*2:], uint16(v))
+		}
+	case 4:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
+		}
+	default:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
+		}
+	}
+}
+
+// Unpack reads len(dst) elements packed by Pack from src, sign- or
+// zero-extending each exactly as Truncate does. The per-type loops keep the
+// element stride constant so the compiler can unroll them and eliminate
+// bounds checks; element unpacking is the hot loop of stream decode.
+func (t DataType) Unpack(dst []int64, src []byte) {
+	switch t {
+	case Int8:
+		for i := range dst {
+			dst[i] = int64(int8(src[i]))
+		}
+	case UInt8:
+		for i := range dst {
+			dst[i] = int64(src[i])
+		}
+	case Int16:
+		for i := range dst {
+			dst[i] = int64(int16(binary.LittleEndian.Uint16(src[i*2:])))
+		}
+	case UInt16:
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint16(src[i*2:]))
+		}
+	case Int32:
+		for i := range dst {
+			dst[i] = int64(int32(binary.LittleEndian.Uint32(src[i*4:])))
+		}
+	case UInt32:
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint32(src[i*4:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(src[i*8:]))
+		}
+	}
 }
 
 // Compare returns -1, 0, or 1 comparing a and b under the type's signedness.

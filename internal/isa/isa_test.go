@@ -93,6 +93,34 @@ func TestTruncateIdempotent(t *testing.T) {
 	}
 }
 
+// TestPackUnpack checks Unpack(Pack(v)) == Truncate(v) for every type,
+// including non-canonical values (out of range for the type), and that Pack
+// writes exactly Bytes() little-endian bytes per element.
+func TestPackUnpack(t *testing.T) {
+	vals := []int64{
+		0, 1, -1, 127, -128, 128, 255, 256, 32767, -32768, 65535, 65536,
+		1<<31 - 1, -1 << 31, 1<<32 - 1, 1 << 32, 1<<63 - 1, -1 << 63,
+		0x123456789abcdef, -0x123456789abcdef,
+	}
+	for _, dt := range []DataType{Int8, Int16, Int32, Int64, UInt8, UInt16, UInt32, UInt64} {
+		w := dt.Bytes()
+		buf := make([]byte, len(vals)*w)
+		dt.Pack(buf, vals)
+		got := make([]int64, len(vals))
+		dt.Unpack(got, buf)
+		for i, v := range vals {
+			if want := dt.Truncate(v); got[i] != want {
+				t.Errorf("%v: Unpack(Pack(%#x)) = %#x, want %#x", dt, v, got[i], want)
+			}
+			for b := 0; b < w; b++ {
+				if buf[i*w+b] != byte(uint64(v)>>(8*b)) {
+					t.Errorf("%v: Pack(%#x) byte %d = %#x", dt, v, b, buf[i*w+b])
+				}
+			}
+		}
+	}
+}
+
 func TestCompareSignedness(t *testing.T) {
 	// 0xFF as int8 is -1 (< 1); as uint8 it is 255 (> 1).
 	a, b := Int8.Truncate(0xFF), Int8.Truncate(1)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,49 @@ import (
 	"pimeval/internal/cmdstream"
 	"pimeval/pim"
 )
+
+// mergedFrameBody records Alloc(262144, Int8) plus an h2d copy as PIMB and
+// returns that canonical encoding together with a variant whose two
+// 131072-element payload frames are merged into one 262144-element frame.
+// The variant is non-canonical but valid: decoders accept frames up to
+// 2Mi elements, and both frame counts take three uvarint bytes.
+func mergedFrameBody(t *testing.T) (canonical, merged []byte) {
+	t.Helper()
+	dev, err := pim.NewDevice(pim.Config{Target: pim.Fulcrum, Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.RecordStream()
+	const n, frame = 262144, 131072
+	x, err := dev.Alloc(n, pim.Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]int8, n)
+	for i := range data {
+		data[i] = int8(i*7 - 3)
+	}
+	if err := pim.CopyToDevice(dev, x, data); err != nil {
+		t.Fatal(err)
+	}
+	// Replay checks the recorded sum, so it checks the decoded payload too.
+	if _, err := dev.RedSum(x); err != nil {
+		t.Fatal(err)
+	}
+	s := dev.RecordedStream()
+	canonical = encodeStream(t, s, pim.StreamBinary)
+	hdr := binary.AppendUvarint(nil, frame)
+	i := bytes.Index(canonical, hdr)
+	second := i + len(hdr) + frame
+	if i < 0 || !bytes.Equal(canonical[second:second+len(hdr)], hdr) {
+		t.Fatal("canonical encoding does not hold two full payload frames")
+	}
+	merged = append(merged, canonical[:i]...)
+	merged = binary.AppendUvarint(merged, n)
+	merged = append(merged, canonical[i+len(hdr):second]...)
+	merged = append(merged, canonical[second+len(hdr):]...)
+	return canonical, merged
+}
 
 // TestHostileInputs throws malformed and adversarial bodies at the submit
 // boundary: truncated streams, garbage, oversized payloads, bad headers,
@@ -118,6 +162,19 @@ func TestHostileInputs(t *testing.T) {
 		t.Errorf("GET /v1/submit: %d, want 405", resp.StatusCode)
 	}
 
+	// A valid but non-canonical stream with one payload frame larger than
+	// encoders emit replays exactly like its canonical encoding, serial and
+	// pipelined.
+	canonical, merged := mergedFrameBody(t)
+	want := localExpected(t, canonical, 1)
+	for _, q := range []string{"?pipelined=0", "?pipelined=1"} {
+		resp, sr, errMsg := submit(t, ts, merged, "merged", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("merged payload frame %s: %d %s", q, resp.StatusCode, errMsg)
+		}
+		checkMatches(t, sr, want)
+	}
+
 	// The server is still healthy: a good submit succeeds and the failure
 	// counters account for exactly the hostile sessions.
 	okResp, sr, errMsg := submit(t, ts, good, "survivor", "")
@@ -128,8 +185,8 @@ func TestHostileInputs(t *testing.T) {
 		t.Error("post-hostile submit replayed no records")
 	}
 	snap := srv.snapshot()
-	if snap.SessionsTotal != 1 {
-		t.Errorf("sessions_total = %d, want 1 (only the good session)", snap.SessionsTotal)
+	if snap.SessionsTotal != 3 {
+		t.Errorf("sessions_total = %d, want 3 (the merged-frame and good sessions)", snap.SessionsTotal)
 	}
 	if snap.SessionsFailed != int64(failed) {
 		t.Errorf("sessions_failed = %d, want %d", snap.SessionsFailed, failed)

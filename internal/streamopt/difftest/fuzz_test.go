@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pimeval/internal/cmdstream"
 	"pimeval/pim"
 )
 
@@ -12,6 +13,8 @@ import (
 // optimizes it under a fuzz-chosen pass combination, replays the result,
 // and checks the differential contract: identical live-object data, costs
 // never above the recorded run, and a structurally valid optimized stream.
+// The stream fits one optimizer window, so the streaming entry point
+// (OptimizeSource) must also return exactly Optimize's records and counters.
 func FuzzOptimizeStream(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x10, 0x04, 0x7F, 0x51, 0x02, 0x33}, uint8(15))
 	f.Add([]byte{0x33, 0xFF, 0x00, 0x62, 0x01, 0x00, 0x05, 0x10, 0x20}, uint8(9))
@@ -110,6 +113,17 @@ func FuzzOptimizeStream(f *testing.F) {
 		}
 		if err := opt.Validate(); err != nil {
 			t.Fatalf("optimized stream is structurally invalid: %v", err)
+		}
+		osrc, sres, err := pim.OptimizeSource(cmdstream.FromStream(stream), cfg)
+		if err != nil {
+			t.Fatalf("optimize source: %v", err)
+		}
+		windowed, err := cmdstream.Collect(osrc)
+		if err != nil {
+			t.Fatalf("optimize source: %v", err)
+		}
+		if !reflect.DeepEqual(windowed.Records, opt.Records) || *sres != res {
+			t.Fatalf("combo %s: OptimizeSource (%+v) differs from Optimize (%+v)", comboName(cfg), *sres, res)
 		}
 		rdev, err := pim.Replay(opt, pim.ReplayConfig{Workers: 1})
 		if err != nil {

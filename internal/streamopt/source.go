@@ -16,62 +16,32 @@ const (
 	windowPayloadElems = 8 << 20
 )
 
-// OptimizeSource runs the enabled passes over a streaming source. When the
-// configuration needs only dead-code elimination and/or hoisting, the
-// returned source applies them over a bounded sliding window — multi-GB
-// streams optimize with O(window) memory, at the cost of a weaker
-// (window-local) DCE, stamped "deadcode.window" in the header. Scheduling
-// and fusion need whole-stream liveness, so enabling either materializes
-// the source (Collect), runs the slice pipeline, and streams the result
-// back out.
+// OptimizeSource runs the enabled passes over a streaming source. The
+// returned source pulls one bounded window of records at a time and hands
+// it to the pass driver (run), so multi-GB streams optimize with O(window)
+// memory. Every pass is window-local: per-window dead-code elimination,
+// scheduling, and fusion are weaker than Optimize's whole-stream passes only
+// where liveness or adjacency crosses a window boundary; hoisting is
+// scope-local and never is. The header stamp is the same as Optimize's.
 //
 // The returned Result is shared with the returned source and is only final
-// once the source has been drained to io.EOF (the streaming passes count
-// work as windows flow through). Streams recorded under corrupting fault
-// injection pass through untouched with Result.Skipped set, exactly like
-// Optimize.
+// once the source has been drained to io.EOF (the passes count work as
+// windows flow through). Streams recorded under corrupting fault injection
+// pass through untouched with Result.Skipped set, exactly like Optimize.
 func OptimizeSource(src cmdstream.Source, cfg Config) (cmdstream.Source, *Result, error) {
 	res := &Result{}
 	if !cfg.any() {
 		return src, res, nil
 	}
 	h := src.Header()
-	if f := h.Faults; f != nil && (f.TransientBitRate > 0 || f.StuckBits > 0 || f.FailedCores > 0) {
-		res.Skipped = "stream records corrupting fault injection (write-sequence keyed)"
+	if res.Skipped = skipReason(h); res.Skipped != "" {
 		return src, res, nil
 	}
-	if cfg.Schedule || cfg.Fuse {
-		s, err := cmdstream.Collect(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, r, err := Optimize(s, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		*res = r
-		return cmdstream.FromStream(out), res, nil
-	}
-	h.Optimized = windowNames(cfg)
+	h.Optimized = cfg.names()
 	return &windowSource{src: src, cfg: cfg, res: res, h: h}, res, nil
 }
 
-// windowNames lists the streaming passes for the header stamp. Windowed DCE
-// is weaker than whole-stream DCE (it only proves deadness within a
-// window), so it is stamped distinctly; hoisting is scope-local and
-// therefore identical in both modes.
-func windowNames(cfg Config) []string {
-	var n []string
-	if cfg.DeadCode {
-		n = append(n, "deadcode.window")
-	}
-	if cfg.Hoist {
-		n = append(n, "hoist")
-	}
-	return n
-}
-
-// windowSource applies window-local passes to records pulled from an
+// windowSource runs the pass driver over windows of records pulled from an
 // underlying source. Output records are renumbered sequentially (records
 // can be eliminated), so the stream always replays with by-ID allocation —
 // the header's Optimized stamp guarantees that.
@@ -107,8 +77,8 @@ func (s *windowSource) Next() (*cmdstream.Record, error) {
 func (s *windowSource) Close() error { return s.src.Close() }
 
 // fill pulls the next window from the source, checking scope structure
-// incrementally (the slice pipeline gets this from Stream.Validate), and
-// runs the enabled passes over it.
+// incrementally (Optimize gets this from Stream.Validate), and runs the
+// pass driver over it.
 func (s *windowSource) fill() error {
 	s.win = s.win[:0]
 	s.pos = 0
@@ -138,18 +108,6 @@ func (s *windowSource) fill() error {
 		s.win = append(s.win, *rec)
 		payload += int64(len(rec.Data))
 	}
-	if len(s.win) == 0 {
-		return nil
-	}
-	if s.cfg.DeadCode {
-		var n int
-		s.win, n = deadCode(s.win)
-		s.res.Eliminated += n
-	}
-	if s.cfg.Hoist {
-		var n int
-		s.win, n = hoist(s.win)
-		s.res.Hoisted += n
-	}
+	s.win = run(s.win, s.cfg, s.res)
 	return nil
 }

@@ -49,8 +49,8 @@ func All() Config {
 
 func (c Config) any() bool { return c.DeadCode || c.Hoist || c.Schedule || c.Fuse }
 
-// names lists the enabled passes in pipeline order; it is what Optimize
-// stamps into Header.Optimized.
+// names lists the enabled passes in pipeline order; it is what Optimize and
+// OptimizeSource stamp into Header.Optimized.
 func (c Config) names() []string {
 	var n []string
 	if c.DeadCode {
@@ -92,16 +92,12 @@ func (r Result) Changed() bool {
 }
 
 // Optimize runs the enabled passes over s and returns a new stream; s is
-// never modified. The pipeline order is deadcode, hoist, schedule, fuse,
-// then (when both are enabled) a second deadcode sweep to collect the
-// temporaries fusion orphans. The returned stream's header carries the
-// enabled pass names in Optimized, switching replay to by-ID allocation.
+// never modified. The whole stream is one unbounded window of the pass
+// driver (run). The returned stream's header carries the enabled pass names
+// in Optimized, switching replay to by-ID allocation.
 //
-// Streams recorded under corrupting fault injection (transient flips, stuck
-// bits, failed cores) are returned untouched: injection is keyed by the
-// per-scope write sequence, so eliding, reordering, or fusing writes would
-// change which faults land where and break replay determinism. ECC-only
-// configurations never alter data and stay fully optimizable.
+// Streams recorded under corrupting fault injection are returned untouched
+// with Result.Skipped set (see skipReason).
 func Optimize(s *cmdstream.Stream, cfg Config) (*cmdstream.Stream, Result, error) {
 	var res Result
 	if err := s.Validate(); err != nil {
@@ -112,30 +108,10 @@ func Optimize(s *cmdstream.Stream, cfg Config) (*cmdstream.Stream, Result, error
 	if !cfg.any() {
 		return out, res, nil
 	}
-	if f := s.Header.Faults; f != nil && (f.TransientBitRate > 0 || f.StuckBits > 0 || f.FailedCores > 0) {
-		res.Skipped = "stream records corrupting fault injection (write-sequence keyed)"
+	if res.Skipped = skipReason(s.Header); res.Skipped != "" {
 		return out, res, nil
 	}
-
-	recs := out.Records
-	if cfg.DeadCode {
-		recs, res.Eliminated = deadCode(recs)
-	}
-	if cfg.Hoist {
-		recs, res.Hoisted = hoist(recs)
-	}
-	if cfg.Schedule {
-		recs, res.Moved = schedule(recs)
-	}
-	if cfg.Fuse {
-		recs, res.Fused = fuse(recs)
-		if cfg.DeadCode && res.Fused > 0 {
-			var n int
-			recs, n = deadCode(recs)
-			res.Eliminated += n
-		}
-	}
-	out.Records = recs
+	out.Records = run(out.Records, cfg, &res)
 	if res.Changed() {
 		for i := range out.Records {
 			out.Records[i].Seq = int64(i + 1)
@@ -143,4 +119,51 @@ func Optimize(s *cmdstream.Stream, cfg Config) (*cmdstream.Stream, Result, error
 	}
 	out.Header.Optimized = cfg.names()
 	return out, res, nil
+}
+
+// skipReason returns why a stream with header h must not be optimized, or
+// "" when it may be. Streams recorded under corrupting fault injection
+// (transient flips, stuck bits, failed cores) are declined: injection is
+// keyed by the per-scope write sequence, so eliding, reordering, or fusing
+// writes would change which faults land where and break replay determinism.
+// ECC-only configurations never alter data and stay fully optimizable.
+func skipReason(h cmdstream.Header) string {
+	if f := h.Faults; f != nil && (f.TransientBitRate > 0 || f.StuckBits > 0 || f.FailedCores > 0) {
+		return "stream records corrupting fault injection (write-sequence keyed)"
+	}
+	return ""
+}
+
+// run is the pass driver: it applies the enabled passes to one window of
+// records in pipeline order — deadcode, hoist, schedule, fuse, then (when
+// both are enabled and fusion found work) a second deadcode sweep to collect
+// the temporaries fusion orphans — and adds each pass's count to res. A
+// window is the whole stream for Optimize and one bounded window for
+// OptimizeSource. Every pass is sound on any window that closes outside a
+// repeat scope: an object counts as live past the window's end, a
+// scheduling block may always be split, and fusion never pairs records
+// across the end.
+func run(recs []cmdstream.Record, cfg Config, res *Result) []cmdstream.Record {
+	var n int
+	if cfg.DeadCode {
+		recs, n = deadCode(recs)
+		res.Eliminated += n
+	}
+	if cfg.Hoist {
+		recs, n = hoist(recs)
+		res.Hoisted += n
+	}
+	if cfg.Schedule {
+		recs, n = schedule(recs)
+		res.Moved += n
+	}
+	if cfg.Fuse {
+		recs, n = fuse(recs)
+		res.Fused += n
+		if cfg.DeadCode && n > 0 {
+			recs, n = deadCode(recs)
+			res.Eliminated += n
+		}
+	}
+	return recs
 }

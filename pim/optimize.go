@@ -33,12 +33,11 @@ func OptimizeWith(s *Stream, cfg OptimizeConfig) (*Stream, OptimizeResult, error
 	return streamopt.Optimize(s, cfg)
 }
 
-// OptimizeSource is OptimizeWith over a streaming source. With only
-// dead-code elimination and/or hoisting enabled, passes run over a bounded
-// sliding window and the stream never materializes; scheduling or fusion
-// need whole-stream liveness, so enabling either collects the source into
-// memory first. The returned result is shared with the returned source and
-// final once it has been drained.
+// OptimizeSource is OptimizeWith over a streaming source. Every enabled
+// pass runs over one bounded window of records at a time, so the stream
+// never materializes; work whose liveness or adjacency crosses a window
+// boundary is left undone. The returned result is shared with the returned
+// source and final once it has been drained.
 func OptimizeSource(src StreamSource, cfg OptimizeConfig) (StreamSource, *OptimizeResult, error) {
 	return streamopt.OptimizeSource(src, cfg)
 }
