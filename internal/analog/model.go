@@ -58,9 +58,11 @@ func (m *Model) ElemCapacityPerCore(g dram.Geometry, bits int) int64 {
 func (m *Model) ActiveSubarraysPerCore() int { return 1 }
 
 func (m *Model) counts(op isa.Op, dt isa.DataType, imm int64) (Counts, bool) {
+	// Shift amounts clamp to [0, width], as buildShift clamps them, so
+	// every out-of-range amount shares one entry.
 	key := progKey{op: op, dt: dt}
 	if op == isa.OpShiftL || op == isa.OpShiftR {
-		key.imm = imm
+		key.imm = min(max(imm, 0), int64(dt.Bits()))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -105,3 +105,24 @@ func TestCountsCache(t *testing.T) {
 		t.Error("cost must be deterministic across cache hits")
 	}
 }
+
+// TestShiftCountsKeyClamped checks that the count cache holds one entry for
+// all shift amounts at or past the width, and that their cost is the cost at
+// the width.
+func TestShiftCountsKeyClamped(t *testing.T) {
+	mod := dram.DDR4(1)
+	m := NewModel()
+	em := energy.NewModel(mod)
+	cost := func(amount int64) float64 {
+		return m.CmdCost(isa.Command{Op: isa.OpShiftL, Type: isa.UInt32, Scalar: amount, Inputs: 1, WritesResult: true}, 8192, 1, mod, em).TimeNS
+	}
+	want := cost(32)
+	for _, amount := range []int64{33, 100, 1 << 40} {
+		if got := cost(amount); got != want {
+			t.Errorf("shift by %d costs %v, want the width's %v", amount, got, want)
+		}
+	}
+	if len(m.progs) != 1 {
+		t.Errorf("count cache holds %d entries, want 1", len(m.progs))
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"pimeval/internal/bitserial"
 	"pimeval/internal/isa"
+	"pimeval/internal/kernels"
 )
 
 // runOp executes an analog microprogram over operand vectors and returns
@@ -44,54 +45,6 @@ func runOp(t *testing.T, op isa.Op, dt isa.DataType, imm int64, operands ...[]in
 	return out
 }
 
-// ref computes the word-level reference via the device semantics used by
-// the digital tests (reimplemented locally to stay independent).
-func ref(op isa.Op, dt isa.DataType, a, b int64) int64 {
-	a, b = dt.Truncate(a), dt.Truncate(b)
-	switch op {
-	case isa.OpAdd:
-		return dt.Truncate(a + b)
-	case isa.OpSub:
-		return dt.Truncate(a - b)
-	case isa.OpMul:
-		return dt.Truncate(a * b)
-	case isa.OpAnd:
-		return dt.Truncate(a & b)
-	case isa.OpOr:
-		return dt.Truncate(a | b)
-	case isa.OpXor:
-		return dt.Truncate(a ^ b)
-	case isa.OpXnor:
-		return dt.Truncate(^(a ^ b))
-	case isa.OpMin:
-		if dt.Compare(a, b) <= 0 {
-			return a
-		}
-		return b
-	case isa.OpMax:
-		if dt.Compare(a, b) >= 0 {
-			return a
-		}
-		return b
-	case isa.OpLt:
-		if dt.Compare(a, b) < 0 {
-			return 1
-		}
-		return 0
-	case isa.OpGt:
-		if dt.Compare(a, b) > 0 {
-			return 1
-		}
-		return 0
-	case isa.OpEq:
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	panic("unhandled")
-}
-
 func edgeValues(dt isa.DataType) []int64 {
 	n := uint(dt.Bits())
 	vals := []int64{0, 1, 2, 3, -1, -2, 5, 7, 100, -100}
@@ -119,7 +72,7 @@ func TestAnalogBinaryMicroprograms(t *testing.T) {
 			}
 			got := runOp(t, op, dt, 0, as, bs)
 			for i := range as {
-				want := ref(op, dt, as[i], bs[i])
+				want := kernels.RefBinary(op, dt, as[i], bs[i])
 				if got[i] != want {
 					t.Fatalf("analog %v.%v(%d,%d) = %d, want %d",
 						op, dt, dt.Truncate(as[i]), dt.Truncate(bs[i]), got[i], want)

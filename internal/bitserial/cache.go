@@ -16,6 +16,9 @@ import (
 // buildKey identifies one compiled microprogram. The immediate participates
 // only for the ops whose program depends on it: shifts (the amount selects
 // which planes move) and broadcast (the value is baked into the SET ops).
+// A shift amount is clamped to [0, dt.Bits()] first, as buildShift clamps
+// it, so every out-of-range amount shares one entry and hostile amounts
+// cannot grow the cache.
 type buildKey struct {
 	op  isa.Op
 	dt  isa.DataType
@@ -39,7 +42,10 @@ var buildCache sync.Map // buildKey -> *buildResult
 func BuildCached(op isa.Op, dt isa.DataType, imm int64) (*Program, error) {
 	key := buildKey{op: op, dt: dt}
 	switch op {
-	case isa.OpShiftL, isa.OpShiftR, isa.OpBroadcast:
+	case isa.OpShiftL, isa.OpShiftR:
+		imm = min(max(imm, 0), int64(dt.Bits()))
+		key.imm = imm
+	case isa.OpBroadcast:
 		key.imm = imm
 	}
 	if v, ok := buildCache.Load(key); ok {

@@ -95,6 +95,40 @@ func TestBuildCachedImmediates(t *testing.T) {
 	}
 }
 
+// TestBuildCachedClampsShiftAmounts checks that every shift amount at or
+// past the width resolves to one program, and that a stream of distinct
+// out-of-range amounts, as a hostile client may send, adds no cache entries.
+func TestBuildCachedClampsShiftAmounts(t *testing.T) {
+	entries := func() (n int) {
+		buildCache.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	for _, dt := range []isa.DataType{isa.Int8, isa.UInt16, isa.Int32, isa.UInt64} {
+		for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+			w := int64(dt.Bits())
+			want, err := BuildCached(op, dt, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, amount := range []int64{w + 1, 1 << 40} {
+				if got, _ := BuildCached(op, dt, amount); got != want {
+					t.Errorf("%v.%v: amount %d compiled apart from amount %d", op, dt, amount, w)
+				}
+			}
+			before := entries()
+			for amount := w + 2; amount < w+2000; amount++ {
+				if _, err := BuildCached(op, dt, amount); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := entries(); after != before {
+				t.Errorf("%v.%v: %d out-of-range amounts grew the cache from %d to %d entries",
+					op, dt, 1998, before, after)
+			}
+		}
+	}
+}
+
 // TestBuildCachedErrors checks unsupported ops memoize their error and keep
 // returning it.
 func TestBuildCachedErrors(t *testing.T) {

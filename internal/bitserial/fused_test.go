@@ -1,33 +1,11 @@
 package bitserial
 
 import (
-	"math/bits"
 	"testing"
 
 	"pimeval/internal/isa"
+	"pimeval/internal/kernels"
 )
-
-func refUnaryOp(op isa.Op, dt isa.DataType, a int64) int64 {
-	a = dt.Truncate(a)
-	switch op {
-	case isa.OpNot:
-		return dt.Truncate(^a)
-	case isa.OpAbs:
-		if dt.Signed() && a < 0 {
-			return dt.Truncate(-a)
-		}
-		return a
-	case isa.OpPopCount:
-		var u uint64
-		if dt.Bits() == 64 {
-			u = uint64(a)
-		} else {
-			u = uint64(a) & (1<<uint(dt.Bits()) - 1)
-		}
-		return int64(bits.OnesCount64(u))
-	}
-	panic("unhandled unary op")
-}
 
 // runFused compiles the spec, loads the operand regions at the layout's row
 // bases through a raw Engine (EvalElements assumes contiguous operands and
@@ -68,24 +46,23 @@ func runFused(t *testing.T, spec FusedSpec, a, b []int64) []int64 {
 }
 
 // fusedRef computes the expected two-stage composition per element with a
-// truncate between the stages — the same golden semantics as the device's
-// reference evaluator.
+// truncate between the stages, composed from the golden oracle.
 func fusedRef(spec FusedSpec, a, b []int64) []int64 {
 	out := make([]int64, len(a))
 	for i := range a {
 		var t int64
 		if spec.Scalar1 {
-			t = refBinary(spec.Op1, spec.DT, a[i], spec.S1)
+			t = kernels.RefBinary(spec.Op1, spec.DT, a[i], spec.S1)
 		} else {
-			t = refBinary(spec.Op1, spec.DT, a[i], b[i])
+			t = kernels.RefBinary(spec.Op1, spec.DT, a[i], b[i])
 		}
 		switch {
 		case spec.Scalar2:
-			out[i] = refBinary(spec.Op2, spec.DT, t, spec.S2)
+			out[i] = kernels.RefBinary(spec.Op2, spec.DT, t, spec.S2)
 		case spec.Binary2:
-			out[i] = refBinary(spec.Op2, spec.DT, t, b[i])
+			out[i] = kernels.RefBinary(spec.Op2, spec.DT, t, b[i])
 		default:
-			out[i] = refUnaryOp(spec.Op2, spec.DT, t)
+			out[i] = kernels.RefUnary(spec.Op2, spec.DT, t)
 		}
 	}
 	return out
@@ -94,7 +71,7 @@ func fusedRef(spec FusedSpec, a, b []int64) []int64 {
 // TestFusedProgramsMatchComposition runs every fused shape — including
 // multiply's scratch-heavy program as each stage and scalarized stages with
 // negative immediates — over edge-value lanes and checks the microprogram
-// against the per-element reference composition.
+// against the oracle composition (fusedRef).
 func TestFusedProgramsMatchComposition(t *testing.T) {
 	dts := []isa.DataType{isa.Int8, isa.Int16, isa.Int32, isa.UInt8, isa.UInt32}
 	specs := []FusedSpec{

@@ -60,9 +60,10 @@ func (m *Model) ActiveSubarraysPerCore() int { return 1 }
 // EvalElements cross-checks and the tools.
 func (m *Model) counts(op isa.Op, dt isa.DataType, imm int64) (Counts, bool) {
 	// Shift immediates change the program length; other immediates do not.
+	// Amounts clamp to [0, width] as in BuildCached.
 	key := progKey{op: op, dt: dt}
 	if op == isa.OpShiftL || op == isa.OpShiftR {
-		key.imm = imm
+		key.imm = min(max(imm, 0), int64(dt.Bits()))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

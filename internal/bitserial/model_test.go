@@ -143,3 +143,24 @@ func TestShiftImmediateAffectsCost(t *testing.T) {
 		t.Errorf("shift by 1 (%v) should move more planes than shift by 31 (%v)", small.TimeNS, big.TimeNS)
 	}
 }
+
+// TestShiftCountsKeyClamped checks that the model's count cache holds one
+// entry for all shift amounts at or past the width, and that their cost is
+// the cost at the width.
+func TestShiftCountsKeyClamped(t *testing.T) {
+	mod := dram.DDR4(1)
+	m := NewModel()
+	em := energy.NewModel(mod)
+	cost := func(amount int64) float64 {
+		return m.CmdCost(isa.Command{Op: isa.OpShiftR, Type: isa.Int16, Scalar: amount, Inputs: 1, WritesResult: true}, 8192, 1, mod, em).TimeNS
+	}
+	want := cost(16)
+	for _, amount := range []int64{17, 100, 1 << 40} {
+		if got := cost(amount); got != want {
+			t.Errorf("shift by %d costs %v, want the width's %v", amount, got, want)
+		}
+	}
+	if len(m.progs) != 1 {
+		t.Errorf("count cache holds %d entries, want 1", len(m.progs))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pimeval/internal/isa"
+	"pimeval/internal/kernels"
 )
 
 // runOp executes the microprogram for op over the operand vectors using the
@@ -44,53 +45,6 @@ func runOp(t *testing.T, op isa.Op, dt isa.DataType, imm int64, operands ...[]in
 		out[j] = dt.Truncate(out[j]) // sign-extend the raw bits
 	}
 	return out
-}
-
-// refBinary is an independent word-level reference for the binary ops.
-func refBinary(op isa.Op, dt isa.DataType, a, b int64) int64 {
-	a, b = dt.Truncate(a), dt.Truncate(b)
-	switch op {
-	case isa.OpAdd:
-		return dt.Truncate(a + b)
-	case isa.OpSub:
-		return dt.Truncate(a - b)
-	case isa.OpMul:
-		return dt.Truncate(a * b)
-	case isa.OpAnd:
-		return dt.Truncate(a & b)
-	case isa.OpOr:
-		return dt.Truncate(a | b)
-	case isa.OpXor:
-		return dt.Truncate(a ^ b)
-	case isa.OpXnor:
-		return dt.Truncate(^(a ^ b))
-	case isa.OpMin:
-		if dt.Compare(a, b) <= 0 {
-			return a
-		}
-		return b
-	case isa.OpMax:
-		if dt.Compare(a, b) >= 0 {
-			return a
-		}
-		return b
-	case isa.OpLt:
-		if dt.Compare(a, b) < 0 {
-			return 1
-		}
-		return 0
-	case isa.OpGt:
-		if dt.Compare(a, b) > 0 {
-			return 1
-		}
-		return 0
-	case isa.OpEq:
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	panic("unhandled op")
 }
 
 var binaryOpsUnderTest = []isa.Op{
@@ -132,7 +86,7 @@ func TestBinaryMicroprogramsEdgeCases(t *testing.T) {
 			}
 			got := runOp(t, op, dt, 0, as, bs)
 			for i := range as {
-				want := refBinary(op, dt, as[i], bs[i])
+				want := kernels.RefBinary(op, dt, as[i], bs[i])
 				if got[i] != want {
 					t.Fatalf("%v.%v(%d, %d) = %d, want %d", op, dt, dt.Truncate(as[i]), dt.Truncate(bs[i]), got[i], want)
 				}
@@ -148,7 +102,7 @@ func TestBinaryMicroprogramsQuick(t *testing.T) {
 			op, dt := op, dt
 			f := func(a, b int64) bool {
 				got := runOp(t, op, dt, 0, []int64{a}, []int64{b})
-				return got[0] == refBinary(op, dt, a, b)
+				return got[0] == kernels.RefBinary(op, dt, a, b)
 			}
 			cfg := &quick.Config{MaxCount: 60, Rand: rng}
 			if err := quick.Check(f, cfg); err != nil {
@@ -156,38 +110,6 @@ func TestBinaryMicroprogramsQuick(t *testing.T) {
 			}
 		}
 	}
-}
-
-// refDiv mirrors the restoring-divider semantics (see device.evalDiv).
-func refDiv(dt isa.DataType, a, b int64) int64 {
-	a, b = dt.Truncate(a), dt.Truncate(b)
-	mask := uint64(1)<<uint(dt.Bits()) - 1
-	if dt.Bits() == 64 {
-		mask = ^uint64(0)
-	}
-	if !dt.Signed() {
-		ua, ub := uint64(a)&mask, uint64(b)&mask
-		if ub == 0 {
-			return dt.Truncate(int64(mask))
-		}
-		return dt.Truncate(int64(ua / ub))
-	}
-	neg := (a < 0) != (b < 0)
-	mag := func(v int64) uint64 {
-		if v < 0 {
-			return uint64(-v) & mask
-		}
-		return uint64(v)
-	}
-	ua, ub := mag(a), mag(b)
-	q := mask
-	if ub != 0 {
-		q = ua / ub
-	}
-	if neg {
-		return dt.Truncate(-int64(q))
-	}
-	return dt.Truncate(int64(q))
 }
 
 func TestDivMicroprogramEdgeCases(t *testing.T) {
@@ -202,7 +124,7 @@ func TestDivMicroprogramEdgeCases(t *testing.T) {
 		}
 		got := runOp(t, isa.OpDiv, dt, 0, as, bs)
 		for i := range as {
-			want := refDiv(dt, as[i], bs[i])
+			want := kernels.RefBinary(isa.OpDiv, dt, as[i], bs[i])
 			if got[i] != want {
 				t.Fatalf("div.%v(%d, %d) = %d, want %d",
 					dt, dt.Truncate(as[i]), dt.Truncate(bs[i]), got[i], want)
@@ -217,7 +139,7 @@ func TestDivMicroprogramQuick(t *testing.T) {
 		dt := dt
 		f := func(a, b int64) bool {
 			got := runOp(t, isa.OpDiv, dt, 0, []int64{a}, []int64{b})
-			return got[0] == refDiv(dt, a, b)
+			return got[0] == kernels.RefBinary(isa.OpDiv, dt, a, b)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 			t.Errorf("div.%v: %v", dt, err)
@@ -245,20 +167,12 @@ func TestDivMostExpensiveMicroprogram(t *testing.T) {
 func TestUnaryMicroprograms(t *testing.T) {
 	for _, dt := range typesUnderTest {
 		vals := edgeValues(dt)
-		got := runOp(t, isa.OpNot, dt, 0, vals)
-		for i, a := range vals {
-			if want := dt.Truncate(^dt.Truncate(a)); got[i] != want {
-				t.Errorf("not.%v(%d) = %d, want %d", dt, a, got[i], want)
-			}
-		}
-		got = runOp(t, isa.OpAbs, dt, 0, vals)
-		for i, a := range vals {
-			want := dt.Truncate(a)
-			if dt.Signed() && want < 0 {
-				want = dt.Truncate(-want)
-			}
-			if got[i] != want {
-				t.Errorf("abs.%v(%d) = %d, want %d", dt, a, got[i], want)
+		for _, op := range []isa.Op{isa.OpNot, isa.OpAbs} {
+			got := runOp(t, op, dt, 0, vals)
+			for i, a := range vals {
+				if want := kernels.RefUnary(op, dt, a); got[i] != want {
+					t.Errorf("%v.%v(%d) = %d, want %d", op, dt, a, got[i], want)
+				}
 			}
 		}
 	}
@@ -269,17 +183,7 @@ func TestPopCountMicroprogram(t *testing.T) {
 		vals := edgeValues(dt)
 		got := runOp(t, isa.OpPopCount, dt, 0, vals)
 		for i, a := range vals {
-			v := uint64(dt.Truncate(a))
-			mask := uint64(1)<<uint(dt.Bits()) - 1
-			if dt.Bits() == 64 {
-				mask = ^uint64(0)
-			}
-			v &= mask
-			want := int64(0)
-			for ; v != 0; v &= v - 1 {
-				want++
-			}
-			if got[i] != want {
+			if want := kernels.RefUnary(isa.OpPopCount, dt, a); got[i] != want {
 				t.Errorf("popcount.%v(%d) = %d, want %d", dt, a, got[i], want)
 			}
 		}
@@ -290,36 +194,12 @@ func TestShiftMicroprograms(t *testing.T) {
 	for _, dt := range []isa.DataType{isa.Int8, isa.UInt8, isa.Int32, isa.UInt32} {
 		vals := edgeValues(dt)
 		for _, amount := range []int{0, 1, 3, dt.Bits() - 1, dt.Bits()} {
-			got := runOp(t, isa.OpShiftL, dt, int64(amount), vals)
-			for i, a := range vals {
-				want := int64(0)
-				if amount < dt.Bits() {
-					want = dt.Truncate(dt.Truncate(a) << uint(amount))
-				}
-				if got[i] != want {
-					t.Errorf("shl.%v(%d, %d) = %d, want %d", dt, a, amount, got[i], want)
-				}
-			}
-			got = runOp(t, isa.OpShiftR, dt, int64(amount), vals)
-			for i, a := range vals {
-				ta := dt.Truncate(a)
-				var want int64
-				switch {
-				case amount >= dt.Bits():
-					if dt.Signed() && ta < 0 {
-						want = dt.Truncate(-1)
+			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+				got := runOp(t, op, dt, int64(amount), vals)
+				for i, a := range vals {
+					if want := kernels.RefShift(op, dt, a, amount); got[i] != want {
+						t.Errorf("%v.%v(%d, %d) = %d, want %d", op, dt, a, amount, got[i], want)
 					}
-				case dt.Signed():
-					want = dt.Truncate(ta >> uint(amount))
-				default:
-					mask := uint64(1)<<uint(dt.Bits()) - 1
-					if dt.Bits() == 64 {
-						mask = ^uint64(0)
-					}
-					want = dt.Truncate(int64((uint64(ta) & mask) >> uint(amount)))
-				}
-				if got[i] != want {
-					t.Errorf("shr.%v(%d, %d) = %d, want %d", dt, a, amount, got[i], want)
 				}
 			}
 		}

@@ -51,6 +51,15 @@ type Fused struct {
 	S1, S2       int64
 }
 
+// FusableUnary reports whether op may be the unary second stage of a Fused
+// command: the cheap post-processing ops. The AES S-box ops are excluded:
+// they are defined at 8-bit widths only, have no composed bit-serial
+// program, and their gate network dwarfs any stage-1 op, so fusing them buys
+// nothing. The optimizer emits and the device accepts exactly this set.
+func FusableUnary(op isa.Op) bool {
+	return op == isa.OpNot || op == isa.OpAbs || op == isa.OpPopCount
+}
+
 // FusedFromRecord unpacks a FormFused exec record.
 func FusedFromRecord(rec *Record) (Fused, error) {
 	op1, ok := isa.OpByName(rec.Op)

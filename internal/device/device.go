@@ -84,20 +84,16 @@ type Config struct {
 	Target Target
 	Module dram.Module
 	// Functional enables data-carrying simulation: objects hold real
-	// values and every command computes its result. With Functional off,
-	// only the performance/energy model runs, allowing paper-scale inputs
-	// without materializing gigabytes.
+	// values and every command computes its result through the one
+	// element kernel internal/kernels resolves for its (op, type) pair;
+	// kernels.Ref* is the golden oracle those kernels are tested against.
+	// With Functional off, only the performance/energy model runs, allowing
+	// paper-scale inputs without materializing gigabytes.
 	Functional bool
 	// Workers bounds the functional engine's worker pool: 0 selects
 	// runtime.NumCPU(), 1 forces the serial reference path. Results are
 	// bit-identical for every setting (see parallel.go).
 	Workers int
-	// ReferenceEval bypasses the specialized element kernels of
-	// internal/kernels and runs the golden per-element evaluators instead
-	// (evalBinary/evalUnary/evalShift). Outputs are bit-identical either
-	// way — the knob exists for differential testing and before/after
-	// benchmarking of the kernel path, and costs wall-clock time only.
-	ReferenceEval bool
 	// Faults configures the deterministic fault-injection stage
 	// (internal/fault) that runs over every device memory write, plus the
 	// optional SEC-DED ECC model. Nil (the default) leaves the dispatch

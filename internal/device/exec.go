@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"math/bits"
 
 	"pimeval/internal/cmdstream"
 	"pimeval/internal/isa"
@@ -22,11 +21,6 @@ var unaryOps = map[isa.Op]bool{
 	isa.OpNot: true, isa.OpAbs: true, isa.OpPopCount: true,
 	isa.OpSbox: true, isa.OpSboxInv: true,
 }
-
-// aesSbox and aesSboxInv are the functional semantics of OpSbox/OpSboxInv.
-// The tables are generated from GF(2^8) math in internal/kernels and shared
-// with the specialized lookup kernels.
-var aesSbox, aesSboxInv = kernels.AESSbox, kernels.AESSboxInv
 
 // compareOps produce 0/1 masks; their destination may use a narrower type
 // than the operands (a one-byte bitmap is the common case).
@@ -55,28 +49,9 @@ func (d *Device) ExecBinary(op isa.Op, a, b, dst ObjID) (err error) {
 			A: int64(a), B: int64(b), Dst: int64(dst),
 		}
 	}
-	if d.cfg.Functional {
-		// Resolve-once dispatch contract: the (op, type) pair picks one
-		// specialized kernel per command, and the sharded engine runs that
-		// tight loop over every span. The per-element reference evaluator
-		// below is the golden semantics the kernels are differentially
-		// tested against (ReferenceEval forces it).
-		if k := kernels.Binary(op, ao.dt); k != nil && !d.cfg.ReferenceEval {
-			err = d.forSpans(do, func(lo, hi int64) { k(do.data, ao.data, bo.data, lo, hi) })
-		} else {
-			err = d.forSpans(do, func(lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					do.data[i] = do.dt.Truncate(evalBinary(op, ao.dt, ao.data[i], bo.data[i]))
-				}
-			})
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Inputs: 2, WritesResult: true}, do)
-	return ferr
+	k := kernels.Binary(op, ao.dt)
+	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Inputs: 2, WritesResult: true}, do,
+		func(lo, hi int64) { k(do.data, ao.data, bo.data, lo, hi) })
 }
 
 // ExecScalar dispatches dst = a op scalar, with the scalar broadcast by the
@@ -104,26 +79,12 @@ func (d *Device) ExecScalar(op isa.Op, a ObjID, scalar int64, dst ObjID) (err er
 			A: int64(a), Dst: int64(dst), Scalar: scalar,
 		}
 	}
-	if d.cfg.Functional {
-		if k := kernels.Scalar(op, ao.dt); k != nil && !d.cfg.ReferenceEval {
-			err = d.forSpans(do, func(lo, hi int64) { k(do.data, ao.data, s, lo, hi) })
-		} else {
-			err = d.forSpans(do, func(lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					do.data[i] = do.dt.Truncate(evalBinary(op, ao.dt, ao.data[i], s))
-				}
-			})
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Scalar: s, Inputs: 1, WritesResult: true}, do)
-	return ferr
+	k := kernels.Scalar(op, ao.dt)
+	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Scalar: s, Inputs: 1, WritesResult: true}, do,
+		func(lo, hi int64) { k(do.data, ao.data, s, lo, hi) })
 }
 
-// ExecUnary dispatches dst = op a (not, abs, popcount).
+// ExecUnary dispatches dst = op a (not, abs, popcount, sbox).
 func (d *Device) ExecUnary(op isa.Op, a, dst ObjID) (err error) {
 	if d.guarded() {
 		defer guard(&err)
@@ -149,23 +110,9 @@ func (d *Device) ExecUnary(op isa.Op, a, dst ObjID) (err error) {
 			A: int64(a), Dst: int64(dst),
 		}
 	}
-	if d.cfg.Functional {
-		if k := kernels.Unary(op, do.dt); k != nil && !d.cfg.ReferenceEval {
-			err = d.forSpans(do, func(lo, hi int64) { k(do.data, ao.data, lo, hi) })
-		} else {
-			err = d.forSpans(do, func(lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					do.data[i] = evalUnary(op, do.dt, ao.data[i])
-				}
-			})
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Inputs: 1, WritesResult: true}, do)
-	return ferr
+	k := kernels.Unary(op, do.dt)
+	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Inputs: 1, WritesResult: true}, do,
+		func(lo, hi int64) { k(do.data, ao.data, lo, hi) })
 }
 
 // ExecShift dispatches dst = a << amount or a >> amount. Right shifts are
@@ -195,23 +142,9 @@ func (d *Device) ExecShift(op isa.Op, a ObjID, amount int, dst ObjID) (err error
 			A: int64(a), Dst: int64(dst), Amount: amount,
 		}
 	}
-	if d.cfg.Functional {
-		if k := kernels.Shift(op, do.dt); k != nil && !d.cfg.ReferenceEval {
-			err = d.forSpans(do, func(lo, hi int64) { k(do.data, ao.data, amount, lo, hi) })
-		} else {
-			err = d.forSpans(do, func(lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					do.data[i] = evalShift(op, do.dt, ao.data[i], amount)
-				}
-			})
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Scalar: int64(amount), Inputs: 1, WritesResult: true}, do)
-	return ferr
+	k := kernels.Shift(op, do.dt)
+	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Scalar: int64(amount), Inputs: 1, WritesResult: true}, do,
+		func(lo, hi int64) { k(do.data, ao.data, amount, lo, hi) })
 }
 
 // ExecSelect dispatches dst[i] = cond[i] != 0 ? a[i] : b[i].
@@ -241,17 +174,8 @@ func (d *Device) ExecSelect(cond, a, b, dst ObjID) (err error) {
 			Cond: int64(cond), A: int64(a), B: int64(b), Dst: int64(dst),
 		}
 	}
-	if d.cfg.Functional {
-		// Type-independent on canonical carriers; the kernel is the
-		// reference semantics, so no ReferenceEval branch exists.
-		err = d.forSpans(do, func(lo, hi int64) { kernels.Select(do.data, co.data, ao.data, bo.data, lo, hi) })
-		if err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: isa.OpSelect, Type: do.dt, N: do.n, Inputs: 3, WritesResult: true}, do)
-	return ferr
+	return d.elementwise(ev, isa.Command{Op: isa.OpSelect, Type: do.dt, N: do.n, Inputs: 3, WritesResult: true}, do,
+		func(lo, hi int64) { kernels.Select(do.data, co.data, ao.data, bo.data, lo, hi) })
 }
 
 // Broadcast fills dst with a scalar value.
@@ -275,14 +199,24 @@ func (d *Device) Broadcast(dst ObjID, val int64) (err error) {
 			Dst: int64(dst), Scalar: val,
 		}
 	}
+	return d.elementwise(ev, isa.Command{Op: isa.OpBroadcast, Type: do.dt, N: do.n, Scalar: v, Inputs: 0, WritesResult: true}, do,
+		func(lo, hi int64) { kernels.Fill(do.data, v, lo, hi) })
+}
+
+// elementwise is the shared tail of every element-wise command. On a
+// functional device it runs body, the command's resolved kernel, over every
+// span of do; a canceled loop returns before anything is charged. Then the
+// fault stage covers the written range and the cost stage charges and fans
+// out the command. The cost is charged even when injection reports an error:
+// the command executed, and the error only says its result was corrupted.
+func (d *Device) elementwise(ev *Event, cmd isa.Command, do *Object, body func(lo, hi int64)) error {
 	if d.cfg.Functional {
-		err = d.forSpans(do, func(lo, hi int64) { kernels.Fill(do.data, v, lo, hi) })
-		if err != nil {
+		if err := d.forSpans(do, body); err != nil {
 			return err
 		}
 	}
 	ferr := d.injectWrite(do, 0, do.n)
-	d.finishExec(ev, isa.Command{Op: isa.OpBroadcast, Type: do.dt, N: do.n, Scalar: v, Inputs: 0, WritesResult: true}, do)
+	d.finishExec(ev, cmd, do)
 	return ferr
 }
 
@@ -429,142 +363,4 @@ func (d *Device) triple(a, b, dst ObjID, dstTypeFree bool) (*Object, *Object, *O
 			ErrShapeMismatch, do.n, do.dt, ao.n, ao.dt)
 	}
 	return ao, bo, do, nil
-}
-
-// Reductions accumulate canonical carriers directly — there is no separate
-// "signed view" to take. The invariant the old signedView helper guarded:
-// stored values are already truncated (sign-extended for signed types,
-// zero-extended for unsigned sub-64-bit types), so every carrier equals its
-// host-visible value; uint64 elements carry raw bits, and wrapping int64
-// addition of raw bits is bit-identical to uint64 addition modulo 2^64.
-
-// evalBinary computes one element of a binary op with the type's wraparound
-// and signedness semantics. Inputs must be canonical (truncated).
-func evalBinary(op isa.Op, dt isa.DataType, a, b int64) int64 {
-	switch op {
-	case isa.OpAdd:
-		return dt.Truncate(a + b)
-	case isa.OpSub:
-		return dt.Truncate(a - b)
-	case isa.OpMul:
-		return dt.Truncate(a * b)
-	case isa.OpDiv:
-		return evalDiv(dt, a, b)
-	case isa.OpAnd:
-		return dt.Truncate(a & b)
-	case isa.OpOr:
-		return dt.Truncate(a | b)
-	case isa.OpXor:
-		return dt.Truncate(a ^ b)
-	case isa.OpXnor:
-		return dt.Truncate(^(a ^ b))
-	case isa.OpMin:
-		if dt.Compare(a, b) <= 0 {
-			return a
-		}
-		return b
-	case isa.OpMax:
-		if dt.Compare(a, b) >= 0 {
-			return a
-		}
-		return b
-	case isa.OpLt:
-		return b2i(dt.Compare(a, b) < 0)
-	case isa.OpGt:
-		return b2i(dt.Compare(a, b) > 0)
-	case isa.OpEq:
-		return b2i(a == b)
-	default:
-		panic(fmt.Sprintf("device: evalBinary(%v)", op))
-	}
-}
-
-// evalDiv computes truncated integer division with the restoring-array
-// hardware's semantics: division by zero yields an all-ones magnitude
-// quotient, sign-adjusted for signed types. For non-zero divisors this
-// matches Go's truncated division exactly (including INT_MIN / -1
-// wrapping back to INT_MIN).
-func evalDiv(dt isa.DataType, a, b int64) int64 {
-	mask := uint64(1)<<uint(dt.Bits()) - 1
-	if dt.Bits() == 64 {
-		mask = ^uint64(0)
-	}
-	if !dt.Signed() {
-		ua, ub := uint64(a)&mask, uint64(b)&mask
-		if ub == 0 {
-			return dt.Truncate(int64(mask))
-		}
-		return dt.Truncate(int64(ua / ub))
-	}
-	neg := (a < 0) != (b < 0)
-	mag := func(v int64) uint64 {
-		if v < 0 {
-			return uint64(-v) & mask // INT_MIN maps to 2^(n-1), its magnitude
-		}
-		return uint64(v)
-	}
-	ua, ub := mag(a), mag(b)
-	var q uint64
-	if ub == 0 {
-		q = mask
-	} else {
-		q = ua / ub
-	}
-	if neg {
-		return dt.Truncate(-int64(q))
-	}
-	return dt.Truncate(int64(q))
-}
-
-// evalUnary computes one element of a unary op.
-func evalUnary(op isa.Op, dt isa.DataType, a int64) int64 {
-	switch op {
-	case isa.OpNot:
-		return dt.Truncate(^a)
-	case isa.OpAbs:
-		if dt.Signed() && a < 0 {
-			return dt.Truncate(-a)
-		}
-		return a
-	case isa.OpPopCount:
-		mask := uint64(1)<<uint(dt.Bits()) - 1
-		if dt.Bits() == 64 {
-			mask = ^uint64(0)
-		}
-		return int64(bits.OnesCount64(uint64(a) & mask))
-	case isa.OpSbox:
-		return dt.Truncate(int64(aesSbox[byte(a)]))
-	case isa.OpSboxInv:
-		return dt.Truncate(int64(aesSboxInv[byte(a)]))
-	default:
-		panic(fmt.Sprintf("device: evalUnary(%v)", op))
-	}
-}
-
-// evalShift computes one element of a shift.
-func evalShift(op isa.Op, dt isa.DataType, a int64, amount int) int64 {
-	if amount >= dt.Bits() {
-		if op == isa.OpShiftR && dt.Signed() && a < 0 {
-			return dt.Truncate(-1)
-		}
-		return 0
-	}
-	if op == isa.OpShiftL {
-		return dt.Truncate(a << uint(amount))
-	}
-	if dt.Signed() {
-		return dt.Truncate(a >> uint(amount))
-	}
-	mask := uint64(1)<<uint(dt.Bits()) - 1
-	if dt.Bits() == 64 {
-		mask = ^uint64(0)
-	}
-	return dt.Truncate(int64((uint64(a) & mask) >> uint(amount)))
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

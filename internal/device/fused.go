@@ -8,13 +8,6 @@ import (
 	"pimeval/internal/kernels"
 )
 
-// fusedUnaryOps is the unary op set legal as a fused second stage. Sbox and
-// its inverse are excluded: they carry an 8-bit-only constraint and have no
-// composed bit-serial program, so the optimizer never emits them fused.
-var fusedUnaryOps = map[isa.Op]bool{
-	isa.OpNot: true, isa.OpAbs: true, isa.OpPopCount: true,
-}
-
 // ExecFused dispatches a two-stage fused element-wise command produced by
 // the stream optimizer: stage 1 (binary or scalar form) feeds stage 2
 // (unary, scalar, or binary form) through an unmaterialized intermediate,
@@ -38,7 +31,7 @@ func (d *Device) ExecFused(f cmdstream.Fused) (err error) {
 	}
 	switch f.Form2 {
 	case cmdstream.FormUnary:
-		if !fusedUnaryOps[f.Op2] {
+		if !cmdstream.FusableUnary(f.Op2) {
 			return fmt.Errorf("%w: %v is not a fusable unary op", ErrBadArgument, f.Op2)
 		}
 	case cmdstream.FormScalar:
@@ -93,17 +86,11 @@ func (d *Device) ExecFused(f cmdstream.Fused) (err error) {
 			ev.Record.B = int64(f.B)
 		}
 	}
-	if d.cfg.Functional {
-		if err := d.fusedFunctional(f, ao, bo, do, s1, s2); err != nil {
-			return err
-		}
-	}
-	ferr := d.injectWrite(do, 0, do.n)
 	inputs := 1
 	if needB {
 		inputs = 2
 	}
-	d.finishExec(ev, isa.Command{
+	return d.elementwise(ev, isa.Command{
 		Op: f.Op1, Type: dt, N: do.n, Scalar: s1,
 		Inputs: inputs, WritesResult: true,
 		Fused: &isa.FusedStage{
@@ -112,55 +99,30 @@ func (d *Device) ExecFused(f cmdstream.Fused) (err error) {
 			BinaryForm:   f.Form2 == cmdstream.FormBinary,
 			Stage1Scalar: f.Form1 == cmdstream.FormScalar,
 		},
-	}, do)
-	return ferr
+	}, do, fusedBody(f, ao, bo, do, s1, s2))
 }
 
-// fusedFunctional runs the two stages over every span, resolving one fused
-// kernel per command when available and falling back to the per-element
-// reference composition (the golden semantics, forced by ReferenceEval).
-func (d *Device) fusedFunctional(f cmdstream.Fused, ao, bo, do *Object, s1, s2 int64) error {
+// fusedBody resolves the command's fused kernel, one per command, and
+// returns its loop over one span. Validation admits only stage ops that
+// have kernels, so the resolved kernel is never nil.
+func fusedBody(f cmdstream.Fused, ao, bo, do *Object, s1, s2 int64) func(lo, hi int64) {
 	dt := do.dt
-	if !d.cfg.ReferenceEval {
-		var bk kernels.BinaryKernel
-		var uk kernels.UnaryKernel
-		switch {
-		case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormUnary:
-			bk = kernels.FusedBinaryUnary(f.Op1, f.Op2, dt)
-		case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormScalar:
-			bk = kernels.FusedBinaryScalar(f.Op1, f.Op2, dt, s2)
-		case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormBinary:
-			bk = kernels.FusedScalarBinary(f.Op1, f.Op2, dt, s1)
-		case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormScalar:
-			uk = kernels.FusedScalarScalar(f.Op1, f.Op2, dt, s1, s2)
-		case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormUnary:
-			uk = kernels.FusedScalarUnary(f.Op1, f.Op2, dt, s1)
-		}
-		if bk != nil {
-			return d.forSpans(do, func(lo, hi int64) { bk(do.data, ao.data, bo.data, lo, hi) })
-		}
-		if uk != nil {
-			return d.forSpans(do, func(lo, hi int64) { uk(do.data, ao.data, lo, hi) })
-		}
+	var bk kernels.BinaryKernel
+	var uk kernels.UnaryKernel
+	switch {
+	case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormUnary:
+		bk = kernels.FusedBinaryUnary(f.Op1, f.Op2, dt)
+	case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormScalar:
+		bk = kernels.FusedBinaryScalar(f.Op1, f.Op2, dt, s2)
+	case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormBinary:
+		bk = kernels.FusedScalarBinary(f.Op1, f.Op2, dt, s1)
+	case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormScalar:
+		uk = kernels.FusedScalarScalar(f.Op1, f.Op2, dt, s1, s2)
+	default: // scalar + unary
+		uk = kernels.FusedScalarUnary(f.Op1, f.Op2, dt, s1)
 	}
-	// Reference composition: stage 1 through a canonical intermediate,
-	// exactly as the sequential pair of reference evaluators computes it.
-	return d.forSpans(do, func(lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			var t int64
-			if f.Form1 == cmdstream.FormBinary {
-				t = dt.Truncate(evalBinary(f.Op1, dt, ao.data[i], bo.data[i]))
-			} else {
-				t = dt.Truncate(evalBinary(f.Op1, dt, ao.data[i], s1))
-			}
-			switch f.Form2 {
-			case cmdstream.FormUnary:
-				do.data[i] = evalUnary(f.Op2, dt, t)
-			case cmdstream.FormScalar:
-				do.data[i] = dt.Truncate(evalBinary(f.Op2, dt, t, s2))
-			default: // FormBinary
-				do.data[i] = dt.Truncate(evalBinary(f.Op2, dt, t, bo.data[i]))
-			}
-		}
-	})
+	if bk != nil {
+		return func(lo, hi int64) { bk(do.data, ao.data, bo.data, lo, hi) }
+	}
+	return func(lo, hi int64) { uk(do.data, ao.data, lo, hi) }
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"pimeval/internal/cmdstream"
-	"pimeval/internal/dram"
 	"pimeval/internal/isa"
+	"pimeval/internal/kernels"
 )
 
 // fusedShapes enumerates every stage-form combination the optimizer can
@@ -153,20 +153,30 @@ func TestExecFusedMatchesSequentialPair(t *testing.T) {
 	}
 }
 
-// TestExecFusedReferencePathAgrees forces the per-element reference
-// composition (ReferenceEval) and checks it against the fused-kernel fast
-// path — both must implement the same truncate-between-stages semantics.
-func TestExecFusedReferencePathAgrees(t *testing.T) {
-	const n = 32
-	dt := isa.Int16
-	for _, sh := range fusedShapes {
-		a, b := fusedInputs(dt, n)
-		var out [2][]int64
-		for i, ref := range []bool{false, true} {
-			d, err := New(Config{Target: TargetFulcrum, Module: dram.DDR4(1), Functional: true, ReferenceEval: ref})
-			if err != nil {
-				t.Fatal(err)
+// TestExecFusedMatchesOracle checks every fused shape on every element type
+// against the golden oracle composed per element, truncating between the
+// stages (kernels.Ref* results are canonical, which is that truncation).
+func TestExecFusedMatchesOracle(t *testing.T) {
+	const n = 64
+	for _, dt := range kernelTestTypes {
+		for _, sh := range fusedShapes {
+			a, b := fusedInputs(dt, n)
+			want := make([]int64, n)
+			for i := range want {
+				mid := kernels.RefBinary(sh.op1, dt, a[i], sh.s1)
+				if sh.form1 == cmdstream.FormBinary {
+					mid = kernels.RefBinary(sh.op1, dt, a[i], b[i])
+				}
+				switch sh.form2 {
+				case cmdstream.FormUnary:
+					want[i] = kernels.RefUnary(sh.op2, dt, mid)
+				case cmdstream.FormScalar:
+					want[i] = kernels.RefBinary(sh.op2, dt, mid, sh.s2)
+				default:
+					want[i] = kernels.RefBinary(sh.op2, dt, mid, b[i])
+				}
 			}
+			d := newDev(t, TargetFulcrum)
 			ao, _ := d.Alloc(n, dt)
 			bo, _ := d.Alloc(n, dt)
 			do, _ := d.Alloc(n, dt)
@@ -180,16 +190,16 @@ func TestExecFusedReferencePathAgrees(t *testing.T) {
 				Form1: sh.form1, Form2: sh.form2, Op1: sh.op1, Op2: sh.op2,
 				A: ao, B: bo, Dst: do, S1: sh.s1, S2: sh.s2,
 			}); err != nil {
-				t.Fatalf("%s (ref=%v): %v", sh.name, ref, err)
+				t.Fatalf("%v/%s: %v", dt, sh.name, err)
 			}
-			out[i], err = d.CopyDeviceToHost(do)
+			got, err := d.CopyDeviceToHost(do)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if !reflect.DeepEqual(out[0], out[1]) {
-			t.Errorf("%s: kernel path and reference composition disagree\n kernel %v\n    ref %v",
-				sh.name, out[0], out[1])
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%s: fused command disagrees with the oracle\n   got %v\noracle %v",
+					dt, sh.name, got, want)
+			}
 		}
 	}
 }

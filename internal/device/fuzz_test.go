@@ -6,10 +6,11 @@ import (
 
 	"pimeval/internal/bitserial"
 	"pimeval/internal/isa"
+	"pimeval/internal/kernels"
 )
 
-// The fuzz targets cross-check the functional simulator's scalar evaluators
-// (evalBinary/evalDiv/evalShift) against the bit-serial microprogram
+// The fuzz targets cross-check the golden element oracle (kernels.RefBinary
+// and kernels.RefShift) against the bit-serial microprogram
 // interpreter: both views of the same operation must agree after
 // normalization, for arbitrary operands including the signed edge cases
 // (division by zero, MinInt/-1, shift amounts at or past the element width).
@@ -23,7 +24,7 @@ var fuzzTypes = []isa.DataType{
 	isa.UInt8, isa.UInt16, isa.UInt32, isa.UInt64,
 }
 
-// crossCheck runs one (op, dtype) pair through both the scalar evaluator and
+// crossCheck runs one (op, dtype) pair through both the oracle and
 // the compiled microprogram and fails on any mismatch. Compilation goes
 // through the memoized BuildCached — the fuzz loop would otherwise recompile
 // the same microprograms on every input, and sharing the cache with the cost
@@ -45,7 +46,7 @@ func crossCheck(t *testing.T, op isa.Op, dt isa.DataType, imm int64, want func(a
 	}
 	ref := want(a, b)
 	if dt.Truncate(got[0]) != dt.Truncate(ref) {
-		t.Errorf("%v.%v(a=%d, b=%d, imm=%d): microprogram=%d, evaluator=%d",
+		t.Errorf("%v.%v(a=%d, b=%d, imm=%d): microprogram=%d, oracle=%d",
 			op, dt, a, b, imm, dt.Truncate(got[0]), dt.Truncate(ref))
 	}
 }
@@ -75,7 +76,7 @@ func FuzzEvalBinary(f *testing.F) {
 			for _, op := range ops {
 				op := op
 				crossCheck(t, op, dt, 0, func(a, b int64) int64 {
-					return evalBinary(op, dt, a, b)
+					return kernels.RefBinary(op, dt, a, b)
 				}, a, b)
 			}
 		}
@@ -88,7 +89,7 @@ func FuzzEvalDiv(f *testing.F) {
 		for _, dt := range fuzzTypes {
 			dt := dt
 			crossCheck(t, isa.OpDiv, dt, 0, func(a, b int64) int64 {
-				return evalDiv(dt, a, b)
+				return kernels.RefBinary(isa.OpDiv, dt, a, b)
 			}, a, b)
 		}
 	})
@@ -105,7 +106,7 @@ func FuzzEvalShift(f *testing.F) {
 			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
 				op, dt := op, dt
 				crossCheck(t, op, dt, int64(amount), func(a, _ int64) int64 {
-					return evalShift(op, dt, a, amount)
+					return kernels.RefShift(op, dt, a, amount)
 				}, a, 0)
 			}
 		}

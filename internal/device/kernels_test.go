@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"pimeval/internal/dram"
 	"pimeval/internal/isa"
 	"pimeval/internal/kernels"
 )
 
 // Differential proof for the specialized element kernels: every (op, form,
-// element type) kernel must be bit-identical to the golden per-element
-// evaluators (evalBinary/evalUnary/evalShift) on vectors built from the
+// element type) kernel must be bit-identical to the golden oracle
+// (kernels.RefBinary/RefUnary/RefShift) on vectors built from the
 // arithmetic edge values — INT_MIN/-1, division by zero, shift amounts at
 // and past the width, unsigned wraparound — plus seeded random operands.
 
@@ -53,7 +52,7 @@ var kernelTestTypes = []isa.DataType{
 }
 
 // TestKernelsBinaryMatchReference sweeps every element-wise binary kernel
-// (and its scalar-broadcast twin) against evalBinary.
+// (and its scalar-broadcast twin) against kernels.RefBinary.
 func TestKernelsBinaryMatchReference(t *testing.T) {
 	ops := []isa.Op{
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
@@ -70,7 +69,7 @@ func TestKernelsBinaryMatchReference(t *testing.T) {
 			}
 			k(got, a, b, 0, n)
 			for i := int64(0); i < n; i++ {
-				want := dt.Truncate(evalBinary(op, dt, a[i], b[i]))
+				want := kernels.RefBinary(op, dt, a[i], b[i])
 				if got[i] != want {
 					t.Fatalf("%v.%v kernel(a=%d, b=%d) = %d, reference %d",
 						op, dt, a[i], b[i], got[i], want)
@@ -81,7 +80,7 @@ func TestKernelsBinaryMatchReference(t *testing.T) {
 				s := dt.Truncate(s)
 				sk(got, a, s, 0, n)
 				for i := int64(0); i < n; i++ {
-					want := dt.Truncate(evalBinary(op, dt, a[i], s))
+					want := kernels.RefBinary(op, dt, a[i], s)
 					if got[i] != want {
 						t.Fatalf("%v.%v scalar kernel(a=%d, s=%d) = %d, reference %d",
 							op, dt, a[i], s, got[i], want)
@@ -93,7 +92,7 @@ func TestKernelsBinaryMatchReference(t *testing.T) {
 }
 
 // TestKernelsUnaryMatchReference sweeps not/abs/popcount (and sbox at 8-bit
-// widths) against evalUnary.
+// widths) against kernels.RefUnary.
 func TestKernelsUnaryMatchReference(t *testing.T) {
 	for _, dt := range kernelTestTypes {
 		a, _ := edgeVectors(dt, 11)
@@ -110,7 +109,7 @@ func TestKernelsUnaryMatchReference(t *testing.T) {
 			}
 			k(got, a, 0, n)
 			for i := int64(0); i < n; i++ {
-				want := evalUnary(op, dt, a[i])
+				want := kernels.RefUnary(op, dt, a[i])
 				if got[i] != want {
 					t.Fatalf("%v.%v kernel(%d) = %d, reference %d", op, dt, a[i], got[i], want)
 				}
@@ -120,7 +119,7 @@ func TestKernelsUnaryMatchReference(t *testing.T) {
 }
 
 // TestKernelsShiftMatchReference sweeps both shifts at amounts below, at,
-// and past the element width against evalShift.
+// and past the element width against kernels.RefShift.
 func TestKernelsShiftMatchReference(t *testing.T) {
 	for _, dt := range kernelTestTypes {
 		a, _ := edgeVectors(dt, 13)
@@ -135,7 +134,7 @@ func TestKernelsShiftMatchReference(t *testing.T) {
 			for _, amount := range amounts {
 				k(got, a, amount, 0, n)
 				for i := int64(0); i < n; i++ {
-					want := evalShift(op, dt, a[i], amount)
+					want := kernels.RefShift(op, dt, a[i], amount)
 					if got[i] != want {
 						t.Fatalf("%v.%v kernel(%d, amount=%d) = %d, reference %d",
 							op, dt, a[i], amount, got[i], want)
@@ -161,97 +160,52 @@ func TestKernelsSumMatchReference(t *testing.T) {
 	}
 }
 
-// TestReferenceEvalBitIdentical runs a full mixed command script through the
-// public API twice — specialized kernels vs ReferenceEval — and requires
-// identical output data and reduction results.
-func TestReferenceEvalBitIdentical(t *testing.T) {
-	run := func(ref bool) ([][]int64, int64) {
-		d, err := New(Config{
-			Target: TargetFulcrum, Module: dram.DDR4(1),
-			Functional: true, ReferenceEval: ref,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := edgeVectors(isa.Int32, 23)
-		n := int64(len(a))
-		alloc := func(vals []int64) ObjID {
-			id, err := d.Alloc(n, isa.Int32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vals != nil {
-				if err := d.CopyHostToDevice(id, vals[:n]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return id
-		}
-		ao, bo, dst := alloc(a), alloc(b), alloc(nil)
-		var outs [][]int64
-		for _, op := range []isa.Op{isa.OpAdd, isa.OpMul, isa.OpDiv, isa.OpLt} {
-			if err := d.ExecBinary(op, ao, bo, dst); err != nil {
-				t.Fatal(err)
-			}
-			out, err := d.CopyDeviceToHost(dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, out)
-		}
-		if err := d.ExecShift(isa.OpShiftR, ao, 3, dst); err != nil {
-			t.Fatal(err)
-		}
-		out, err := d.CopyDeviceToHost(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, out)
-		sum, err := d.RedSum(ao)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs, sum
-	}
-	kOuts, kSum := run(false)
-	rOuts, rSum := run(true)
-	if kSum != rSum {
-		t.Errorf("RedSum: kernels %d vs reference %d", kSum, rSum)
-	}
-	for i := range kOuts {
-		for j := range kOuts[i] {
-			if kOuts[i][j] != rOuts[i][j] {
-				t.Fatalf("output %d element %d: kernels %d vs reference %d",
-					i, j, kOuts[i][j], rOuts[i][j])
-			}
-		}
-	}
-}
-
-// FuzzKernelBinary cross-checks the specialized binary kernels against
-// evalBinary for arbitrary operand pairs over every op and element type —
-// the kernel-path twin of FuzzEvalBinary.
+// FuzzKernelBinary cross-checks the specialized element kernels against the
+// oracle for arbitrary operands over every element type: every binary op
+// (plain and scalar-broadcast) on (a, b), every unary op on a, and both
+// shifts of a by b & 0x7F, which covers amounts below, at and past every
+// width. It is the kernel-path twin of FuzzEvalBinary.
 func FuzzKernelBinary(f *testing.F) {
 	seedPairs(f)
+	f.Add(int64(-1), int64(64))  // shift amount == width of int64
+	f.Add(int64(-2), int64(200)) // shift amount 72: past every width
 	ops := []isa.Op{
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
 		isa.OpXor, isa.OpXnor, isa.OpMin, isa.OpMax, isa.OpLt, isa.OpGt, isa.OpEq,
 	}
 	f.Fuzz(func(t *testing.T, a, b int64) {
 		var got [1]int64
+		amount := int(b & 0x7F)
 		for _, dt := range fuzzTypes {
 			ta, tb := dt.Truncate(a), dt.Truncate(b)
 			for _, op := range ops {
 				kernels.Binary(op, dt)(got[:], []int64{ta}, []int64{tb}, 0, 1)
-				want := dt.Truncate(evalBinary(op, dt, ta, tb))
+				want := kernels.RefBinary(op, dt, ta, tb)
 				if got[0] != want {
-					t.Errorf("%v.%v kernel(a=%d, b=%d) = %d, reference %d",
+					t.Errorf("%v.%v kernel(a=%d, b=%d) = %d, oracle %d",
 						op, dt, ta, tb, got[0], want)
 				}
 				kernels.Scalar(op, dt)(got[:], []int64{ta}, tb, 0, 1)
 				if got[0] != want {
-					t.Errorf("%v.%v scalar kernel(a=%d, s=%d) = %d, reference %d",
+					t.Errorf("%v.%v scalar kernel(a=%d, s=%d) = %d, oracle %d",
 						op, dt, ta, tb, got[0], want)
+				}
+			}
+			unary := []isa.Op{isa.OpNot, isa.OpAbs, isa.OpPopCount}
+			if dt.Bits() == 8 {
+				unary = append(unary, isa.OpSbox, isa.OpSboxInv)
+			}
+			for _, op := range unary {
+				kernels.Unary(op, dt)(got[:], []int64{ta}, 0, 1)
+				if want := kernels.RefUnary(op, dt, ta); got[0] != want {
+					t.Errorf("%v.%v kernel(%d) = %d, oracle %d", op, dt, ta, got[0], want)
+				}
+			}
+			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+				kernels.Shift(op, dt)(got[:], []int64{ta}, amount, 0, 1)
+				if want := kernels.RefShift(op, dt, ta, amount); got[0] != want {
+					t.Errorf("%v.%v kernel(%d, amount=%d) = %d, oracle %d",
+						op, dt, ta, amount, got[0], want)
 				}
 			}
 		}

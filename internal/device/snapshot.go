@@ -105,8 +105,8 @@ type snapMeta struct {
 // byte-stable.
 //
 // Snapshots capture semantic state only (objects, statistics, trace, fault
-// sequence); observational configuration such as Workers or ReferenceEval is
-// chosen anew at restore. A snapshot may not be taken inside a WithRepeat
+// sequence); observational configuration such as Workers is chosen anew at
+// restore. A snapshot may not be taken inside a WithRepeat
 // scope or while stream recording is attached — the captured state would not
 // be self-contained.
 func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {

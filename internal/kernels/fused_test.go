@@ -39,48 +39,27 @@ func edgeVec(dt isa.DataType, n int, seed int64) []int64 {
 	return out
 }
 
-// sequentialGolden computes the two-stage result through a materialized
-// int64 intermediate using the registered stage kernels — the definition of
-// what every fused kernel must reproduce bit-for-bit. form1 true = binary
-// stage 1; form2: 0 unary, 1 scalar, 2 binary.
-func sequentialGolden(t *testing.T, op1, op2 isa.Op, dt isa.DataType,
+// sequentialGolden computes the two-stage result per element by composing
+// the golden oracle, truncating between the stages (Ref* results are
+// canonical) — the definition of what every fused kernel must reproduce
+// bit-for-bit. form1Binary true = binary stage 1; form2: 0 unary, 1 scalar,
+// 2 binary.
+func sequentialGolden(op1, op2 isa.Op, dt isa.DataType,
 	form1Binary bool, form2 int, a, b []int64, s1, s2 int64) []int64 {
-	t.Helper()
-	tmp := make([]int64, len(a))
 	dst := make([]int64, len(a))
-	n := int64(len(a))
-	if form1Binary {
-		k := Binary(op1, dt)
-		if k == nil {
-			t.Fatalf("Binary(%v, %v) = nil", op1, dt)
+	for i := range a {
+		mid := RefBinary(op1, dt, a[i], s1)
+		if form1Binary {
+			mid = RefBinary(op1, dt, a[i], b[i])
 		}
-		k(tmp, a, b, 0, n)
-	} else {
-		k := Scalar(op1, dt)
-		if k == nil {
-			t.Fatalf("Scalar(%v, %v) = nil", op1, dt)
+		switch form2 {
+		case 0:
+			dst[i] = RefUnary(op2, dt, mid)
+		case 1:
+			dst[i] = RefBinary(op2, dt, mid, s2)
+		default:
+			dst[i] = RefBinary(op2, dt, mid, b[i])
 		}
-		k(tmp, a, s1, 0, n)
-	}
-	switch form2 {
-	case 0:
-		k := Unary(op2, dt)
-		if k == nil {
-			t.Fatalf("Unary(%v, %v) = nil", op2, dt)
-		}
-		k(dst, tmp, 0, n)
-	case 1:
-		k := Scalar(op2, dt)
-		if k == nil {
-			t.Fatalf("Scalar(%v, %v) = nil", op2, dt)
-		}
-		k(dst, tmp, s2, 0, n)
-	default:
-		k := Binary(op2, dt)
-		if k == nil {
-			t.Fatalf("Binary(%v, %v) = nil", op2, dt)
-		}
-		k(dst, tmp, b, 0, n)
 	}
 	return dst
 }
@@ -88,12 +67,13 @@ func sequentialGolden(t *testing.T, op1, op2 isa.Op, dt isa.DataType,
 // TestFusedMatchesSequentialComposition sweeps every fused constructor over
 // every type and a representative op matrix — including the three
 // hand-specialized single-pass kernels (mul+add, add+max, sub+abs) — and
-// requires bit-identity with the sequential stage pair. n spans multiple
+// requires bit-identity with the oracle's stage composition. n spans multiple
 // fusedBlock chunks to exercise the composed kernels' blocking loop.
 func TestFusedMatchesSequentialComposition(t *testing.T) {
 	const n = fusedBlock + 37
-	s1, s2 := int64(3), int64(-5)
 	for _, dt := range allTypes {
+		// Kernels take scalars already truncated (the dispatcher's contract).
+		s1, s2 := dt.Truncate(3), dt.Truncate(-5)
 		a := edgeVec(dt, n, 11)
 		b := edgeVec(dt, n, 23)
 		for _, op1 := range fusedBinaryOps {
@@ -101,7 +81,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				if k := FusedBinaryUnary(op1, op2, dt); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
-					want := sequentialGolden(t, op1, op2, dt, true, 0, a, b, s1, s2)
+					want := sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
 					if !reflect.DeepEqual(dst, want) {
 						t.Errorf("FusedBinaryUnary(%v,%v,%v) diverges", op1, op2, dt)
 					}
@@ -109,7 +89,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				if k := FusedScalarUnary(op1, op2, dt, s1); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, 0, n)
-					want := sequentialGolden(t, op1, op2, dt, false, 0, a, b, s1, s2)
+					want := sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
 					if !reflect.DeepEqual(dst, want) {
 						t.Errorf("FusedScalarUnary(%v,%v,%v) diverges", op1, op2, dt)
 					}
@@ -119,7 +99,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				if k := FusedBinaryScalar(op1, op2, dt, s2); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
-					want := sequentialGolden(t, op1, op2, dt, true, 1, a, b, s1, s2)
+					want := sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
 					if !reflect.DeepEqual(dst, want) {
 						t.Errorf("FusedBinaryScalar(%v,%v,%v) diverges", op1, op2, dt)
 					}
@@ -127,7 +107,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				if k := FusedScalarBinary(op1, op2, dt, s1); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
-					want := sequentialGolden(t, op1, op2, dt, false, 2, a, b, s1, s2)
+					want := sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
 					if !reflect.DeepEqual(dst, want) {
 						t.Errorf("FusedScalarBinary(%v,%v,%v) diverges", op1, op2, dt)
 					}
@@ -135,7 +115,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				if k := FusedScalarScalar(op1, op2, dt, s1, s2); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, 0, n)
-					want := sequentialGolden(t, op1, op2, dt, false, 1, a, b, s1, s2)
+					want := sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
 					if !reflect.DeepEqual(dst, want) {
 						t.Errorf("FusedScalarScalar(%v,%v,%v) diverges", op1, op2, dt)
 					}
@@ -164,7 +144,8 @@ func TestFusedSpecializedRegistered(t *testing.T) {
 }
 
 // TestFusedNilForUnregisteredStage pins nil returns when either stage lacks
-// a kernel, so the dispatcher's nil-check fallback is reachable.
+// a kernel. The device's validation rejects such pairs before it resolves a
+// fused kernel, so a nil never reaches dispatch.
 func TestFusedNilForUnregisteredStage(t *testing.T) {
 	if FusedBinaryUnary(isa.OpAdd, isa.OpSbox, isa.Int32) != nil {
 		t.Error("sbox fused for a non-8-bit type")
@@ -179,7 +160,7 @@ func TestFusedNilForUnregisteredStage(t *testing.T) {
 
 // FuzzFusedKernels drives random (op pair, type, shape, immediates, lanes)
 // tuples through the fused constructors and cross-checks the sequential
-// stage composition — the executable form of the bit-identity contract.
+// oracle composition — the executable form of the bit-identity contract.
 func FuzzFusedKernels(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), int64(3), int64(-5), int64(7), int64(-1))
 	f.Add(uint8(2), uint8(0), uint8(0), uint8(2), int64(127), int64(1), int64(-128), int64(255))
@@ -202,7 +183,7 @@ func FuzzFusedKernels(f *testing.F) {
 				t.Skip()
 			}
 			k(dst, a, b, 0, n)
-			want = sequentialGolden(t, op1, op2, dt, true, 0, a, b, s1, s2)
+			want = sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
 		case 1:
 			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
 			k := FusedBinaryScalar(op1, op2, dt, s2)
@@ -210,7 +191,7 @@ func FuzzFusedKernels(f *testing.F) {
 				t.Skip()
 			}
 			k(dst, a, b, 0, n)
-			want = sequentialGolden(t, op1, op2, dt, true, 1, a, b, s1, s2)
+			want = sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
 		case 2:
 			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
 			k := FusedScalarBinary(op1, op2, dt, s1)
@@ -218,7 +199,7 @@ func FuzzFusedKernels(f *testing.F) {
 				t.Skip()
 			}
 			k(dst, a, b, 0, n)
-			want = sequentialGolden(t, op1, op2, dt, false, 2, a, b, s1, s2)
+			want = sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
 		case 3:
 			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
 			k := FusedScalarScalar(op1, op2, dt, s1, s2)
@@ -226,7 +207,7 @@ func FuzzFusedKernels(f *testing.F) {
 				t.Skip()
 			}
 			k(dst, a, 0, n)
-			want = sequentialGolden(t, op1, op2, dt, false, 1, a, b, s1, s2)
+			want = sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
 		default:
 			op2 := fusedUnaryStageOps[int(op2b)%len(fusedUnaryStageOps)]
 			k := FusedScalarUnary(op1, op2, dt, s1)
@@ -234,7 +215,7 @@ func FuzzFusedKernels(f *testing.F) {
 				t.Skip()
 			}
 			k(dst, a, 0, n)
-			want = sequentialGolden(t, op1, op2, dt, false, 0, a, b, s1, s2)
+			want = sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
 		}
 		if !reflect.DeepEqual(dst, want) {
 			t.Fatalf("fused diverges from sequential pair (op1=%v dt=%v shape=%d)\n got %v\nwant %v",

@@ -1,13 +1,13 @@
 // Package kernels provides the type-specialized element kernels behind the
 // functional simulator's hot path. Every element-wise PIM command spends its
-// simulated-workload wall-clock in a loop over the object's elements; the
-// generic per-element evaluators in internal/device (evalBinary/evalUnary/
-// evalShift) pay an op switch, a signedness branch, and a dt.Truncate call
-// per lane. The kernels here hoist all of that out of the loop: the dispatch
-// pipeline resolves one kernel per (op, element type) once per command, and
-// the kernel body is a tight slice loop whose truncation and signedness
-// semantics are compiled in by Go generics — add/mul/and on power-of-two
-// widths become mask-free native arithmetic on the width's machine type.
+// simulated-workload wall-clock in a loop over the object's elements; a
+// generic per-element evaluator would pay an op switch, a signedness branch,
+// and a truncation per lane. The kernels here hoist all of that out of the
+// loop: the dispatch pipeline resolves one kernel per (op, element type)
+// once per command, and the kernel body is a tight slice loop whose
+// truncation and signedness semantics are compiled in by Go generics —
+// add/mul/and on power-of-two widths become mask-free native arithmetic on
+// the width's machine type.
 //
 // Value representation contract (shared with internal/device): objects carry
 // elements as canonical int64 values — truncated to the element width,
@@ -20,10 +20,11 @@
 // The registry is total over the command set the device dispatches
 // functionally: Binary/Scalar cover the 13 element-wise binary ops, Unary
 // covers not/abs/popcount/sbox (sbox only at 8-bit widths), Shift covers
-// both shifts. The per-element evaluators in internal/device remain the
-// golden reference semantics; differential tests and fuzz targets there
-// prove every kernel bit-identical to them (see also the ReferenceEval
-// device knob).
+// both shifts (TestRegistryComplete pins this). The kernels are the only
+// functional execution path. The golden semantics they must reproduce are
+// written once, per element, in ref.go (RefBinary/RefUnary/RefShift); the
+// differential tests and fuzz targets here, in internal/device and its
+// paralleltest, and in the microprogram packages compare against them.
 package kernels
 
 import "pimeval/internal/isa"
@@ -63,9 +64,8 @@ type unsignedLane interface {
 }
 
 // The dense kernel tables, filled at init. A nil entry means the (op, type)
-// pair has no specialized kernel and the dispatcher must run the reference
-// evaluator (no such pair exists for the ops the device dispatches; the
-// tables are total by TestRegistryComplete).
+// pair is not a command the device dispatches; every pair it does dispatch
+// has a kernel (TestRegistryComplete).
 var (
 	binaryTab [isa.NumOps][isa.NumTypes]BinaryKernel
 	scalarTab [isa.NumOps][isa.NumTypes]ScalarKernel

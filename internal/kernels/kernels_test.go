@@ -16,7 +16,8 @@ var allTypes = []isa.DataType{
 
 // TestRegistryComplete pins the dispatch contract: every op the device
 // dispatches functionally resolves to a non-nil kernel for every element
-// type, so the resolve-once path never falls back to the reference loop.
+// type, so the resolve-once path — the device's only functional path —
+// never resolves a nil kernel.
 func TestRegistryComplete(t *testing.T) {
 	binary := []isa.Op{
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,

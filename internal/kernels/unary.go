@@ -71,8 +71,7 @@ func shrK[T lane](dst, a []int64, amount int, lo, hi int64) {
 
 // AESSbox and AESSboxInv are the functional semantics of the sbox commands,
 // generated from GF(2^8) math rather than hard-coded tables. They are the
-// single source of truth for both the kernels and the reference evaluator
-// in internal/device.
+// single source of truth for both the sbox kernels and RefUnary.
 var AESSbox, AESSboxInv = func() ([256]byte, [256]byte) {
 	mul := func(a, b byte) byte {
 		var p byte

@@ -5,14 +5,6 @@ import (
 	"pimeval/internal/isa"
 )
 
-// fusableUnary lists the unary ops the device accepts as a fused second
-// stage: the cheap post-processing ops. The AES S-box is excluded — its
-// gate network dwarfs any stage-1 op and fusing it buys nothing a dedicated
-// kernel does not already provide.
-var fusableUnary = map[isa.Op]bool{
-	isa.OpNot: true, isa.OpAbs: true, isa.OpPopCount: true,
-}
-
 // commutative lists the binary ops where swapping operands preserves the
 // result bit-for-bit, letting the fuser accept a consumer that reads the
 // intermediate as its second operand.
@@ -74,7 +66,7 @@ func tryFuse(recs []cmdstream.Record, i int) (cmdstream.Record, bool) {
 	var b, s2 int64
 	switch r2.Form {
 	case cmdstream.FormUnary:
-		if !fusableUnary[op2] || r2.A != t {
+		if !cmdstream.FusableUnary(op2) || r2.A != t {
 			return none, false
 		}
 	case cmdstream.FormScalar:

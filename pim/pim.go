@@ -113,8 +113,9 @@ type Config struct {
 	RowsPerSubarray  int
 	ColsPerRow       int
 	GDLWidthBits     int
-	// Functional enables data-carrying simulation. Leave false for
-	// paper-scale model-only runs.
+	// Functional enables data-carrying simulation: every command computes
+	// its result with one resolved element kernel per command. Leave false
+	// for paper-scale model-only runs.
 	Functional bool
 	// Workers bounds the worker pool of the functional execution engine,
 	// which shards every command across the object's per-core element
@@ -123,11 +124,6 @@ type Config struct {
 	// bit-identical for every setting — the knob trades wall-clock time
 	// only. Model-only runs ignore it.
 	Workers int
-	// ReferenceEval runs the functional engine on the golden per-element
-	// evaluators instead of the specialized element kernels. Results are
-	// bit-identical either way; the knob exists for differential testing
-	// and kernel before/after benchmarking, and trades wall-clock time only.
-	ReferenceEval bool
 	// Faults enables the seed-driven fault-injection stage and optional
 	// SEC-DED ECC model for resilience studies. A fixed Seed reproduces
 	// identical faults regardless of Workers; nil (the default) leaves the
@@ -173,12 +169,11 @@ type Device struct {
 // NewDevice creates a PIM device for the configuration.
 func NewDevice(cfg Config) (*Device, error) {
 	d, err := device.New(device.Config{
-		Target:        cfg.Target,
-		Module:        cfg.module(),
-		Functional:    cfg.Functional,
-		Workers:       cfg.Workers,
-		ReferenceEval: cfg.ReferenceEval,
-		Faults:        cfg.Faults,
+		Target:     cfg.Target,
+		Module:     cfg.module(),
+		Functional: cfg.Functional,
+		Workers:    cfg.Workers,
+		Faults:     cfg.Faults,
 	})
 	if err != nil {
 		return nil, err
