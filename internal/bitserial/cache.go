@@ -18,7 +18,10 @@ import (
 // which planes move) and broadcast (the value is baked into the SET ops).
 // A shift amount is clamped to [0, dt.Bits()] first, as buildShift clamps
 // it, so every out-of-range amount shares one entry and hostile amounts
-// cannot grow the cache.
+// cannot grow the cache. A broadcast value is truncated to the type first,
+// as buildBroadcast reads only its low dt.Bits() bits; the cost model, whose
+// broadcast Counts do not depend on the value, compiles one fixed value per
+// type, so only callers that evaluate broadcasts add entries.
 type buildKey struct {
 	op  isa.Op
 	dt  isa.DataType
@@ -46,6 +49,7 @@ func BuildCached(op isa.Op, dt isa.DataType, imm int64) (*Program, error) {
 		imm = min(max(imm, 0), int64(dt.Bits()))
 		key.imm = imm
 	case isa.OpBroadcast:
+		imm = dt.Truncate(imm)
 		key.imm = imm
 	}
 	if v, ok := buildCache.Load(key); ok {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"pimeval/internal/dram"
+	"pimeval/internal/energy"
 	"pimeval/internal/isa"
 )
 
@@ -125,6 +127,54 @@ func TestBuildCachedClampsShiftAmounts(t *testing.T) {
 				t.Errorf("%v.%v: %d out-of-range amounts grew the cache from %d to %d entries",
 					op, dt, 1998, before, after)
 			}
+		}
+	}
+}
+
+// TestBuildCachedBroadcastBounded checks that broadcast values cannot grow
+// the process-wide cache: Counts() agree for every value of a type, values
+// equal after truncation share one program, and N fresh cost models each
+// broadcasting a distinct value add at most one entry per type.
+func TestBuildCachedBroadcastBounded(t *testing.T) {
+	entries := func() (n int) {
+		buildCache.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	mod := dram.DDR4(1)
+	em := energy.NewModel(mod)
+	values := []int64{0, 1, -1, 0x5a, 1 << 40, -(1 << 62)}
+	for dt := isa.DataType(0); int(dt) < isa.NumTypes; dt++ {
+		want, err := BuildCached(isa.OpBroadcast, dt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range values {
+			p, err := BuildCached(isa.OpBroadcast, dt, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Counts() != want.Counts() {
+				t.Errorf("%v: broadcast %d counts %+v, want %+v", dt, v, p.Counts(), want.Counts())
+			}
+			if dt.Bits() < 64 {
+				wide := v + 1<<uint(dt.Bits())
+				if q, _ := BuildCached(isa.OpBroadcast, dt, wide); q != p {
+					t.Errorf("%v: broadcast %d compiled apart from %d, equal after truncation", dt, wide, v)
+				}
+			}
+		}
+		before := entries()
+		const n = 2000
+		for i := int64(0); i < n; i++ {
+			m := NewModel()
+			cmd := isa.Command{Op: isa.OpBroadcast, Type: dt, Scalar: 1_000_003 * i, WritesResult: true}
+			if c := m.CmdCost(cmd, 8192, 1, mod, em); c.TimeNS <= 0 {
+				t.Fatalf("%v: broadcast costs %v", dt, c)
+			}
+		}
+		if after := entries(); after > before+1 {
+			t.Errorf("%v: %d models broadcasting distinct values grew the cache from %d to %d entries",
+				dt, n, before, after)
 		}
 	}
 }

@@ -60,10 +60,15 @@ func (m *Model) ActiveSubarraysPerCore() int { return 1 }
 // EvalElements cross-checks and the tools.
 func (m *Model) counts(op isa.Op, dt isa.DataType, imm int64) (Counts, bool) {
 	// Shift immediates change the program length; other immediates do not.
-	// Amounts clamp to [0, width] as in BuildCached.
+	// Amounts clamp to [0, width] as in BuildCached. A broadcast's value
+	// only selects which SET ops write ones, so its counts compile from a
+	// fixed value and new values add no BuildCached entries.
 	key := progKey{op: op, dt: dt}
-	if op == isa.OpShiftL || op == isa.OpShiftR {
+	switch op {
+	case isa.OpShiftL, isa.OpShiftR:
 		key.imm = min(max(imm, 0), int64(dt.Bits()))
+	case isa.OpBroadcast:
+		imm = 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

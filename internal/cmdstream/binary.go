@@ -291,11 +291,8 @@ func (bw *binWriter) payload(rec *Record) error {
 	code, dt := byte(binTypeRaw), isa.Int64
 	if tc, ok := bw.objTypes[rec.Obj]; ok {
 		code, dt = tc, binTypes[tc]
-		for _, v := range rec.Data {
-			if dt.Truncate(v) != v {
-				code, dt = binTypeRaw, isa.Int64
-				break
-			}
+		if !dt.Fits(rec.Data) {
+			code, dt = binTypeRaw, isa.Int64
 		}
 	}
 	bw.byte(code)

@@ -27,9 +27,7 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 			return fmt.Errorf("%w: copy of %d values into object of %d", ErrShapeMismatch, len(values), o.n)
 		}
 		err = d.forSpans(o, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				o.data[i] = o.dt.Truncate(values[i])
-			}
+			o.dt.TruncateInto(o.data[lo:hi], values[lo:hi])
 		})
 		if err != nil {
 			return err
@@ -89,9 +87,7 @@ func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) (e
 				return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
 					ErrShapeMismatch, off+int64(len(chunk)), o.n)
 			}
-			for i, v := range chunk {
-				o.data[off+int64(i)] = o.dt.Truncate(v)
-			}
+			o.dt.TruncateInto(o.data[off:], chunk)
 		}
 		if wantData {
 			// The payload is captured pre-truncation and pre-injection,

@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -157,4 +160,122 @@ func TestCommandName(t *testing.T) {
 	if cmd.Name() != "mul.int16" {
 		t.Errorf("Name() = %q", cmd.Name())
 	}
+}
+
+// FuzzElementConversions checks the bulk element conversions against their
+// per-element definitions for a fuzzed type and fuzzed values: TruncateInto
+// against Truncate (into a separate slice and in place), Fits against
+// "Truncate(v) == v for every v", and Unpack(Pack(v)) against Truncate(v),
+// with Pack writing exactly len(v)*Bytes() bytes. The value count is
+// len(data)/8 rounded up, so odd counts are covered.
+func FuzzElementConversions(f *testing.F) {
+	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
+	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
+	f.Add(uint8(Int32), []byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80})
+	f.Add(uint8(UInt64), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add(uint8(Int64), []byte{})
+	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
+		dt := DataType(int(typ) % NumTypes)
+		vals := make([]int64, (len(data)+7)/8)
+		for i := range vals {
+			var w [8]byte
+			copy(w[:], data[i*8:])
+			vals[i] = int64(binary.LittleEndian.Uint64(w[:]))
+		}
+		want := make([]int64, len(vals))
+		fits := true
+		for i, v := range vals {
+			want[i] = dt.Truncate(v)
+			fits = fits && want[i] == v
+		}
+
+		got := make([]int64, len(vals))
+		dt.TruncateInto(got, vals)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: TruncateInto(%v) = %v, want %v", dt, vals, got, want)
+		}
+		inPlace := slices.Clone(vals)
+		dt.TruncateInto(inPlace, inPlace)
+		if !slices.Equal(inPlace, want) {
+			t.Fatalf("%v: in-place TruncateInto(%v) = %v, want %v", dt, vals, inPlace, want)
+		}
+		if dt.Fits(vals) != fits {
+			t.Fatalf("%v: Fits(%v) = %v, want %v", dt, vals, !fits, fits)
+		}
+		if !dt.Fits(want) {
+			t.Fatalf("%v: Fits(%v) = false for truncated values", dt, want)
+		}
+
+		const sentinel = 0xa5
+		w := dt.Bytes()
+		buf := make([]byte, len(vals)*w+w)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		dt.Pack(buf, vals)
+		for i, b := range buf[len(vals)*w:] {
+			if b != sentinel {
+				t.Fatalf("%v: Pack of %d values wrote byte %d past its end", dt, len(vals), len(vals)*w+i)
+			}
+		}
+		unpacked := make([]int64, len(vals))
+		dt.Unpack(unpacked, buf)
+		if !slices.Equal(unpacked, want) {
+			t.Fatalf("%v: Unpack(Pack(%v)) = %v, want %v", dt, vals, unpacked, want)
+		}
+	})
+}
+
+// benchVals returns one payload frame (128Ki elements) of seeded values
+// that fit dt, the shape stream decode and h2d copies handle.
+func benchVals(dt DataType) []int64 {
+	rng := rand.New(rand.NewSource(int64(dt) + 1))
+	vals := make([]int64, 1<<17)
+	for i := range vals {
+		vals[i] = dt.Truncate(rng.Int63() - rng.Int63())
+	}
+	return vals
+}
+
+// benchTypes runs fn once per element type as a sub-benchmark, with one
+// frame of values and SetBytes at the type's packed width.
+func benchTypes(b *testing.B, fn func(b *testing.B, dt DataType, vals []int64)) {
+	for dt := DataType(0); dt < numTypes; dt++ {
+		b.Run(dt.String(), func(b *testing.B) {
+			vals := benchVals(dt)
+			b.SetBytes(int64(len(vals) * dt.Bytes()))
+			b.ResetTimer()
+			fn(b, dt, vals)
+		})
+	}
+}
+
+func BenchmarkUnpack(b *testing.B) {
+	benchTypes(b, func(b *testing.B, dt DataType, vals []int64) {
+		buf := make([]byte, len(vals)*dt.Bytes())
+		dt.Pack(buf, vals)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dt.Unpack(vals, buf)
+		}
+	})
+}
+
+func BenchmarkTruncateInto(b *testing.B) {
+	benchTypes(b, func(b *testing.B, dt DataType, vals []int64) {
+		dst := make([]int64, len(vals))
+		for i := 0; i < b.N; i++ {
+			dt.TruncateInto(dst, vals)
+		}
+	})
+}
+
+var benchFits bool
+
+func BenchmarkFits(b *testing.B) {
+	benchTypes(b, func(b *testing.B, dt DataType, vals []int64) {
+		for i := 0; i < b.N; i++ {
+			benchFits = dt.Fits(vals)
+		}
+	})
 }

@@ -7,43 +7,57 @@ package kernels
 // write 0/1 masks, canonical under every destination type.
 
 func addK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) + T(b[i]))
 	}
 }
 
 func subK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) - T(b[i]))
 	}
 }
 
 func mulK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) * T(b[i]))
 	}
 }
 
 func andK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) & T(b[i]))
 	}
 }
 
 func orK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) | T(b[i]))
 	}
 }
 
 func xorK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) ^ T(b[i]))
 	}
 }
 
 func xnorK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(^(T(a[i]) ^ T(b[i])))
 	}
 }
@@ -51,7 +65,9 @@ func xnorK[T lane](dst, a, b []int64, lo, hi int64) {
 // minK/maxK return the original canonical operand (identical to its
 // round trip through T), matching the reference's Compare-and-pick.
 func minK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if T(a[i]) <= T(b[i]) {
 			dst[i] = a[i]
 		} else {
@@ -61,7 +77,9 @@ func minK[T lane](dst, a, b []int64, lo, hi int64) {
 }
 
 func maxK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if T(a[i]) >= T(b[i]) {
 			dst[i] = a[i]
 		} else {
@@ -71,7 +89,9 @@ func maxK[T lane](dst, a, b []int64, lo, hi int64) {
 }
 
 func ltK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if T(a[i]) < T(b[i]) {
 			dst[i] = 1
 		} else {
@@ -81,7 +101,9 @@ func ltK[T lane](dst, a, b []int64, lo, hi int64) {
 }
 
 func gtK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if T(a[i]) > T(b[i]) {
 			dst[i] = 1
 		} else {
@@ -91,7 +113,9 @@ func gtK[T lane](dst, a, b []int64, lo, hi int64) {
 }
 
 func eqK[T lane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if T(a[i]) == T(b[i]) {
 			dst[i] = 1
 		} else {
@@ -105,7 +129,9 @@ func eqK[T lane](dst, a, b []int64, lo, hi int64) {
 // the dividend (canonically -1 for non-negative, +1 for negative dividends),
 // and MinInt / -1 wraps back to MinInt — which Go's native division provides.
 func divSK[T signedLane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		x, y := T(a[i]), T(b[i])
 		switch {
 		case y != 0:
@@ -120,7 +146,9 @@ func divSK[T signedLane](dst, a, b []int64, lo, hi int64) {
 
 // divUK: unsigned division by zero yields the all-ones quotient.
 func divUK[T unsignedLane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		if y := T(b[i]); y != 0 {
 			dst[i] = int64(T(a[i]) / y)
 		} else {
@@ -132,57 +160,73 @@ func divUK[T unsignedLane](dst, a, b []int64, lo, hi int64) {
 // Scalar-broadcast forms: the scalar converts to T once, outside the loop.
 
 func addSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) + y)
 	}
 }
 
 func subSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) - y)
 	}
 }
 
 func mulSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) * y)
 	}
 }
 
 func andSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) & y)
 	}
 }
 
 func orSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) | y)
 	}
 }
 
 func xorSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) ^ y)
 	}
 }
 
 func xnorSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(^(T(a[i]) ^ y))
 	}
 }
 
 func minSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if T(a[i]) <= y {
 			dst[i] = a[i]
 		} else {
@@ -192,8 +236,10 @@ func minSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 }
 
 func maxSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if T(a[i]) >= y {
 			dst[i] = a[i]
 		} else {
@@ -203,8 +249,10 @@ func maxSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 }
 
 func ltSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if T(a[i]) < y {
 			dst[i] = 1
 		} else {
@@ -214,8 +262,10 @@ func ltSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 }
 
 func gtSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if T(a[i]) > y {
 			dst[i] = 1
 		} else {
@@ -225,8 +275,10 @@ func gtSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 }
 
 func eqSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if T(a[i]) == y {
 			dst[i] = 1
 		} else {
@@ -236,9 +288,11 @@ func eqSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 }
 
 func divSSK[T signedLane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
 	if y == 0 {
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			if T(a[i]) < 0 {
 				dst[i] = 1
 			} else {
@@ -247,21 +301,23 @@ func divSSK[T signedLane](dst, a []int64, s int64, lo, hi int64) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) / y)
 	}
 }
 
 func divUSK[T unsignedLane](dst, a []int64, s int64, lo, hi int64) {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
 	y := T(s)
 	if y == 0 {
 		allOnes := int64(^T(0))
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			dst[i] = allOnes
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		dst[i] = int64(T(a[i]) / y)
 	}
 }

@@ -139,7 +139,9 @@ func FusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
 func scaledAddK[T lane](s int64) BinaryKernel {
 	y := T(s)
 	return func(dst, a, b []int64, lo, hi int64) {
-		for i := lo; i < hi; i++ {
+		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+		a, b = a[:len(dst)], b[:len(dst)]
+		for i := range dst {
 			dst[i] = int64(T(a[i])*y + T(b[i]))
 		}
 	}
@@ -148,7 +150,9 @@ func scaledAddK[T lane](s int64) BinaryKernel {
 // absDiffK is the single-pass dst[i] = |a[i] - b[i]| for signed types
 // (unsigned abs is the identity, so the composed fallback covers it).
 func absDiffK[T signedLane](dst, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
 		v := T(a[i]) - T(b[i])
 		if v < 0 {
 			v = -v
@@ -162,7 +166,9 @@ func absDiffK[T signedLane](dst, a, b []int64, lo, hi int64) {
 func addMaxSK[T lane](s int64) BinaryKernel {
 	y := T(s)
 	return func(dst, a, b []int64, lo, hi int64) {
-		for i := lo; i < hi; i++ {
+		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+		a, b = a[:len(dst)], b[:len(dst)]
+		for i := range dst {
 			if v := T(a[i]) + T(b[i]); v >= y {
 				dst[i] = int64(v)
 			} else {

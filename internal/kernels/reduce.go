@@ -7,8 +7,11 @@ package kernels
 
 // Select computes dst[i] = cond[i] != 0 ? a[i] : b[i] for i in [lo, hi).
 func Select(dst, cond, a, b []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
-		if cond[i] != 0 {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	cond = cond[lo:hi][:len(dst)]
+	for i, c := range cond {
+		if c != 0 {
 			dst[i] = a[i]
 		} else {
 			dst[i] = b[i]
@@ -18,7 +21,8 @@ func Select(dst, cond, a, b []int64, lo, hi int64) {
 
 // Fill broadcasts the (pre-truncated) value v into dst[lo:hi].
 func Fill(dst []int64, v int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst = dst[lo:hi]
+	for i := range dst {
 		dst[i] = v
 	}
 }
@@ -30,13 +34,23 @@ func Fill(dst []int64, v int64, lo, hi int64) {
 // equals its host value; uint64 elements carry raw bits whose int64
 // reinterpretation wraps identically to uint64 addition modulo 2^64. Wrapping
 // int64 addition is associative, so per-span partials merged in ascending
-// span order reproduce the serial accumulation bit-for-bit.
+// span order reproduce the serial accumulation bit-for-bit. Being also
+// commutative, it lets the loop keep four independent partial sums, so it
+// is not one chain of dependent adds bound by add latency.
 func Sum(a []int64, lo, hi int64) int64 {
-	var s int64
-	for _, v := range a[lo:hi] {
-		s += v
+	a = a[lo:hi]
+	var s0, s1, s2, s3 int64
+	for len(a) >= 4 {
+		s0 += a[0]
+		s1 += a[1]
+		s2 += a[2]
+		s3 += a[3]
+		a = a[4:]
 	}
-	return s
+	for _, v := range a {
+		s0 += v
+	}
+	return s0 + s1 + s2 + s3
 }
 
 // SumSeg accumulates a[lo:hi] into per-segment partials for fixed-length

@@ -5,7 +5,9 @@ import "math/bits"
 // Unary and shift kernels.
 
 func notK[T lane](dst, a []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(^T(a[i]))
 	}
 }
@@ -13,7 +15,9 @@ func notK[T lane](dst, a []int64, lo, hi int64) {
 // absSK negates negative values; -MinInt wraps back to MinInt, matching the
 // reference's truncated negation.
 func absSK[T signedLane](dst, a []int64, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
+	for i := range dst {
 		x := T(a[i])
 		if x < 0 {
 			x = -x
@@ -36,7 +40,9 @@ func popcountK(width int) UnaryKernel {
 		mask = uint64(1)<<uint(width) - 1
 	}
 	return func(dst, a []int64, lo, hi int64) {
-		for i := lo; i < hi; i++ {
+		dst, a = dst[lo:hi], a[lo:hi]
+		a = a[:len(dst)]
+		for i := range dst {
 			dst[i] = int64(bits.OnesCount64(uint64(a[i]) & mask))
 		}
 	}
@@ -47,7 +53,9 @@ func popcountK(width int) UnaryKernel {
 // the type's canonical carrier.
 func sboxK[T lane](tab *[256]byte) UnaryKernel {
 	return func(dst, a []int64, lo, hi int64) {
-		for i := lo; i < hi; i++ {
+		dst, a = dst[lo:hi], a[lo:hi]
+		a = a[:len(dst)]
+		for i := range dst {
 			dst[i] = int64(T(tab[byte(a[i])]))
 		}
 	}
@@ -58,13 +66,17 @@ func sboxK[T lane](tab *[256]byte) UnaryKernel {
 // arithmetic right shifts of negative values, which saturate to all ones.
 // Right shifts are arithmetic for signed T and logical for unsigned T.
 func shlK[T lane](dst, a []int64, amount int, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) << uint(amount))
 	}
 }
 
 func shrK[T lane](dst, a []int64, amount int, lo, hi int64) {
-	for i := lo; i < hi; i++ {
+	dst, a = dst[lo:hi], a[lo:hi]
+	a = a[:len(dst)]
+	for i := range dst {
 		dst[i] = int64(T(a[i]) >> uint(amount))
 	}
 }

@@ -248,6 +248,11 @@ func CopyToDevice[T Integer](v *Device, id ObjID, data []T) error {
 	if data == nil {
 		return v.d.CopyHostToDevice(id, nil)
 	}
+	// The device only reads values and recordings copy them, so an
+	// []int64 goes through without a conversion buffer.
+	if vals, ok := any(data).([]int64); ok {
+		return v.d.CopyHostToDevice(id, vals)
+	}
 	vals := make([]int64, len(data))
 	for i, x := range data {
 		vals[i] = int64(x)

@@ -1,8 +1,11 @@
 package pim
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"pimeval/internal/cmdstream"
 )
 
 func newFunctional(t *testing.T, tgt Target) *Device {
@@ -210,5 +213,48 @@ func TestWithRepeatThroughAPI(t *testing.T) {
 	single := dev.Metrics()
 	if ratio := m.KernelMS / single.KernelMS; ratio < 99.999 || ratio > 100.001 {
 		t.Errorf("repeat kernel %v, want 100x %v", m.KernelMS, single.KernelMS)
+	}
+}
+
+// TestCopyToDeviceInt64PassThrough checks CopyToDevice with an []int64,
+// which the device reads in place: the device truncates into its own
+// storage without writing the caller's slice, and the recorded h2d payload
+// is a copy that later writes to the caller's slice do not reach.
+func TestCopyToDeviceInt64PassThrough(t *testing.T) {
+	dev := newFunctional(t, Fulcrum)
+	dev.RecordStream()
+	obj, err := dev.Alloc(4, Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := []int64{1, 300, -129, 127}
+	orig := slices.Clone(host)
+	if err := CopyToDevice(dev, obj, host); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(host, orig) {
+		t.Fatalf("CopyToDevice changed the caller's slice: %v, was %v", host, orig)
+	}
+	got := make([]int64, len(host))
+	if err := CopyFromDevice(dev, obj, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 44, 127, 127}; !slices.Equal(got, want) {
+		t.Fatalf("device holds %v, want %v", got, want)
+	}
+	for i := range host {
+		host[i] = -7
+	}
+	var payloads int
+	for _, rec := range dev.RecordedStream().Records {
+		if rec.Kind == cmdstream.KindCopyH2D {
+			payloads++
+			if !slices.Equal(rec.Data, orig) {
+				t.Errorf("recorded payload %v, want %v", rec.Data, orig)
+			}
+		}
+	}
+	if payloads != 1 {
+		t.Fatalf("recorded %d h2d records, want 1", payloads)
 	}
 }
