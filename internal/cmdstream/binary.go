@@ -84,57 +84,294 @@ var binTypes = []isa.DataType{
 
 const binTypeRaw = 0xFF
 
+// binTypeNames are binTypes by name, the form Record.Type carries.
+var binTypeNames = func() []string {
+	names := make([]string, len(binTypes))
+	for c, t := range binTypes {
+		names[c] = t.String()
+	}
+	return names
+}()
+
 var (
-	binKindCode = func() map[Kind]byte {
-		m := make(map[Kind]byte)
-		for c, k := range binKinds {
-			if k != "" {
-				m[k] = byte(c)
-			}
-		}
-		return m
-	}()
-	binFormCode = func() map[Form]byte {
-		m := make(map[Form]byte)
-		for c, f := range binForms {
-			if f != "" {
-				m[f] = byte(c)
-			}
-		}
-		return m
-	}()
-	binOpCode = func() map[string]byte {
-		m := make(map[string]byte)
-		for c, op := range binOps {
-			m[op] = byte(c)
-		}
-		return m
-	}()
-	binTypeCode = func() map[string]byte {
-		m := make(map[string]byte)
-		for c, t := range binTypes {
-			m[t.String()] = byte(c)
-		}
-		return m
-	}()
+	binKindCode = binCodes(binKinds)
+	binFormCode = binCodes(binForms)
+	binOpCode   = binCodes(binOps)
+	binTypeCode = binCodes(binTypeNames)
 )
+
+// binCodes inverts a pinned code table; zero entries are unused codes.
+func binCodes[T comparable](table []T) map[T]byte {
+	var zero T
+	m := make(map[T]byte, len(table))
+	for c, v := range table {
+		if v != zero {
+			m[v] = byte(c)
+		}
+	}
+	return m
+}
+
+// binCoder walks record fields in wire order in either direction, so each
+// record layout is stated once (fields). Encoding (r == nil) appends to buf;
+// decoding reads from r into the record. The first error sticks: every
+// later field is a no-op, and the caller checks err once per record.
+type binCoder struct {
+	r   *bufio.Reader
+	buf []byte
+	err error
+	f64 [8]byte
+
+	// The h2d payload head: hasPayload is the wire's payload flag and
+	// payType its element-type code. An encoder sets payType before the
+	// walk; a decoder reads both.
+	hasPayload byte
+	payType    byte
+}
+
+func (c *binCoder) fail(format string, args ...any) {
+	if c.r == nil {
+		c.err = fmt.Errorf("cmdstream: binary encoding: "+format, args...)
+	} else {
+		c.err = fmt.Errorf("cmdstream: decode record: "+format, args...)
+	}
+}
+
+// uint codes a non-negative field (sequence numbers, object IDs, counts,
+// offsets) as a uvarint.
+func (c *binCoder) uint(v *int64, what string) {
+	if c.err != nil {
+		return
+	}
+	if c.r == nil {
+		if *v < 0 {
+			c.fail("negative %s %d", what, *v)
+			return
+		}
+		c.buf = binary.AppendUvarint(c.buf, uint64(*v))
+		return
+	}
+	u, err := binary.ReadUvarint(c.r)
+	if err != nil {
+		c.err = binErr(what, err)
+	} else if u > math.MaxInt64 {
+		c.fail("%s %d overflows", what, u)
+	} else {
+		*v = int64(u)
+	}
+}
+
+// int codes a signed field as a zigzag varint.
+func (c *binCoder) int(v *int64, what string) {
+	if c.err != nil {
+		return
+	}
+	if c.r == nil {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
+	}
+	u, err := binary.ReadVarint(c.r)
+	if err != nil {
+		c.err = binErr(what, err)
+	} else {
+		*v = u
+	}
+}
+
+// float codes a little-endian IEEE 754 double.
+func (c *binCoder) float(v *float64, what string) {
+	if c.err != nil {
+		return
+	}
+	if c.r == nil {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+		return
+	}
+	if _, err := io.ReadFull(c.r, c.f64[:]); err != nil {
+		c.err = binErr(what, err)
+	} else {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(c.f64[:]))
+	}
+}
+
+// byte codes one raw byte.
+func (c *binCoder) byte(v *byte, what string) {
+	if c.err != nil {
+		return
+	}
+	if c.r == nil {
+		c.buf = append(c.buf, *v)
+		return
+	}
+	b, err := c.r.ReadByte()
+	if err != nil {
+		c.err = binErr(what, err)
+	} else {
+		*v = b
+	}
+}
+
+// binEnum codes *v as its one-byte index in a pinned table; codes is the
+// table's inverse (binCodes).
+func binEnum[T comparable](c *binCoder, v *T, table []T, codes map[T]byte, what string) {
+	if c.err != nil {
+		return
+	}
+	if c.r == nil {
+		code, ok := codes[*v]
+		if !ok {
+			c.fail("unknown %s %q", what, *v)
+			return
+		}
+		c.buf = append(c.buf, code)
+		return
+	}
+	b, err := c.r.ReadByte()
+	var zero T
+	switch {
+	case err != nil:
+		c.err = binErr(what, err)
+	case int(b) >= len(table) || table[b] == zero:
+		c.fail("unknown %s code %d", what, b)
+	default:
+		*v = table[b]
+	}
+}
+
+// fields walks one record in wire order: kind code, sequence number, then
+// the kind's fields (DESIGN.md §13). For h2d it stops after the payload
+// head; the payload frames follow outside the record.
+func (c *binCoder) fields(rec *Record) {
+	binEnum(c, &rec.Kind, binKinds, binKindCode, "record kind")
+	c.uint(&rec.Seq, "seq")
+	switch rec.Kind {
+	case KindAlloc:
+		c.uint(&rec.Obj, "obj")
+		binEnum(c, &rec.Type, binTypeNames, binTypeCode, "element type")
+		c.uint(&rec.N, "n")
+	case KindFree, KindCopyD2H:
+		c.uint(&rec.Obj, "obj")
+	case KindCopyH2D:
+		c.uint(&rec.Obj, "obj")
+		c.hasPayload = 0
+		if len(rec.Data) > 0 {
+			c.hasPayload = 1
+		}
+		c.byte(&c.hasPayload, "payload flag")
+		switch {
+		case c.err != nil || c.hasPayload == 0:
+		case c.hasPayload > 1:
+			c.fail("bad payload flag %d", c.hasPayload)
+		default:
+			c.byte(&c.payType, "payload type")
+			if c.err == nil && c.payType != binTypeRaw && int(c.payType) >= len(binTypes) {
+				c.fail("unknown payload type code %d", c.payType)
+			}
+		}
+	case KindCopyD2D:
+		c.uint(&rec.Src, "src")
+		c.uint(&rec.Dst, "dst")
+	case KindCopyD2DRange:
+		c.uint(&rec.Src, "src")
+		c.uint(&rec.SrcOff, "srcoff")
+		c.uint(&rec.Dst, "dst")
+		c.uint(&rec.DstOff, "dstoff")
+		c.uint(&rec.N, "n")
+	case KindHost:
+		c.float(&rec.TimeNS, "host time")
+		c.float(&rec.EnergyPJ, "host energy")
+	case KindRepeatBegin:
+		c.uint(&rec.Repeat, "repeat")
+	case KindExec:
+		c.exec(rec)
+	}
+}
+
+// exec walks a KindExec record body: form code (plus the fused pair), op
+// code(s), element type and count, then the form's operands.
+func (c *binCoder) exec(rec *Record) {
+	binEnum(c, &rec.Form, binForms, binFormCode, "exec form")
+	fused := rec.Form == FormFused
+	if fused {
+		binEnum(c, &rec.Form1, binForms, binFormCode, "fused form1")
+		binEnum(c, &rec.Form2, binForms, binFormCode, "fused form2")
+	}
+	binEnum(c, &rec.Op, binOps, binOpCode, "op")
+	if fused {
+		binEnum(c, &rec.Op2, binOps, binOpCode, "op2")
+	}
+	binEnum(c, &rec.Type, binTypeNames, binTypeCode, "element type")
+	c.uint(&rec.N, "n")
+	switch rec.Form {
+	case FormBinary:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.B, "b")
+		c.uint(&rec.Dst, "dst")
+	case FormScalar:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.Dst, "dst")
+		c.int(&rec.Scalar, "scalar")
+	case FormUnary:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.Dst, "dst")
+	case FormShift:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.Dst, "dst")
+		amount := int64(rec.Amount)
+		c.int(&amount, "amount")
+		if c.r != nil {
+			rec.Amount = int(amount)
+		}
+	case FormSelect:
+		c.uint(&rec.Cond, "cond")
+		c.uint(&rec.A, "a")
+		c.uint(&rec.B, "b")
+		c.uint(&rec.Dst, "dst")
+	case FormBroadcast:
+		c.uint(&rec.Dst, "dst")
+		c.int(&rec.Scalar, "scalar")
+	case FormRedSum:
+		c.uint(&rec.A, "a")
+		c.int(&rec.Result, "result")
+	case FormRedSumSeg:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.SegLen, "seglen")
+		count := int64(len(rec.Results))
+		c.uint(&count, "result count")
+		if c.r != nil && c.err == nil {
+			if count > maxFrameElems {
+				c.fail("%d segment results exceeds limit", count)
+			} else if count > 0 {
+				rec.Results = make([]int64, count)
+			}
+		}
+		for i := range rec.Results {
+			c.int(&rec.Results[i], "segment result")
+		}
+	case FormFused:
+		c.uint(&rec.A, "a")
+		c.uint(&rec.B, "b")
+		c.uint(&rec.Dst, "dst")
+		c.int(&rec.Scalar, "scalar")
+		c.int(&rec.Scalar2, "scalar2")
+	}
+}
 
 // binWriter streams records into the binary encoding. It tracks each live
 // object's element type from the alloc records flowing through it, so h2d
 // payloads pack at their true width.
 //
-// Each record is encoded by appending into the reusable scratch buffer and
+// Each record is encoded by appending into the coder's reusable buffer and
 // handed to the underlying writer with a single Write (payload frames, which
-// are already batched at frame granularity, bypass scratch). Besides saving
-// a bufio call per field, this makes record emission atomic: a validation
+// are already batched at frame granularity, bypass it). Besides saving a
+// bufio call per field, this makes record emission atomic: a validation
 // error leaves no partial record bytes behind.
 type binWriter struct {
 	w        *bufio.Writer
+	c        binCoder
 	objTypes map[int64]byte
 	began    bool
-	varbuf   [binary.MaxVarintLen64]byte
 	packbuf  []byte
-	scratch  []byte
 }
 
 // newBinaryWriter returns a Sink writing the binary stream encoding to w.
@@ -152,279 +389,79 @@ func (bw *binWriter) Begin(h Header) error {
 	if err != nil {
 		return err
 	}
-	bw.scratch = bw.scratch[:0]
-	bw.scratch = append(bw.scratch, binMagic...)
-	bw.scratch = append(bw.scratch, BinaryVersion)
-	bw.uvarint(uint64(len(hb)))
-	bw.scratch = append(bw.scratch, hb...)
+	bw.c.buf = append(bw.c.buf[:0], binMagic...)
+	bw.c.buf = append(bw.c.buf, BinaryVersion)
+	bw.c.buf = binary.AppendUvarint(bw.c.buf, uint64(len(hb)))
+	bw.c.buf = append(bw.c.buf, hb...)
 	return bw.flush()
 }
 
-// flush hands the accumulated scratch bytes to the buffered writer in one
-// Write and resets the scratch buffer.
+// flush hands the coder's buffered bytes to the buffered writer in one
+// Write and resets the buffer.
 func (bw *binWriter) flush() error {
-	if len(bw.scratch) == 0 {
-		return nil
-	}
-	_, err := bw.w.Write(bw.scratch)
-	bw.scratch = bw.scratch[:0]
+	_, err := bw.w.Write(bw.c.buf)
+	bw.c.buf = bw.c.buf[:0]
 	return err
-}
-
-// uvarint appends v to the record scratch buffer.
-func (bw *binWriter) uvarint(v uint64) {
-	bw.scratch = binary.AppendUvarint(bw.scratch, v)
-}
-
-// svarint appends v (zigzag-encoded) to the record scratch buffer.
-func (bw *binWriter) svarint(v int64) {
-	bw.scratch = binary.AppendVarint(bw.scratch, v)
-}
-
-// byte appends a single byte to the record scratch buffer.
-func (bw *binWriter) byte(b byte) {
-	bw.scratch = append(bw.scratch, b)
-}
-
-// id appends a non-negative field (sequence numbers, object IDs, counts,
-// offsets) as a uvarint.
-func (bw *binWriter) id(v int64, what string) error {
-	if v < 0 {
-		return fmt.Errorf("cmdstream: binary encoding: negative %s %d", what, v)
-	}
-	bw.uvarint(uint64(v))
-	return nil
-}
-
-// f64 appends a little-endian IEEE 754 double to the record scratch buffer.
-func (bw *binWriter) f64(v float64) {
-	bw.scratch = binary.LittleEndian.AppendUint64(bw.scratch, math.Float64bits(v))
 }
 
 func (bw *binWriter) Write(rec *Record) error {
 	if !bw.began {
 		return fmt.Errorf("cmdstream: binary writer: Write before Begin")
 	}
-	kc, ok := binKindCode[rec.Kind]
-	if !ok {
-		return fmt.Errorf("cmdstream: binary encoding: unknown record kind %q", rec.Kind)
+	// The payload packs at the object's tracked element type when every
+	// value fits it; otherwise the raw 8-byte fallback keeps the encoding
+	// lossless.
+	if rec.Kind == KindCopyH2D {
+		bw.c.payType = binTypeRaw
+		if tc, ok := bw.objTypes[rec.Obj]; ok && binTypes[tc].Fits(rec.Data) {
+			bw.c.payType = tc
+		}
 	}
-	bw.scratch = bw.scratch[:0]
-	bw.byte(kc)
-	if err := bw.id(rec.Seq, "seq"); err != nil {
-		return err
+	bw.c.buf, bw.c.err = bw.c.buf[:0], nil
+	bw.c.fields(rec)
+	if bw.c.err != nil {
+		return bw.c.err
 	}
 	switch rec.Kind {
 	case KindAlloc:
-		tc, ok := binTypeCode[rec.Type]
-		if !ok {
-			return fmt.Errorf("cmdstream: binary encoding: unknown element type %q", rec.Type)
-		}
-		bw.objTypes[rec.Obj] = tc
-		if err := bw.id(rec.Obj, "obj"); err != nil {
-			return err
-		}
-		bw.byte(tc)
-		if err := bw.id(rec.N, "n"); err != nil {
-			return err
-		}
+		bw.objTypes[rec.Obj] = binTypeCode[rec.Type]
 	case KindFree:
 		delete(bw.objTypes, rec.Obj)
-		if err := bw.id(rec.Obj, "obj"); err != nil {
-			return err
-		}
-	case KindCopyH2D:
-		if err := bw.id(rec.Obj, "obj"); err != nil {
-			return err
-		}
-		if len(rec.Data) == 0 {
-			bw.byte(0)
-			break
-		}
-		bw.byte(1)
-		return bw.payload(rec)
-	case KindCopyD2H:
-		if err := bw.id(rec.Obj, "obj"); err != nil {
-			return err
-		}
-	case KindCopyD2D:
-		if err := bw.id(rec.Src, "src"); err != nil {
-			return err
-		}
-		if err := bw.id(rec.Dst, "dst"); err != nil {
-			return err
-		}
-	case KindCopyD2DRange:
-		for _, f := range []struct {
-			v    int64
-			what string
-		}{{rec.Src, "src"}, {rec.SrcOff, "srcoff"}, {rec.Dst, "dst"}, {rec.DstOff, "dstoff"}, {rec.N, "n"}} {
-			if err := bw.id(f.v, f.what); err != nil {
-				return err
-			}
-		}
-	case KindHost:
-		bw.f64(rec.TimeNS)
-		bw.f64(rec.EnergyPJ)
-	case KindRepeatBegin:
-		if err := bw.id(rec.Repeat, "repeat"); err != nil {
-			return err
-		}
-	case KindRepeatEnd:
-	case KindExec:
-		if err := bw.exec(rec); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("cmdstream: binary encoding: unhandled kind %q", rec.Kind)
 	}
-	return bw.flush()
-}
-
-// payload writes an h2d payload: element-type code, then zero-terminated
-// frames packed at that type's width. The object's tracked element type is
-// used when every value fits it; otherwise the raw 8-byte fallback keeps
-// the encoding lossless. The record head accumulated in scratch is flushed
-// first; frames then go to the buffered writer directly, already batched at
-// frame granularity.
-func (bw *binWriter) payload(rec *Record) error {
-	code, dt := byte(binTypeRaw), isa.Int64
-	if tc, ok := bw.objTypes[rec.Obj]; ok {
-		code, dt = tc, binTypes[tc]
-		if !dt.Fits(rec.Data) {
-			code, dt = binTypeRaw, isa.Int64
-		}
-	}
-	bw.byte(code)
 	if err := bw.flush(); err != nil {
 		return err
+	}
+	if rec.Kind == KindCopyH2D && bw.c.hasPayload == 1 {
+		return bw.payload(rec.Data)
+	}
+	return nil
+}
+
+// payload writes the h2d payload frames after the record head: each a
+// uvarint count and that many elements packed at the payload type's width,
+// then a zero-count frame.
+func (bw *binWriter) payload(data []int64) error {
+	dt := isa.Int64
+	if bw.c.payType != binTypeRaw {
+		dt = binTypes[bw.c.payType]
 	}
 	width := dt.Bytes()
 	if cap(bw.packbuf) < payloadFrameElems*width {
 		bw.packbuf = make([]byte, payloadFrameElems*width)
 	}
-	for off := 0; off < len(rec.Data); off += payloadFrameElems {
-		n := len(rec.Data) - off
-		if n > payloadFrameElems {
-			n = payloadFrameElems
-		}
-		nb := binary.PutUvarint(bw.varbuf[:], uint64(n))
-		if _, err := bw.w.Write(bw.varbuf[:nb]); err != nil {
+	for off := 0; off < len(data); off += payloadFrameElems {
+		n := min(len(data)-off, payloadFrameElems)
+		bw.c.buf = binary.AppendUvarint(bw.c.buf, uint64(n))
+		if err := bw.flush(); err != nil {
 			return err
 		}
 		buf := bw.packbuf[:n*width]
-		dt.Pack(buf, rec.Data[off:off+n])
+		dt.Pack(buf, data[off:off+n])
 		if _, err := bw.w.Write(buf); err != nil {
 			return err
 		}
 	}
-	nb := binary.PutUvarint(bw.varbuf[:], 0)
-	_, err := bw.w.Write(bw.varbuf[:nb])
-	return err
-}
-
-// exec appends a KindExec record body: form code, op code, element type and
-// count, then the form-specific operands.
-func (bw *binWriter) exec(rec *Record) error {
-	fc, ok := binFormCode[rec.Form]
-	if !ok {
-		return fmt.Errorf("cmdstream: binary encoding: unknown exec form %q", rec.Form)
-	}
-	bw.byte(fc)
-	if rec.Form == FormFused {
-		f1, ok := binFormCode[rec.Form1]
-		if !ok {
-			return fmt.Errorf("cmdstream: binary encoding: unknown fused form1 %q", rec.Form1)
-		}
-		f2, ok := binFormCode[rec.Form2]
-		if !ok {
-			return fmt.Errorf("cmdstream: binary encoding: unknown fused form2 %q", rec.Form2)
-		}
-		bw.byte(f1)
-		bw.byte(f2)
-	}
-	oc, ok := binOpCode[rec.Op]
-	if !ok {
-		return fmt.Errorf("cmdstream: binary encoding: unknown op %q", rec.Op)
-	}
-	bw.byte(oc)
-	if rec.Form == FormFused {
-		oc2, ok := binOpCode[rec.Op2]
-		if !ok {
-			return fmt.Errorf("cmdstream: binary encoding: unknown op %q", rec.Op2)
-		}
-		bw.byte(oc2)
-	}
-	tc, ok := binTypeCode[rec.Type]
-	if !ok {
-		return fmt.Errorf("cmdstream: binary encoding: unknown element type %q", rec.Type)
-	}
-	bw.byte(tc)
-	if err := bw.id(rec.N, "n"); err != nil {
-		return err
-	}
-	switch rec.Form {
-	case FormBinary:
-		return bw.ids(rec.A, rec.B, rec.Dst)
-	case FormScalar:
-		if err := bw.ids(rec.A, rec.Dst); err != nil {
-			return err
-		}
-		bw.svarint(rec.Scalar)
-		return nil
-	case FormUnary:
-		return bw.ids(rec.A, rec.Dst)
-	case FormShift:
-		if err := bw.ids(rec.A, rec.Dst); err != nil {
-			return err
-		}
-		bw.svarint(int64(rec.Amount))
-		return nil
-	case FormSelect:
-		return bw.ids(rec.Cond, rec.A, rec.B, rec.Dst)
-	case FormBroadcast:
-		if err := bw.ids(rec.Dst); err != nil {
-			return err
-		}
-		bw.svarint(rec.Scalar)
-		return nil
-	case FormRedSum:
-		if err := bw.ids(rec.A); err != nil {
-			return err
-		}
-		bw.svarint(rec.Result)
-		return nil
-	case FormRedSumSeg:
-		if err := bw.ids(rec.A); err != nil {
-			return err
-		}
-		if err := bw.id(rec.SegLen, "seglen"); err != nil {
-			return err
-		}
-		bw.uvarint(uint64(len(rec.Results)))
-		for _, r := range rec.Results {
-			bw.svarint(r)
-		}
-		return nil
-	case FormFused:
-		if err := bw.ids(rec.A, rec.B, rec.Dst); err != nil {
-			return err
-		}
-		bw.svarint(rec.Scalar)
-		bw.svarint(rec.Scalar2)
-		return nil
-	}
-	return fmt.Errorf("cmdstream: binary encoding: unhandled form %q", rec.Form)
-}
-
-// ids appends a sequence of object-ID fields.
-func (bw *binWriter) ids(vs ...int64) error {
-	for _, v := range vs {
-		if err := bw.id(v, "object id"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bw.w.WriteByte(0)
 }
 
 func (bw *binWriter) Close() error {
@@ -441,7 +478,7 @@ func (bw *binWriter) Close() error {
 // ChunkedSource: h2d payloads are surfaced frame by frame, never
 // materialized unless the consumer asks (Materialize).
 type binSource struct {
-	r   *bufio.Reader
+	c   binCoder
 	h   Header
 	rec Record
 
@@ -477,7 +514,7 @@ func newBinSource(r *bufio.Reader) (*binSource, error) {
 	if _, err := io.ReadFull(r, hb); err != nil {
 		return nil, binErr("header", err)
 	}
-	s := &binSource{r: r}
+	s := &binSource{c: binCoder{r: r}}
 	if err := json.Unmarshal(hb, &s.h); err != nil {
 		return nil, fmt.Errorf("cmdstream: decode header: %w", err)
 	}
@@ -499,41 +536,6 @@ func binErr(what string, err error) error {
 	return fmt.Errorf("cmdstream: decode %s: %w", what, err)
 }
 
-func (s *binSource) uvarint(what string) (int64, error) {
-	v, err := binary.ReadUvarint(s.r)
-	if err != nil {
-		return 0, binErr(what, err)
-	}
-	if v > math.MaxInt64 {
-		return 0, fmt.Errorf("cmdstream: decode %s: value %d overflows", what, v)
-	}
-	return int64(v), nil
-}
-
-func (s *binSource) svarint(what string) (int64, error) {
-	v, err := binary.ReadVarint(s.r)
-	if err != nil {
-		return 0, binErr(what, err)
-	}
-	return v, nil
-}
-
-func (s *binSource) byte(what string) (byte, error) {
-	b, err := s.r.ReadByte()
-	if err != nil {
-		return 0, binErr(what, err)
-	}
-	return b, nil
-}
-
-func (s *binSource) f64(what string) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(s.r, b[:]); err != nil {
-		return 0, binErr(what, err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
 func (s *binSource) PendingPayload() bool { return s.pending }
 
 // NextPayloadChunk returns the next payload frame of the pending h2d
@@ -543,10 +545,12 @@ func (s *binSource) NextPayloadChunk() ([]int64, error) {
 	if !s.pending {
 		return nil, io.EOF
 	}
-	n, err := s.uvarint("payload frame")
-	if err != nil {
+	var n int64
+	s.c.err = nil
+	s.c.uint(&n, "payload frame")
+	if s.c.err != nil {
 		s.pending = false
-		return nil, err
+		return nil, s.c.err
 	}
 	if n == 0 {
 		s.pending = false
@@ -564,7 +568,7 @@ func (s *binSource) NextPayloadChunk() ([]int64, error) {
 		s.packbuf = make([]byte, size*width)
 	}
 	buf := s.packbuf[:int(n)*width]
-	if _, err := io.ReadFull(s.r, buf); err != nil {
+	if _, err := io.ReadFull(s.c.r, buf); err != nil {
 		s.pending = false
 		return nil, binErr("payload frame", err)
 	}
@@ -607,235 +611,28 @@ func (s *binSource) Next() (*Record, error) {
 	if s.ended {
 		return nil, io.EOF
 	}
-	kb, err := s.r.ReadByte()
+	kb, err := s.c.r.Peek(1)
 	if err != nil {
 		return nil, binErr("record", err)
 	}
-	if kb == 0 {
+	if kb[0] == 0 {
+		s.c.r.Discard(1)
 		s.ended = true
 		return nil, io.EOF
 	}
-	if int(kb) >= len(binKinds) || binKinds[kb] == "" {
-		return nil, fmt.Errorf("cmdstream: decode record: unknown kind code %d", kb)
+	s.rec = Record{}
+	s.c.err = nil
+	s.c.fields(&s.rec)
+	if s.c.err != nil {
+		return nil, s.c.err
 	}
-	s.rec = Record{Kind: binKinds[kb]}
-	rec := &s.rec
-	if rec.Seq, err = s.uvarint("seq"); err != nil {
-		return nil, err
-	}
-	switch rec.Kind {
-	case KindAlloc:
-		if rec.Obj, err = s.uvarint("obj"); err != nil {
-			return nil, err
-		}
-		tc, err := s.byte("element type")
-		if err != nil {
-			return nil, err
-		}
-		if int(tc) >= len(binTypes) {
-			return nil, fmt.Errorf("cmdstream: decode record: unknown element-type code %d", tc)
-		}
-		rec.Type = binTypes[tc].String()
-		if rec.N, err = s.uvarint("n"); err != nil {
-			return nil, err
-		}
-	case KindFree, KindCopyD2H:
-		if rec.Obj, err = s.uvarint("obj"); err != nil {
-			return nil, err
-		}
-	case KindCopyH2D:
-		if rec.Obj, err = s.uvarint("obj"); err != nil {
-			return nil, err
-		}
-		flag, err := s.byte("payload flag")
-		if err != nil {
-			return nil, err
-		}
-		switch flag {
-		case 0:
-		case 1:
-			tc, err := s.byte("payload type")
-			if err != nil {
-				return nil, err
-			}
-			pt := isa.Int64
-			if tc != binTypeRaw {
-				if int(tc) >= len(binTypes) {
-					return nil, fmt.Errorf("cmdstream: decode payload: unknown element-type code %d", tc)
-				}
-				pt = binTypes[tc]
-			}
-			s.pending, s.pendType = true, pt
-		default:
-			return nil, fmt.Errorf("cmdstream: decode record: bad payload flag %d", flag)
-		}
-	case KindCopyD2D:
-		if rec.Src, err = s.uvarint("src"); err != nil {
-			return nil, err
-		}
-		if rec.Dst, err = s.uvarint("dst"); err != nil {
-			return nil, err
-		}
-	case KindCopyD2DRange:
-		for _, f := range []*int64{&rec.Src, &rec.SrcOff, &rec.Dst, &rec.DstOff, &rec.N} {
-			if *f, err = s.uvarint("ranged copy field"); err != nil {
-				return nil, err
-			}
-		}
-	case KindHost:
-		if rec.TimeNS, err = s.f64("host time"); err != nil {
-			return nil, err
-		}
-		if rec.EnergyPJ, err = s.f64("host energy"); err != nil {
-			return nil, err
-		}
-	case KindRepeatBegin:
-		if rec.Repeat, err = s.uvarint("repeat"); err != nil {
-			return nil, err
-		}
-	case KindRepeatEnd:
-	case KindExec:
-		if err := s.exec(rec); err != nil {
-			return nil, err
+	if s.rec.Kind == KindCopyH2D && s.c.hasPayload == 1 {
+		s.pending, s.pendType = true, isa.Int64
+		if s.c.payType != binTypeRaw {
+			s.pendType = binTypes[s.c.payType]
 		}
 	}
-	return rec, nil
-}
-
-// exec parses a KindExec record body.
-func (s *binSource) exec(rec *Record) error {
-	fb, err := s.byte("exec form")
-	if err != nil {
-		return err
-	}
-	if int(fb) >= len(binForms) || binForms[fb] == "" {
-		return fmt.Errorf("cmdstream: decode record: unknown form code %d", fb)
-	}
-	rec.Form = binForms[fb]
-	if rec.Form == FormFused {
-		f1, err := s.byte("fused form1")
-		if err != nil {
-			return err
-		}
-		f2, err := s.byte("fused form2")
-		if err != nil {
-			return err
-		}
-		if int(f1) >= len(binForms) || binForms[f1] == "" || int(f2) >= len(binForms) || binForms[f2] == "" {
-			return fmt.Errorf("cmdstream: decode record: unknown fused form codes %d/%d", f1, f2)
-		}
-		rec.Form1, rec.Form2 = binForms[f1], binForms[f2]
-	}
-	ob, err := s.byte("op")
-	if err != nil {
-		return err
-	}
-	if int(ob) >= len(binOps) {
-		return fmt.Errorf("cmdstream: decode record: unknown op code %d", ob)
-	}
-	rec.Op = binOps[ob]
-	if rec.Form == FormFused {
-		ob2, err := s.byte("op2")
-		if err != nil {
-			return err
-		}
-		if int(ob2) >= len(binOps) {
-			return fmt.Errorf("cmdstream: decode record: unknown op code %d", ob2)
-		}
-		rec.Op2 = binOps[ob2]
-	}
-	tc, err := s.byte("element type")
-	if err != nil {
-		return err
-	}
-	if int(tc) >= len(binTypes) {
-		return fmt.Errorf("cmdstream: decode record: unknown element-type code %d", tc)
-	}
-	rec.Type = binTypes[tc].String()
-	if rec.N, err = s.uvarint("n"); err != nil {
-		return err
-	}
-	switch rec.Form {
-	case FormBinary:
-		return s.objIDs(&rec.A, &rec.B, &rec.Dst)
-	case FormScalar:
-		if err := s.objIDs(&rec.A, &rec.Dst); err != nil {
-			return err
-		}
-		rec.Scalar, err = s.svarint("scalar")
-		return err
-	case FormUnary:
-		return s.objIDs(&rec.A, &rec.Dst)
-	case FormShift:
-		if err := s.objIDs(&rec.A, &rec.Dst); err != nil {
-			return err
-		}
-		amt, err := s.svarint("amount")
-		if err != nil {
-			return err
-		}
-		rec.Amount = int(amt)
-		return nil
-	case FormSelect:
-		return s.objIDs(&rec.Cond, &rec.A, &rec.B, &rec.Dst)
-	case FormBroadcast:
-		if err := s.objIDs(&rec.Dst); err != nil {
-			return err
-		}
-		rec.Scalar, err = s.svarint("scalar")
-		return err
-	case FormRedSum:
-		if err := s.objIDs(&rec.A); err != nil {
-			return err
-		}
-		rec.Result, err = s.svarint("result")
-		return err
-	case FormRedSumSeg:
-		if err := s.objIDs(&rec.A); err != nil {
-			return err
-		}
-		if rec.SegLen, err = s.uvarint("seglen"); err != nil {
-			return err
-		}
-		count, err := s.uvarint("result count")
-		if err != nil {
-			return err
-		}
-		if count > maxFrameElems {
-			return fmt.Errorf("cmdstream: decode record: %d segment results exceeds limit", count)
-		}
-		if count > 0 {
-			rec.Results = make([]int64, count)
-			for i := range rec.Results {
-				if rec.Results[i], err = s.svarint("segment result"); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case FormFused:
-		if err := s.objIDs(&rec.A, &rec.B, &rec.Dst); err != nil {
-			return err
-		}
-		if rec.Scalar, err = s.svarint("scalar"); err != nil {
-			return err
-		}
-		rec.Scalar2, err = s.svarint("scalar2")
-		return err
-	}
-	return fmt.Errorf("cmdstream: decode record: unhandled form %q", rec.Form)
-}
-
-// objIDs reads a sequence of object-ID fields.
-func (s *binSource) objIDs(fields ...*int64) error {
-	for _, f := range fields {
-		v, err := s.uvarint("object id")
-		if err != nil {
-			return err
-		}
-		*f = v
-	}
-	return nil
+	return &s.rec, nil
 }
 
 func (s *binSource) Close() error { return nil }

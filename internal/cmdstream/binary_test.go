@@ -462,8 +462,29 @@ func benchStream() *cmdstream.Stream {
 	return s
 }
 
-func benchEncode(b *testing.B, f cmdstream.Format) {
-	s := benchStream()
+// recordStream builds the record-heavy workload: about 300k small records
+// with no payload (binary and scalar execs plus ranged copies), so the
+// per-record codec cost is what the benchmarks see.
+func recordStream() *cmdstream.Stream {
+	s := &cmdstream.Stream{Header: fullStream().Header}
+	add := func(rec cmdstream.Record) {
+		rec.Seq = int64(len(s.Records) + 1)
+		s.Records = append(s.Records, rec)
+	}
+	for obj := int64(1); obj <= 3; obj++ {
+		add(cmdstream.Record{Kind: cmdstream.KindAlloc, Obj: obj, Type: "int32", N: 4096})
+	}
+	for i := int64(0); len(s.Records) < 300_000; i++ {
+		add(cmdstream.Record{Kind: cmdstream.KindExec, Form: cmdstream.FormBinary,
+			Op: "add", Type: "int32", N: 4096, A: 1, B: 2, Dst: 3})
+		add(cmdstream.Record{Kind: cmdstream.KindExec, Form: cmdstream.FormScalar,
+			Op: "mul", Type: "int32", N: 4096, A: 3, Dst: 1, Scalar: i - 500})
+		add(cmdstream.Record{Kind: cmdstream.KindCopyD2DRange, Src: 1, SrcOff: i % 64, Dst: 2, DstOff: 7, N: 1024})
+	}
+	return s
+}
+
+func benchEncode(b *testing.B, s *cmdstream.Stream, f cmdstream.Format) {
 	var buf bytes.Buffer
 	if err := s.EncodeFormat(&buf, f); err != nil {
 		b.Fatal(err)
@@ -479,8 +500,7 @@ func benchEncode(b *testing.B, f cmdstream.Format) {
 	b.ReportMetric(float64(buf.Len())/float64(len(s.Records)), "bytes/record")
 }
 
-func benchDecode(b *testing.B, f cmdstream.Format) {
-	s := benchStream()
+func benchDecode(b *testing.B, s *cmdstream.Stream, f cmdstream.Format) {
 	var buf bytes.Buffer
 	if err := s.EncodeFormat(&buf, f); err != nil {
 		b.Fatal(err)
@@ -507,7 +527,129 @@ func benchDecode(b *testing.B, f cmdstream.Format) {
 	}
 }
 
-func BenchmarkBinaryStreamEncode(b *testing.B) { benchEncode(b, cmdstream.FormatBinary) }
-func BenchmarkBinaryStreamDecode(b *testing.B) { benchDecode(b, cmdstream.FormatBinary) }
-func BenchmarkJSONStreamEncode(b *testing.B)   { benchEncode(b, cmdstream.FormatJSON) }
-func BenchmarkJSONStreamDecode(b *testing.B)   { benchDecode(b, cmdstream.FormatJSON) }
+func BenchmarkBinaryStreamEncode(b *testing.B) { benchEncode(b, benchStream(), cmdstream.FormatBinary) }
+func BenchmarkBinaryStreamDecode(b *testing.B) { benchDecode(b, benchStream(), cmdstream.FormatBinary) }
+func BenchmarkJSONStreamEncode(b *testing.B)   { benchEncode(b, benchStream(), cmdstream.FormatJSON) }
+func BenchmarkJSONStreamDecode(b *testing.B)   { benchDecode(b, benchStream(), cmdstream.FormatJSON) }
+
+func BenchmarkBinaryStreamRecordsEncode(b *testing.B) {
+	benchEncode(b, recordStream(), cmdstream.FormatBinary)
+}
+func BenchmarkBinaryStreamRecordsDecode(b *testing.B) {
+	benchDecode(b, recordStream(), cmdstream.FormatBinary)
+}
+
+// TestBinaryRejectsBadFields drives both codec directions at every enum
+// slot and every non-negative field. The encoder must reject the record
+// without writing any of its bytes, so the stream stays decodable; the
+// decoder must fail with an error, never a panic or a truncation report.
+func TestBinaryRejectsBadFields(t *testing.T) {
+	h := fullStream().Header
+	first := cmdstream.Record{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int32", N: 8}
+	last := cmdstream.Record{Seq: 2, Kind: cmdstream.KindExec, Form: cmdstream.FormBinary,
+		Op: "add", Type: "int32", N: 8, A: 1, B: 1, Dst: 1}
+	fused := cmdstream.Record{Seq: 2, Kind: cmdstream.KindExec, Form: cmdstream.FormFused,
+		Form1: cmdstream.FormBinary, Form2: cmdstream.FormScalar, Op: "add", Op2: "mul",
+		Type: "int32", N: 8, A: 1, B: 1, Dst: 1, Scalar2: 3}
+	bad := map[string]func(r *cmdstream.Record){
+		"kind":     func(r *cmdstream.Record) { r.Kind = "bogus" },
+		"form":     func(r *cmdstream.Record) { r.Form = "bogus" },
+		"form1":    func(r *cmdstream.Record) { r.Form1 = "bogus" },
+		"form2":    func(r *cmdstream.Record) { r.Form2 = "bogus" },
+		"op":       func(r *cmdstream.Record) { r.Op = "bogus" },
+		"op2":      func(r *cmdstream.Record) { r.Op2 = "bogus" },
+		"type":     func(r *cmdstream.Record) { r.Type = "int3" },
+		"seq":      func(r *cmdstream.Record) { r.Seq = -1 },
+		"obj":      func(r *cmdstream.Record) { *r = first; r.Obj = -1 },
+		"n":        func(r *cmdstream.Record) { r.N = -1 },
+		"operand":  func(r *cmdstream.Record) { r.B = -2 },
+		"seglen":   func(r *cmdstream.Record) { r.Form, r.Op, r.SegLen = cmdstream.FormRedSumSeg, "redsum.seg", -4 },
+		"alloc-ty": func(r *cmdstream.Record) { *r = first; r.Type = "float" },
+	}
+	for name, mutate := range bad {
+		rec := fused
+		mutate(&rec)
+		var buf bytes.Buffer
+		w := cmdstream.NewWriter(&buf, cmdstream.FormatBinary)
+		if err := w.Begin(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(&rec); err == nil {
+			t.Errorf("encode %s: bad record %+v accepted", name, rec)
+		}
+		if err := w.Write(&last); err != nil {
+			t.Fatalf("encode %s: valid record after rejection: %v", name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cmdstream.Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("encode %s: stream after rejection does not decode: %v", name, err)
+		}
+		if want := []cmdstream.Record{first, last}; !reflect.DeepEqual(got.Records, want) {
+			t.Errorf("encode %s: decoded %+v, want %+v", name, got.Records, want)
+		}
+	}
+
+	// Hand-built record bodies, each followed by the end marker. off is
+	// the byte of the body that a decode case overwrites.
+	var head bytes.Buffer
+	if err := (&cmdstream.Stream{Header: h}).EncodeBinary(&head); err != nil {
+		t.Fatal(err)
+	}
+	prefix := head.Bytes()[:head.Len()-1]
+	// Fused exec: kind 7, seq 1, form 9, form1 1, form2 2, op 0, op2 2,
+	// type 2, n 8, a, b, dst, scalar, scalar2.
+	fusedBody := []byte{7, 1, 9, 1, 2, 0, 2, 2, 8, 1, 1, 1, 0, 6}
+	// h2d with an int8 payload of one element: kind 3, seq 1, obj 1,
+	// flag 1, type 0, frame of 1, element, end frame.
+	h2dBody := []byte{3, 1, 1, 1, 0, 1, 5, 0}
+	decode := []struct {
+		name string
+		body []byte
+		off  int
+		code byte
+	}{
+		{"kind", fusedBody, 0, 0xEE},
+		{"form", fusedBody, 2, 0xEE},
+		{"form-unused", fusedBody, 2, 0},
+		{"form1", fusedBody, 3, 0xEE},
+		{"form2", fusedBody, 4, 0xEE},
+		{"op", fusedBody, 5, 0xEE},
+		{"op2", fusedBody, 6, 0xEE},
+		{"type", fusedBody, 7, 0xEE},
+		{"payload flag", h2dBody, 3, 2},
+		{"payload type", h2dBody, 4, 0xEE},
+	}
+	for _, body := range [][]byte{fusedBody, h2dBody} {
+		in := append(append(append([]byte(nil), prefix...), body...), 0)
+		if _, err := cmdstream.Decode(bytes.NewReader(in)); err != nil {
+			t.Fatalf("unmutated body %v does not decode: %v", body, err)
+		}
+	}
+	for _, c := range decode {
+		body := append([]byte(nil), c.body...)
+		body[c.off] = c.code
+		in := append(append(append([]byte(nil), prefix...), body...), 0)
+		_, err := cmdstream.Decode(bytes.NewReader(in))
+		if err == nil || errors.Is(err, cmdstream.ErrTruncated) {
+			t.Errorf("decode %s code %#x: err = %v, want a field error", c.name, c.code, err)
+		}
+	}
+	// A uvarint field above MaxInt64, at a free record's seq and at its obj.
+	over := binary.AppendUvarint(nil, 1<<63)
+	for _, body := range [][]byte{
+		append(append([]byte{2}, over...), 1), // free: seq, obj
+		append([]byte{2, 1}, over...),         // free: seq, obj
+	} {
+		in := append(append(append([]byte(nil), prefix...), body...), 0)
+		_, err := cmdstream.Decode(bytes.NewReader(in))
+		if err == nil || errors.Is(err, cmdstream.ErrTruncated) {
+			t.Errorf("decode uvarint above MaxInt64 in %v: err = %v, want an overflow error", body, err)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"pimeval/internal/cmdstream"
 	"pimeval/internal/device"
+	"pimeval/internal/fault"
 	"pimeval/internal/isa"
 )
 
@@ -100,6 +101,25 @@ func TestOpenSourceAutoDetect(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, s) {
 			t.Errorf("%s: decoded stream differs", name)
+		}
+	}
+}
+
+// TestOpenSourceRejectsHostileFaultCounts: a header whose fault counts
+// exceed the cap is rejected when the stream opens, in both formats, before
+// anything sizes an injector from it.
+func TestOpenSourceRejectsHostileFaultCounts(t *testing.T) {
+	for _, fc := range []fault.Config{{StuckBits: 1<<20 + 1}, {FailedCores: 1<<20 + 1}} {
+		s := sampleStream()
+		s.Header.Faults = &fc
+		for _, f := range []cmdstream.Format{cmdstream.FormatJSON, cmdstream.FormatBinary} {
+			var buf bytes.Buffer
+			if err := s.EncodeFormat(&buf, f); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cmdstream.OpenSource(&buf); err == nil {
+				t.Errorf("%v header with faults %+v opened without error", f, fc)
+			}
 		}
 	}
 }

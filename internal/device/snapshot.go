@@ -127,15 +127,8 @@ func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {
 	}
 	sw := &snapWriter{w: w}
 
-	meta, err := json.Marshal(snapMeta{
-		Stream: d.streamHeader(),
-		Cursor: cursor,
-		NextID: int64(d.res.nextID),
-	})
-	if err != nil {
-		return err
-	}
-	if err := sw.blob(snapTagMeta, meta); err != nil {
+	meta := snapMeta{Stream: d.streamHeader(), Cursor: cursor, NextID: int64(d.res.nextID)}
+	if err := sw.json(snapTagMeta, meta); err != nil {
 		return err
 	}
 
@@ -154,11 +147,7 @@ func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {
 		return err
 	}
 
-	st, err := json.Marshal(d.pipe.stats.st.State())
-	if err != nil {
-		return err
-	}
-	if err := sw.blob(snapTagStats, st); err != nil {
+	if err := sw.json(snapTagStats, d.pipe.stats.st.State()); err != nil {
 		return err
 	}
 
@@ -167,11 +156,7 @@ func (d *Device) WriteSnapshot(w io.Writer, cursor int64) error {
 	}
 
 	if d.inj != nil {
-		fs, err := json.Marshal(d.inj.State())
-		if err != nil {
-			return err
-		}
-		if err := sw.blob(snapTagFault, fs); err != nil {
+		if err := sw.json(snapTagFault, d.inj.State()); err != nil {
 			return err
 		}
 	}
@@ -205,23 +190,9 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 	sr := &snapReader{br: br}
 
 	// Meta frame first: it carries everything needed to build the device.
-	tag, err := sr.frameStart()
-	if err != nil {
-		return nil, 0, err
-	}
-	if tag != snapTagMeta {
-		return nil, 0, fmt.Errorf("%w: expected meta frame, found tag %d", ErrSnapshotCorrupt, tag)
-	}
-	metaBuf, err := sr.blob()
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := sr.frameEnd(); err != nil {
-		return nil, 0, err
-	}
 	var meta snapMeta
-	if err := json.Unmarshal(metaBuf, &meta); err != nil {
-		return nil, 0, fmt.Errorf("%w: meta frame: %v", ErrSnapshotCorrupt, err)
+	if err := sr.json(snapTagMeta, &meta); err != nil {
+		return nil, 0, err
 	}
 	if meta.Cursor < 0 || meta.NextID < 1 {
 		return nil, 0, fmt.Errorf("%w: meta cursor %d, next id %d", ErrSnapshotCorrupt, meta.Cursor, meta.NextID)
@@ -233,31 +204,27 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 
 	// Object frames, ascending ID order (allocAt enforces uniqueness and the
 	// device's own capacity limits, bounding hostile allocations).
-	tag, err = sr.frameStart()
-	if err != nil {
-		return nil, 0, err
-	}
-	for tag == snapTagObject {
+	for {
+		next, err := br.Peek(1)
+		if err != nil {
+			return nil, 0, snapReadErr(err, "frame header")
+		}
+		if next[0] != snapTagObject {
+			break
+		}
+		if err := sr.frame(snapTagObject); err != nil {
+			return nil, 0, err
+		}
 		if err := sr.restoreObject(d); err != nil {
 			return nil, 0, err
 		}
 		if err := sr.frameEnd(); err != nil {
 			return nil, 0, err
 		}
-		if tag, err = sr.frameStart(); err != nil {
-			return nil, 0, err
-		}
 	}
 
-	// Freed-ID frame.
-	if tag != snapTagFreed {
-		return nil, 0, fmt.Errorf("%w: expected freed frame, found tag %d", ErrSnapshotCorrupt, tag)
-	}
-	freedBuf, err := sr.blob()
+	freedBuf, err := sr.section(snapTagFreed)
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := sr.frameEnd(); err != nil {
 		return nil, 0, err
 	}
 	maxFreed, err := decodeFreed(freedBuf, d.res.objs, d.res.freed)
@@ -265,23 +232,9 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 		return nil, 0, err
 	}
 
-	// Statistics frame.
-	if tag, err = sr.frameStart(); err != nil {
-		return nil, 0, err
-	}
-	if tag != snapTagStats {
-		return nil, 0, fmt.Errorf("%w: expected stats frame, found tag %d", ErrSnapshotCorrupt, tag)
-	}
-	statsBuf, err := sr.blob()
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := sr.frameEnd(); err != nil {
-		return nil, 0, err
-	}
 	var stState stats.State
-	if err := json.Unmarshal(statsBuf, &stState); err != nil {
-		return nil, 0, fmt.Errorf("%w: stats frame: %v", ErrSnapshotCorrupt, err)
+	if err := sr.json(snapTagStats, &stState); err != nil {
+		return nil, 0, err
 	}
 	st, err := stats.FromState(stState)
 	if err != nil {
@@ -289,12 +242,8 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 	}
 	d.pipe.stats.st = st
 
-	// Trace frame.
-	if tag, err = sr.frameStart(); err != nil {
+	if err := sr.frame(snapTagTrace); err != nil {
 		return nil, 0, err
-	}
-	if tag != snapTagTrace {
-		return nil, 0, fmt.Errorf("%w: expected trace frame, found tag %d", ErrSnapshotCorrupt, tag)
 	}
 	if err := sr.restoreTrace(&d.pipe.trace); err != nil {
 		return nil, 0, err
@@ -304,35 +253,19 @@ func RestoreSnapshot(r io.Reader, workers int) (*Device, int64, error) {
 	}
 
 	// Fault frame: present exactly when the header enables fault injection.
-	if tag, err = sr.frameStart(); err != nil {
-		return nil, 0, err
-	}
 	if d.inj != nil {
-		if tag != snapTagFault {
-			return nil, 0, fmt.Errorf("%w: expected fault frame, found tag %d", ErrSnapshotCorrupt, tag)
-		}
-		faultBuf, err := sr.blob()
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := sr.frameEnd(); err != nil {
-			return nil, 0, err
-		}
 		var fs fault.State
-		if err := json.Unmarshal(faultBuf, &fs); err != nil {
-			return nil, 0, fmt.Errorf("%w: fault frame: %v", ErrSnapshotCorrupt, err)
+		if err := sr.json(snapTagFault, &fs); err != nil {
+			return nil, 0, err
 		}
 		if err := d.inj.SetState(fs); err != nil {
 			return nil, 0, fmt.Errorf("%w: fault frame: %v", ErrSnapshotCorrupt, err)
 		}
-		if tag, err = sr.frameStart(); err != nil {
-			return nil, 0, err
-		}
 	}
 
 	// End frame, then EOF.
-	if tag != snapTagEnd {
-		return nil, 0, fmt.Errorf("%w: expected end frame, found tag %d", ErrSnapshotCorrupt, tag)
+	if err := sr.frame(snapTagEnd); err != nil {
+		return nil, 0, err
 	}
 	if sr.rem != 0 {
 		return nil, 0, fmt.Errorf("%w: end frame with payload", ErrSnapshotCorrupt)
@@ -405,8 +338,9 @@ func encodeTrace(t *traceSink) []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.AppendUvarint(buf, uint64(t.seq))
-	buf = binary.AppendUvarint(buf, uint64(len(t.entries)))
-	for _, e := range t.entries {
+	entries := t.window()
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
 		buf = binary.AppendVarint(buf, e.Seq)
 		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
 		buf = append(buf, e.Name...)
@@ -420,7 +354,7 @@ func encodeTrace(t *traceSink) []byte {
 
 // restoreTrace parses a trace frame into the device's trace sink.
 func (sr *snapReader) restoreTrace(t *traceSink) error {
-	flag, err := sr.byte()
+	flag, err := sr.ReadByte()
 	if err != nil {
 		return err
 	}
@@ -441,16 +375,16 @@ func (sr *snapReader) restoreTrace(t *traceSink) error {
 	entries := make([]TraceEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var e TraceEntry
-		if e.Seq, err = sr.svarint(); err != nil {
+		if e.Seq, err = sr.varint(); err != nil {
 			return err
 		}
 		if e.Name, err = sr.string(); err != nil {
 			return err
 		}
-		if e.N, err = sr.svarint(); err != nil {
+		if e.N, err = sr.varint(); err != nil {
 			return err
 		}
-		if e.Reps, err = sr.svarint(); err != nil {
+		if e.Reps, err = sr.varint(); err != nil {
 			return err
 		}
 		if e.Cost.TimeNS, err = sr.f64(); err != nil {
@@ -506,6 +440,15 @@ func (sw *snapWriter) blob(tag byte, payload []byte) error {
 	return sw.frameEnd()
 }
 
+// json writes v as one JSON frame.
+func (sw *snapWriter) json(tag byte, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return sw.blob(tag, payload)
+}
+
 // object writes one object frame: the header fields, then the element data
 // packed at the type's true width (isa.DataType.Pack), in bounded chunks.
 func (sw *snapWriter) object(o *Object) error {
@@ -549,49 +492,67 @@ func (sw *snapWriter) object(o *Object) error {
 
 // snapReader parses CRC-framed sections, tracking the running CRC and the
 // current frame's remaining payload bytes so a malformed frame can never
-// read past its own declared extent.
+// read past its own declared extent. It is an io.ByteReader over the
+// current frame, so binary.ReadUvarint/ReadVarint decode its varints.
 type snapReader struct {
 	br  *bufio.Reader
 	crc uint32
 	rem uint64
+	err error // the first read failure
 	one [1]byte
 }
 
-// rawByte reads one CRC-covered byte outside payload accounting (frame
-// headers).
-func (sr *snapReader) rawByte() (byte, error) {
-	b, err := sr.br.ReadByte()
-	if err != nil {
-		return 0, snapReadErr(err, "frame header")
-	}
-	sr.one[0] = b
-	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, sr.one[:])
-	return b, nil
+// snapTagNames name the section tags in error messages.
+var snapTagNames = [...]string{
+	snapTagEnd: "end", snapTagMeta: "meta", snapTagObject: "object", snapTagFreed: "freed",
+	snapTagStats: "stats", snapTagTrace: "trace", snapTagFault: "fault",
 }
 
-// frameStart reads the next frame's tag and payload length.
-func (sr *snapReader) frameStart() (byte, error) {
-	sr.crc = 0
-	tag, err := sr.rawByte()
+// frame reads the next frame's header and checks that it opens a tag
+// section. Header bytes are CRC-covered but lie outside the payload count,
+// so the count is unbounded until the length is known.
+func (sr *snapReader) frame(tag byte) error {
+	sr.crc, sr.rem = 0, math.MaxUint64
+	got, err := sr.ReadByte()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var length uint64
-	for shift := uint(0); ; shift += 7 {
-		if shift >= 64 {
-			return 0, fmt.Errorf("%w: frame length overflow", ErrSnapshotCorrupt)
-		}
-		b, err := sr.rawByte()
-		if err != nil {
-			return 0, err
-		}
-		length |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
+	length, err := sr.uvarint()
+	if err != nil {
+		return err
+	}
+	if got != tag {
+		return fmt.Errorf("%w: expected %s frame, found tag %d", ErrSnapshotCorrupt, snapTagNames[tag], got)
 	}
 	sr.rem = length
-	return tag, nil
+	return nil
+}
+
+// section reads one whole tag frame and returns its payload.
+func (sr *snapReader) section(tag byte) ([]byte, error) {
+	if err := sr.frame(tag); err != nil {
+		return nil, err
+	}
+	if sr.rem > maxSnapSection {
+		return nil, fmt.Errorf("%w: section of %d bytes", ErrSnapshotCorrupt, sr.rem)
+	}
+	buf := make([]byte, sr.rem)
+	if err := sr.read(buf); err != nil {
+		return nil, err
+	}
+	return buf, sr.frameEnd()
+}
+
+// json reads one whole tag frame as JSON into v.
+func (sr *snapReader) json(tag byte, v any) error {
+	buf, err := sr.section(tag)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(buf, v); err != nil {
+		return fmt.Errorf("%w: %s frame: %v", ErrSnapshotCorrupt, snapTagNames[tag], err)
+	}
+	return nil
 }
 
 // frameEnd verifies the frame was fully consumed and its CRC matches.
@@ -611,51 +572,43 @@ func (sr *snapReader) frameEnd() error {
 
 // read fills p from the current frame's payload.
 func (sr *snapReader) read(p []byte) error {
-	if uint64(len(p)) > sr.rem {
-		return fmt.Errorf("%w: frame shorter than its contents", ErrSnapshotCorrupt)
+	switch {
+	case sr.err != nil:
+	case uint64(len(p)) > sr.rem:
+		sr.err = fmt.Errorf("%w: frame shorter than its contents", ErrSnapshotCorrupt)
+	default:
+		if _, err := io.ReadFull(sr.br, p); err != nil {
+			sr.err = snapReadErr(err, "frame")
+		} else {
+			sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
+			sr.rem -= uint64(len(p))
+		}
 	}
-	if _, err := io.ReadFull(sr.br, p); err != nil {
-		return snapReadErr(err, "frame payload")
-	}
-	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
-	sr.rem -= uint64(len(p))
-	return nil
+	return sr.err
 }
 
-func (sr *snapReader) byte() (byte, error) {
-	if err := sr.read(sr.one[:]); err != nil {
-		return 0, err
-	}
-	return sr.one[0], nil
+func (sr *snapReader) ReadByte() (byte, error) {
+	err := sr.read(sr.one[:])
+	return sr.one[0], err
 }
 
 func (sr *snapReader) uvarint() (uint64, error) {
-	var v uint64
-	for shift := uint(0); ; shift += 7 {
-		if shift >= 64 {
-			return 0, fmt.Errorf("%w: varint overflow", ErrSnapshotCorrupt)
-		}
-		b, err := sr.byte()
-		if err != nil {
-			return 0, err
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-	}
+	v, err := binary.ReadUvarint(sr)
+	return v, sr.varintErr(err)
 }
 
-func (sr *snapReader) svarint() (int64, error) {
-	u, err := sr.uvarint()
-	if err != nil {
-		return 0, err
+func (sr *snapReader) varint() (int64, error) {
+	v, err := binary.ReadVarint(sr)
+	return v, sr.varintErr(err)
+}
+
+// varintErr passes a read failure through; any other varint error is
+// encoding/binary's report of a value overflowing 64 bits.
+func (sr *snapReader) varintErr(err error) error {
+	if err == nil || sr.err != nil {
+		return err
 	}
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, nil
+	return fmt.Errorf("%w: varint overflow", ErrSnapshotCorrupt)
 }
 
 func (sr *snapReader) f64() (float64, error) {
@@ -681,18 +634,6 @@ func (sr *snapReader) string() (string, error) {
 	return string(buf), nil
 }
 
-// blob reads the current frame's whole remaining payload.
-func (sr *snapReader) blob() ([]byte, error) {
-	if sr.rem > maxSnapSection {
-		return nil, fmt.Errorf("%w: section of %d bytes", ErrSnapshotCorrupt, sr.rem)
-	}
-	buf := make([]byte, sr.rem)
-	if err := sr.read(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // restoreObject parses one object frame into d. Allocation goes through the
 // resource manager's explicit-ID path, so duplicate IDs, freed IDs, and
 // over-capacity objects are rejected by the same checks replay uses.
@@ -716,7 +657,7 @@ func (sr *snapReader) restoreObject(d *Device) error {
 	if id > math.MaxInt64 || n > maxSnapElems {
 		return fmt.Errorf("%w: object id %d with %d elements", ErrSnapshotCorrupt, id, n)
 	}
-	hasData, err := sr.byte()
+	hasData, err := sr.ReadByte()
 	if err != nil {
 		return err
 	}

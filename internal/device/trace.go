@@ -36,22 +36,28 @@ const traceLimit = 1 << 16
 type traceSink struct {
 	tracing bool
 	seq     int64
-	entries []TraceEntry
+	entries []TraceEntry // the trace is the last traceLimit of these (window)
 }
 
 // Emit appends a trace entry for traceable (named) events while enabled.
+// entries grows to twice the window before the newest window moves down,
+// so each entry is copied at most once.
 func (t *traceSink) Emit(ev *Event) {
 	if !t.tracing || ev.Name == "" {
 		return
 	}
 	t.seq++
-	if len(t.entries) >= traceLimit {
-		copy(t.entries, t.entries[1:])
-		t.entries = t.entries[:len(t.entries)-1]
+	if len(t.entries) == 2*traceLimit {
+		t.entries = t.entries[:copy(t.entries, t.entries[traceLimit:])]
 	}
 	t.entries = append(t.entries, TraceEntry{
 		Seq: t.seq, Name: ev.Name, N: ev.N, Reps: ev.Reps, Cost: ev.TraceCost,
 	})
+}
+
+// window returns the retained trace: the newest traceLimit entries.
+func (t *traceSink) window() []TraceEntry {
+	return t.entries[max(0, len(t.entries)-traceLimit):]
 }
 
 // EnableTrace starts recording dispatched commands and copies. The trace
@@ -63,14 +69,14 @@ func (d *Device) DisableTrace() { d.pipe.trace.tracing = false }
 
 // Trace returns the recorded entries in dispatch order.
 func (d *Device) Trace() []TraceEntry {
-	return append([]TraceEntry(nil), d.pipe.trace.entries...)
+	return append([]TraceEntry(nil), d.pipe.trace.window()...)
 }
 
 // TraceString renders the whole trace.
 func (d *Device) TraceString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s  %-16s %-15s %10s %10s\n", "seq", "command", "elements", "time", "energy")
-	for _, e := range d.pipe.trace.entries {
+	for _, e := range d.pipe.trace.window() {
 		fmt.Fprintln(&b, e.String())
 	}
 	return b.String()

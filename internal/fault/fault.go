@@ -63,6 +63,11 @@ type Config struct {
 	NumCores  int `json:"num_cores,omitempty"`
 }
 
+// maxFaultCount caps StuckBits and FailedCores. The injector allocates
+// state per planted fault, and a configuration arriving in a stream header
+// or snapshot must not choose that size.
+const maxFaultCount = 1 << 20
+
 // Validate checks the configuration ranges.
 func (c *Config) Validate() error {
 	if c == nil {
@@ -71,11 +76,11 @@ func (c *Config) Validate() error {
 	if c.TransientBitRate < 0 || c.TransientBitRate > 1 || math.IsNaN(c.TransientBitRate) {
 		return fmt.Errorf("fault: transient bit rate %v outside [0,1]", c.TransientBitRate)
 	}
-	if c.StuckBits < 0 {
-		return fmt.Errorf("fault: stuck bit count %d negative", c.StuckBits)
+	if c.StuckBits < 0 || c.StuckBits > maxFaultCount {
+		return fmt.Errorf("fault: stuck bit count %d outside [0,%d]", c.StuckBits, maxFaultCount)
 	}
-	if c.FailedCores < 0 {
-		return fmt.Errorf("fault: failed core count %d negative", c.FailedCores)
+	if c.FailedCores < 0 || c.FailedCores > maxFaultCount {
+		return fmt.Errorf("fault: failed core count %d outside [0,%d]", c.FailedCores, maxFaultCount)
 	}
 	if c.FirstCore < 0 || c.NumCores < 0 {
 		return fmt.Errorf("fault: scope [%d,+%d) negative", c.FirstCore, c.NumCores)

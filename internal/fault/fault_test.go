@@ -27,7 +27,9 @@ func TestConfigValidate(t *testing.T) {
 		{TransientBitRate: 1.5},
 		{TransientBitRate: math.NaN()},
 		{StuckBits: -1},
+		{StuckBits: maxFaultCount + 1},
 		{FailedCores: -2},
+		{FailedCores: maxFaultCount + 1},
 		{FirstCore: -1},
 	}
 	for _, c := range bad {
@@ -35,9 +37,13 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted invalid config", c)
 		}
 	}
-	ok := Config{Seed: 7, TransientBitRate: 1e-3, StuckBits: 4, FailedCores: 1, ECC: true}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("Validate(%+v): %v", ok, err)
+	for _, ok := range []Config{
+		{Seed: 7, TransientBitRate: 1e-3, StuckBits: 4, FailedCores: 1, ECC: true},
+		{StuckBits: maxFaultCount, FailedCores: maxFaultCount},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", ok, err)
+		}
 	}
 	if (&Config{}).Enabled() {
 		t.Error("zero config reports Enabled")

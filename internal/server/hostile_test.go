@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pimeval/internal/cmdstream"
+	"pimeval/internal/fault"
 	"pimeval/pim"
 )
 
@@ -92,6 +93,15 @@ func TestHostileInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A small body whose header asks for more stuck bits than the fault
+	// model allows: rejected at decode, before a device is built from it.
+	hostileFaults := &cmdstream.Stream{Header: base.Header}
+	hostileFaults.Header.Faults = &fault.Config{StuckBits: 1 << 40}
+	var hostileFaultsEnc bytes.Buffer
+	if err := hostileFaults.EncodeBinary(&hostileFaultsEnc); err != nil {
+		t.Fatal(err)
+	}
+
 	// A well-formed stream whose encoding exceeds the server's body limit:
 	// the decoder streams records until the MaxBytesReader trips mid-body.
 	oversized := &cmdstream.Stream{Header: base.Header}
@@ -125,6 +135,7 @@ func TestHostileInputs(t *testing.T) {
 		{"bad-version", []byte(`{"header":{"version":99}}`), http.StatusBadRequest},
 		{"exec-unallocated-object", badObjectEnc.Bytes(), http.StatusBadRequest},
 		{"unknown-op", badOpEnc.Bytes(), http.StatusUnprocessableEntity},
+		{"fault-count-over-cap", hostileFaultsEnc.Bytes(), http.StatusBadRequest},
 		{"oversized-body", oversizedEnc.Bytes(), http.StatusRequestEntityTooLarge},
 	}
 

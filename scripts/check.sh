@@ -40,4 +40,7 @@ go test -race ./internal/chaos/
 echo "==> object storage recycling (race)"
 go test -race -run 'TestObjectStorage' ./internal/device/ ./internal/device/paralleltest/
 
+echo "==> core package size (informational, see ROADMAP.md)"
+sh scripts/loc.sh
+
 echo "OK"
