@@ -27,7 +27,7 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 			return fmt.Errorf("%w: copy of %d values into object of %d", ErrShapeMismatch, len(values), o.n)
 		}
 		err = d.forSpans(o, func(lo, hi int64) {
-			o.dt.TruncateInto(o.data[lo:hi], values[lo:hi])
+			o.data.Store(lo, values[lo:hi])
 		})
 		if err != nil {
 			return err
@@ -87,7 +87,7 @@ func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) (e
 				return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
 					ErrShapeMismatch, off+int64(len(chunk)), o.n)
 			}
-			o.dt.TruncateInto(o.data[off:], chunk)
+			o.data.Store(off, chunk)
 		}
 		if wantData {
 			// The payload is captured pre-truncation and pre-injection,
@@ -135,7 +135,7 @@ func (d *Device) CopyDeviceToHost(id ObjID) (_ []int64, err error) {
 		return nil, nil
 	}
 	out := make([]int64, o.n)
-	copy(out, o.data)
+	o.data.Load(out, 0)
 	return out, nil
 }
 
@@ -164,9 +164,7 @@ func (d *Device) CopyDeviceToDevice(src, dst ObjID) (err error) {
 		return fmt.Errorf("%w: dst length %d not a multiple of src length %d", ErrShapeMismatch, t.n, s.n)
 	}
 	if d.cfg.Functional {
-		for i := int64(0); i < t.n; i += s.n {
-			copy(t.data[i:i+s.n], s.data)
-		}
+		t.data.Tile(s.data)
 	}
 	var cost perf.Cost
 	var volume int64
@@ -223,7 +221,7 @@ func (d *Device) CopyDeviceToDeviceRange(src ObjID, srcOff int64, dst ObjID, dst
 			ErrBadArgument, srcOff, srcOff+n, dstOff, dstOff+n, s.n, t.n)
 	}
 	if d.cfg.Functional {
-		copy(t.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n])
+		t.data.CopyFrom(dstOff, s.data, srcOff, n)
 	}
 	bytes := n * int64(t.dt.Bytes())
 	cost := perf.DataMovement(d.cfg.Module, bytes, false).Scale(float64(d.pipe.repeat))

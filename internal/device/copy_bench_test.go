@@ -13,7 +13,7 @@ import (
 // BenchmarkH2D times the out-of-core h2d path of stream replay for each
 // element type: one 256Ki-element payload decoded frame by frame from a
 // PIMB stream (cmdstream's Unpack) and written into a device object
-// (CopyHostToDeviceFrom's TruncateInto). Each iteration opens the encoded
+// (CopyHostToDeviceFrom's narrowing Store). Each iteration opens the encoded
 // stream afresh, so decoder setup is included.
 func BenchmarkH2D(b *testing.B) {
 	const n = 256 << 10

@@ -280,7 +280,7 @@ func (d *Device) AllocAs(id ObjID, n int64, dt isa.DataType) error {
 	if err := d.start(); err != nil {
 		return err
 	}
-	obj, err := d.res.allocAt(id, n, dt)
+	obj, err := d.res.allocAt(id, n, dt, true)
 	if err != nil {
 		return err
 	}

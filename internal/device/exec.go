@@ -49,7 +49,7 @@ func (d *Device) ExecBinary(op isa.Op, a, b, dst ObjID) (err error) {
 			A: int64(a), B: int64(b), Dst: int64(dst),
 		}
 	}
-	k := kernels.Binary(op, ao.dt)
+	k := kernels.On(ao.dt).Binary(op, do.dt)
 	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Inputs: 2, WritesResult: true}, do,
 		func(lo, hi int64) { k(do.data, ao.data, bo.data, lo, hi) })
 }
@@ -79,7 +79,7 @@ func (d *Device) ExecScalar(op isa.Op, a ObjID, scalar int64, dst ObjID) (err er
 			A: int64(a), Dst: int64(dst), Scalar: scalar,
 		}
 	}
-	k := kernels.Scalar(op, ao.dt)
+	k := kernels.On(ao.dt).Scalar(op, do.dt)
 	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Scalar: s, Inputs: 1, WritesResult: true}, do,
 		func(lo, hi int64) { k(do.data, ao.data, s, lo, hi) })
 }
@@ -110,7 +110,7 @@ func (d *Device) ExecUnary(op isa.Op, a, dst ObjID) (err error) {
 			A: int64(a), Dst: int64(dst),
 		}
 	}
-	k := kernels.Unary(op, do.dt)
+	k := kernels.On(do.dt).Unary(op)
 	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Inputs: 1, WritesResult: true}, do,
 		func(lo, hi int64) { k(do.data, ao.data, lo, hi) })
 }
@@ -142,7 +142,7 @@ func (d *Device) ExecShift(op isa.Op, a ObjID, amount int, dst ObjID) (err error
 			A: int64(a), Dst: int64(dst), Amount: amount,
 		}
 	}
-	k := kernels.Shift(op, do.dt)
+	k := kernels.On(do.dt).Shift(op)
 	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Scalar: int64(amount), Inputs: 1, WritesResult: true}, do,
 		func(lo, hi int64) { k(do.data, ao.data, amount, lo, hi) })
 }
@@ -174,8 +174,9 @@ func (d *Device) ExecSelect(cond, a, b, dst ObjID) (err error) {
 			Cond: int64(cond), A: int64(a), B: int64(b), Dst: int64(dst),
 		}
 	}
+	k := kernels.On(do.dt).Select(co.dt)
 	return d.elementwise(ev, isa.Command{Op: isa.OpSelect, Type: do.dt, N: do.n, Inputs: 3, WritesResult: true}, do,
-		func(lo, hi int64) { kernels.Select(do.data, co.data, ao.data, bo.data, lo, hi) })
+		func(lo, hi int64) { k(do.data, co.data, ao.data, bo.data, lo, hi) })
 }
 
 // Broadcast fills dst with a scalar value.
@@ -199,8 +200,9 @@ func (d *Device) Broadcast(dst ObjID, val int64) (err error) {
 			Dst: int64(dst), Scalar: val,
 		}
 	}
+	k := kernels.On(do.dt)
 	return d.elementwise(ev, isa.Command{Op: isa.OpBroadcast, Type: do.dt, N: do.n, Scalar: v, Inputs: 0, WritesResult: true}, do,
-		func(lo, hi int64) { kernels.Fill(do.data, v, lo, hi) })
+		func(lo, hi int64) { k.Fill(do.data, v, lo, hi) })
 }
 
 // elementwise is the shared tail of every element-wise command. On a
@@ -237,12 +239,13 @@ func (d *Device) RedSum(a ObjID) (_ int64, err error) {
 	if d.cfg.Functional {
 		// Per-shard partial sums merged in ascending core order. Wrapping
 		// int64 addition is associative, so the result is bit-identical to
-		// the serial accumulation for any shard decomposition. Canonical
-		// carriers sum directly (see kernels.Sum): sign-extension gives the
-		// host view for signed types, and a uint64's raw-bit carrier wraps
+		// the serial accumulation for any shard decomposition. Each element
+		// widens to its host value as it is summed (see kernels.On):
+		// sign-extension for signed types, and a uint64's raw bits wrap
 		// identically to uint64 addition modulo 2^64.
+		k := kernels.On(ao.dt)
 		parts, err := spansCollect(d, ao, func(lo, hi int64) int64 {
-			return kernels.Sum(ao.data, lo, hi)
+			return k.Sum(ao.data, lo, hi)
 		})
 		if err != nil {
 			return 0, err
@@ -289,10 +292,11 @@ func (d *Device) RedSumSeg(a ObjID, segLen int64) (_ []int64, err error) {
 			seg0 int64
 			vals []int64
 		}
+		k := kernels.On(ao.dt)
 		parts, err := spansCollect(d, ao, func(lo, hi int64) part {
 			seg0 := lo / segLen
 			p := part{seg0: seg0, vals: make([]int64, (hi-1)/segLen-seg0+1)}
-			kernels.SumSeg(ao.data, lo, hi, segLen, seg0, p.vals)
+			k.SumSeg(ao.data, lo, hi, segLen, seg0, p.vals)
 			return p
 		})
 		if err != nil {

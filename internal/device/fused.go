@@ -106,20 +106,20 @@ func (d *Device) ExecFused(f cmdstream.Fused) (err error) {
 // returns its loop over one span. Validation admits only stage ops that
 // have kernels, so the resolved kernel is never nil.
 func fusedBody(f cmdstream.Fused, ao, bo, do *Object, s1, s2 int64) func(lo, hi int64) {
-	dt := do.dt
-	var bk kernels.BinaryKernel
-	var uk kernels.UnaryKernel
+	k := kernels.On(do.dt)
+	var bk kernels.ElemsBinary
+	var uk kernels.ElemsUnary
 	switch {
 	case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormUnary:
-		bk = kernels.FusedBinaryUnary(f.Op1, f.Op2, dt)
+		bk = k.FusedBinaryUnary(f.Op1, f.Op2)
 	case f.Form1 == cmdstream.FormBinary && f.Form2 == cmdstream.FormScalar:
-		bk = kernels.FusedBinaryScalar(f.Op1, f.Op2, dt, s2)
+		bk = k.FusedBinaryScalar(f.Op1, f.Op2, s2)
 	case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormBinary:
-		bk = kernels.FusedScalarBinary(f.Op1, f.Op2, dt, s1)
+		bk = k.FusedScalarBinary(f.Op1, f.Op2, s1)
 	case f.Form1 == cmdstream.FormScalar && f.Form2 == cmdstream.FormScalar:
-		uk = kernels.FusedScalarScalar(f.Op1, f.Op2, dt, s1, s2)
+		uk = k.FusedScalarScalar(f.Op1, f.Op2, s1, s2)
 	default: // scalar + unary
-		uk = kernels.FusedScalarUnary(f.Op1, f.Op2, dt, s1)
+		uk = k.FusedScalarUnary(f.Op1, f.Op2, s1)
 	}
 	if bk != nil {
 		return func(lo, hi int64) { bk(do.data, ao.data, bo.data, lo, hi) }

@@ -145,8 +145,8 @@ func TestKernelsShiftMatchReference(t *testing.T) {
 	}
 }
 
-// TestKernelsSumMatchReference checks the reduction kernels against direct
-// serial accumulation of the canonical carriers.
+// TestKernelsSumMatchReference checks the storage-typed reduction kernel
+// against direct serial accumulation of the canonical carriers.
 func TestKernelsSumMatchReference(t *testing.T) {
 	for _, dt := range kernelTestTypes {
 		a, _ := edgeVectors(dt, 17)
@@ -154,17 +154,23 @@ func TestKernelsSumMatchReference(t *testing.T) {
 		for _, v := range a {
 			want += v
 		}
-		if got := kernels.Sum(a, 0, int64(len(a))); got != want {
+		store := dt.MakeElems(int64(len(a)))
+		store.Store(0, a)
+		if got := kernels.On(dt).Sum(store, 0, int64(len(a))); got != want {
 			t.Errorf("%v: Sum = %d, reference %d", dt, got, want)
 		}
 	}
 }
 
 // FuzzKernelBinary cross-checks the specialized element kernels against the
-// oracle for arbitrary operands over every element type: every binary op
-// (plain and scalar-broadcast) on (a, b), every unary op on a, and both
-// shifts of a by b & 0x7F, which covers amounts below, at and past every
-// width. It is the kernel-path twin of FuzzEvalBinary.
+// oracle for arbitrary operands over every element type, in both
+// instantiations: the exported canonical kernels on int64 carriers and the
+// device's storage-typed kernels (kernels.On) on one-element storage. It
+// runs every binary op (plain and scalar-broadcast) on (a, b), every unary
+// op on a, and both shifts of a by b & 0x7F, which covers amounts below, at
+// and past every width. The storage-typed compares also write a destination
+// of every other type, and select reads its condition a at every type. It
+// is the kernel-path twin of FuzzEvalBinary.
 func FuzzKernelBinary(f *testing.F) {
 	seedPairs(f)
 	f.Add(int64(-1), int64(64))  // shift amount == width of int64
@@ -174,21 +180,32 @@ func FuzzKernelBinary(f *testing.F) {
 		isa.OpXor, isa.OpXnor, isa.OpMin, isa.OpMax, isa.OpLt, isa.OpGt, isa.OpEq,
 	}
 	f.Fuzz(func(t *testing.T, a, b int64) {
-		var got [1]int64
 		amount := int(b & 0x7F)
 		for _, dt := range fuzzTypes {
 			ta, tb := dt.Truncate(a), dt.Truncate(b)
-			for _, op := range ops {
-				kernels.Binary(op, dt)(got[:], []int64{ta}, []int64{tb}, 0, 1)
-				want := kernels.RefBinary(op, dt, ta, tb)
-				if got[0] != want {
-					t.Errorf("%v.%v kernel(a=%d, b=%d) = %d, oracle %d",
-						op, dt, ta, tb, got[0], want)
+			k := kernels.On(dt)
+			check := func(what string, got, want int64) {
+				t.Helper()
+				if got != want {
+					t.Errorf("%s.%v(a=%d, b=%d, amount=%d) = %d, oracle %d", what, dt, ta, tb, amount, got, want)
 				}
+			}
+			for _, op := range ops {
+				want := kernels.RefBinary(op, dt, ta, tb)
+				var got [1]int64
+				kernels.Binary(op, dt)(got[:], []int64{ta}, []int64{tb}, 0, 1)
+				check(op.String()+" canonical", got[0], want)
 				kernels.Scalar(op, dt)(got[:], []int64{ta}, tb, 0, 1)
-				if got[0] != want {
-					t.Errorf("%v.%v scalar kernel(a=%d, s=%d) = %d, oracle %d",
-						op, dt, ta, tb, got[0], want)
+				check(op.String()+" canonical scalar", got[0], want)
+				for _, out := range fuzzTypes {
+					if out != dt && op != isa.OpLt && op != isa.OpGt && op != isa.OpEq {
+						continue
+					}
+					dst := out.MakeElems(1)
+					k.Binary(op, out)(dst, elem(dt, ta), elem(dt, tb), 0, 1)
+					check(op.String()+" storage into "+out.String(), load(dst), want)
+					k.Scalar(op, out)(dst, elem(dt, ta), tb, 0, 1)
+					check(op.String()+" storage scalar into "+out.String(), load(dst), want)
 				}
 			}
 			unary := []isa.Op{isa.OpNot, isa.OpAbs, isa.OpPopCount}
@@ -196,18 +213,46 @@ func FuzzKernelBinary(f *testing.F) {
 				unary = append(unary, isa.OpSbox, isa.OpSboxInv)
 			}
 			for _, op := range unary {
+				want := kernels.RefUnary(op, dt, ta)
+				var got [1]int64
 				kernels.Unary(op, dt)(got[:], []int64{ta}, 0, 1)
-				if want := kernels.RefUnary(op, dt, ta); got[0] != want {
-					t.Errorf("%v.%v kernel(%d) = %d, oracle %d", op, dt, ta, got[0], want)
-				}
+				check(op.String()+" canonical", got[0], want)
+				dst := dt.MakeElems(1)
+				k.Unary(op)(dst, elem(dt, ta), 0, 1)
+				check(op.String()+" storage", load(dst), want)
 			}
 			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+				want := kernels.RefShift(op, dt, ta, amount)
+				var got [1]int64
 				kernels.Shift(op, dt)(got[:], []int64{ta}, amount, 0, 1)
-				if want := kernels.RefShift(op, dt, ta, amount); got[0] != want {
-					t.Errorf("%v.%v kernel(%d, amount=%d) = %d, oracle %d",
-						op, dt, ta, amount, got[0], want)
+				check(op.String()+" canonical", got[0], want)
+				dst := dt.MakeElems(1)
+				k.Shift(op)(dst, elem(dt, ta), amount, 0, 1)
+				check(op.String()+" storage", load(dst), want)
+			}
+			for _, ct := range fuzzTypes {
+				want := tb
+				if ct.Truncate(a) != 0 {
+					want = ta
 				}
+				dst := dt.MakeElems(1)
+				k.Select(ct)(dst, elem(ct, a), elem(dt, ta), elem(dt, tb), 0, 1)
+				check("select on "+ct.String(), load(dst), want)
 			}
 		}
 	})
+}
+
+// elem returns one-element dt storage holding v.
+func elem(dt isa.DataType, v int64) isa.Elems {
+	e := dt.MakeElems(1)
+	e.Store(0, []int64{v})
+	return e
+}
+
+// load returns the canonical value of one-element storage.
+func load(e isa.Elems) int64 {
+	var v [1]int64
+	e.Load(v[:], 0)
+	return v[0]
 }

@@ -13,7 +13,7 @@ type Object struct {
 	id           ObjID
 	dt           isa.DataType
 	n            int64
-	data         []int64 // canonical truncated values; nil in model-only mode
+	data         isa.Elems // n elements at dt's width; nil in model-only mode
 	elemsPerCore int64
 	activeCores  int
 }
@@ -42,9 +42,9 @@ type resourceManager struct {
 	nextID   ObjID
 	usedBits int64
 	// spares holds the storage of freed objects for reuse by allocations of
-	// the same length (see storage). Spare plus live storage never exceeds
-	// the device's peak live storage, and an idle device holds none.
-	spares [][]int64
+	// the same type and length (see storage). Spare plus live storage never
+	// exceeds the device's peak live storage, and an idle device holds none.
+	spares []isa.Elems
 	// spanBuf is the reusable span slice handed out by spans(). The
 	// dispatcher is single-threaded and every forSpans/spansCollect batch
 	// drains before the next dispatch, so one buffer per device suffices
@@ -65,8 +65,19 @@ func (rm *resourceManager) init(arch ArchModel, geo dram.Geometry, functional bo
 // alloc validates and performs one allocation: n elements of type dt spread
 // across all PIM cores. Object IDs are assigned from a sequential counter,
 // which makes allocation deterministic — the property command-stream replay
-// relies on to resolve recorded object references.
+// relies on to resolve recorded object references. A functional device gives
+// the object zeroed storage.
 func (rm *resourceManager) alloc(n int64, dt isa.DataType) (*Object, error) {
+	obj, err := rm.place(n, dt)
+	if err == nil && rm.functional {
+		obj.data = rm.storage(n, dt)
+	}
+	return obj, err
+}
+
+// place validates one allocation and enters it in the object table under
+// the next sequential ID, without storage.
+func (rm *resourceManager) place(n int64, dt isa.DataType) (*Object, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: element count %d", ErrBadArgument, n)
 	}
@@ -91,9 +102,6 @@ func (rm *resourceManager) alloc(n int64, dt isa.DataType) (*Object, error) {
 		elemsPerCore: elemsPerCore,
 		activeCores:  int((n + elemsPerCore - 1) / elemsPerCore),
 	}
-	if rm.functional {
-		obj.data = rm.storage(n)
-	}
 	rm.objs[obj.id] = obj
 	rm.nextID++
 	rm.usedBits += bits
@@ -104,8 +112,10 @@ func (rm *resourceManager) alloc(n int64, dt isa.DataType) (*Object, error) {
 // the replay path for optimized streams: dead-alloc elimination leaves gaps
 // in the recorded ID sequence, so surviving allocations must land on their
 // recorded IDs. The sequential counter advances past the given ID to keep
-// subsequent plain allocations collision-free.
-func (rm *resourceManager) allocAt(id ObjID, n int64, dt isa.DataType) (*Object, error) {
+// subsequent plain allocations collision-free. With withStorage false the
+// object gets no storage; snapshot restore attaches storage it builds as the
+// object's bytes arrive.
+func (rm *resourceManager) allocAt(id ObjID, n int64, dt isa.DataType, withStorage bool) (*Object, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("%w: object id %d", ErrBadArgument, int64(id))
 	}
@@ -115,9 +125,12 @@ func (rm *resourceManager) allocAt(id ObjID, n int64, dt isa.DataType) (*Object,
 	if rm.freed[id] {
 		return nil, fmt.Errorf("%w: object id %d was already freed", ErrBadArgument, int64(id))
 	}
-	obj, err := rm.alloc(n, dt)
+	obj, err := rm.place(n, dt)
 	if err != nil {
 		return nil, err
+	}
+	if withStorage && rm.functional {
+		obj.data = rm.storage(n, dt)
 	}
 	// Re-home the object from the sequential ID alloc assigned to the
 	// requested one.
@@ -149,23 +162,23 @@ func (rm *resourceManager) free(id ObjID) error {
 	return nil
 }
 
-// storage returns zeroed storage for n elements, reusing a spare of exactly
-// that length when one exists. An allocation that finds none drops every
-// spare before allocating fresh, so spare plus live storage stays equal to
-// the live storage right after the last fresh allocation — never above the
-// device's peak.
-func (rm *resourceManager) storage(n int64) []int64 {
+// storage returns zeroed storage for n elements of type dt, reusing a spare
+// of exactly that type and length when one exists. An allocation that finds
+// none drops every spare before allocating fresh, so spare plus live storage
+// stays equal to the live storage right after the last fresh allocation —
+// never above the device's peak.
+func (rm *resourceManager) storage(n int64, dt isa.DataType) isa.Elems {
 	for i := len(rm.spares) - 1; i >= 0; i-- {
-		if s := rm.spares[i]; int64(len(s)) == n {
+		if s := rm.spares[i]; s.Len() == n && s.Type() == dt {
 			last := len(rm.spares) - 1
 			rm.spares[i], rm.spares[last] = rm.spares[last], nil
 			rm.spares = rm.spares[:last]
-			clear(s)
+			s.Clear()
 			return s
 		}
 	}
 	rm.dropSpares()
-	return make([]int64, n)
+	return dt.MakeElems(n)
 }
 
 // dropSpares releases every spare to the garbage collector.

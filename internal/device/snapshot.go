@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"pimeval/internal/cmdstream"
@@ -481,7 +482,7 @@ func (sw *snapWriter) object(o *Object) error {
 				hi = o.n
 			}
 			buf := sw.pack[:int(hi-lo)*width]
-			o.dt.Pack(buf, o.data[lo:hi])
+			o.data.Pack(buf, lo, hi)
 			if err := sw.write(buf); err != nil {
 				return err
 			}
@@ -536,9 +537,14 @@ func (sr *snapReader) section(tag byte) ([]byte, error) {
 	if sr.rem > maxSnapSection {
 		return nil, fmt.Errorf("%w: section of %d bytes", ErrSnapshotCorrupt, sr.rem)
 	}
-	buf := make([]byte, sr.rem)
-	if err := sr.read(buf); err != nil {
-		return nil, err
+	// Grow the payload as it is read, not to the declared length.
+	var buf []byte
+	for sr.rem > 0 {
+		n := int(min(sr.rem, snapPackElems))
+		buf = slices.Grow(buf, n)[:len(buf)+n]
+		if err := sr.read(buf[len(buf)-n:]); err != nil {
+			return nil, err
+		}
 	}
 	return buf, sr.frameEnd()
 }
@@ -665,30 +671,33 @@ func (sr *snapReader) restoreObject(d *Device) error {
 		return fmt.Errorf("%w: object %d data flag %d on functional=%v device",
 			ErrSnapshotCorrupt, id, hasData, d.cfg.Functional)
 	}
-	// Check the frame's data length before allocating, so a corrupt
-	// element count cannot allocate storage the frame does not carry.
 	width := dt.Bytes()
 	if want := uint64(hasData) * uint64(n) * uint64(width); sr.rem != want {
 		return fmt.Errorf("%w: object %d: %d data bytes, want %d", ErrSnapshotCorrupt, id, sr.rem, want)
 	}
-	obj, err := d.res.allocAt(ObjID(id), int64(n), dt)
+	obj, err := d.res.allocAt(ObjID(id), int64(n), dt, false)
 	if err != nil {
 		return fmt.Errorf("%w: object %d: %v", ErrSnapshotCorrupt, id, err)
 	}
 	if hasData == 0 {
 		return nil
 	}
-	buf := make([]byte, snapPackElems*width)
+	// The frame's length only declares the data; a hostile frame may carry
+	// far less. Storage therefore grows as chunks arrive, at most doubling,
+	// so what a restore allocates stays proportional to the bytes read.
+	data := dt.MakeElems(0)
+	buf := make([]byte, min(obj.n, snapPackElems)*int64(width))
 	for lo := int64(0); lo < obj.n; lo += snapPackElems {
-		hi := lo + snapPackElems
-		if hi > obj.n {
-			hi = obj.n
-		}
+		hi := min(lo+snapPackElems, obj.n)
 		chunk := buf[:int(hi-lo)*width]
 		if err := sr.read(chunk); err != nil {
 			return err
 		}
-		dt.Unpack(obj.data[lo:hi], chunk)
+		if hi > data.Len() {
+			data = data.Grow(min(obj.n, max(hi, 2*data.Len())))
+		}
+		data.Unpack(chunk, lo, hi)
 	}
+	obj.data = data
 	return nil
 }

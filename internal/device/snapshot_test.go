@@ -3,10 +3,12 @@ package device
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -278,6 +280,58 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	}
 }
 
+// hostileObjectSnapshot returns a snapshot of a functional device whose
+// one object frame declares 2^24 int8 elements (a length the device's
+// capacity admits) but carries only 16 data bytes before the input ends.
+func hostileObjectSnapshot(t testing.TB) []byte {
+	t.Helper()
+	d, err := New(Config{Target: TargetFulcrum, Module: dram.DDR4(1), Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	buf.WriteByte(snapVersion)
+	sw := &snapWriter{w: &buf}
+	if err := sw.json(snapTagMeta, snapMeta{Stream: d.streamHeader(), NextID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 24
+	hdr := binary.AppendUvarint(nil, 1)
+	hdr = binary.AppendUvarint(hdr, uint64(len("int8")))
+	hdr = append(hdr, "int8"...)
+	hdr = binary.AppendUvarint(hdr, n)
+	hdr = append(hdr, 1)
+	if err := sw.frameStart(snapTagObject, uint64(len(hdr))+n); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.write(append(hdr, make([]byte, 16)...)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotRestoreAllocatesWhatArrives checks that restoring an object
+// frame allocates in proportion to the data bytes actually present, not to
+// the element count the frame declares: the hostile snapshot must fail as
+// truncated having allocated well under the 16 MiB its declared object
+// would take.
+func TestSnapshotRestoreAllocatesWhatArrives(t *testing.T) {
+	in := hostileObjectSnapshot(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := RestoreSnapshot(bytes.NewReader(in), 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("restore of a %d-byte snapshot declaring 2^24 elements: %v, want ErrSnapshotTruncated", len(in), err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 4<<20 {
+		t.Errorf("restore of a %d-byte snapshot allocated %d bytes, want < 4 MiB", len(in), got)
+	}
+	t.Logf("restore of a %d-byte snapshot allocated %d bytes", len(in), got)
+}
+
 // FuzzRestoreSnapshot feeds arbitrary bytes to RestoreSnapshot, seeded with
 // real snapshots of every battery variant. Each input must either fail with
 // an error wrapping a snapshot sentinel or restore a device whose snapshot
@@ -287,6 +341,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Add(snapshotBytes(f, buildSnapDevice(f, v), 42))
 	}
 	f.Add(snapshotBytes(f, goldenSnapDevice(f), 3))
+	f.Add(hostileObjectSnapshot(f))
 	f.Add([]byte(snapMagic))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, cursor, err := RestoreSnapshot(bytes.NewReader(in), 1)

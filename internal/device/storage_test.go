@@ -12,18 +12,81 @@ import (
 	"pimeval/internal/isa"
 )
 
-// Tests for object storage lifetime: a freed object's storage is a spare
-// that a later allocation of the same length reuses, and the device drops
-// every spare when an allocation finds none of its length or when its last
-// live object is freed.
+// Tests for object storage width and lifetime: an object stores n elements
+// at its type's width, a freed object's storage is a spare that a later
+// allocation of the same type and length reuses, and the device drops every
+// spare when an allocation finds none of its type and length or when its
+// last live object is freed.
 
-// spareElems returns the element count the device holds as spares.
-func spareElems(d *Device) int64 {
+// spareBytes returns the storage bytes the device holds as spares.
+func spareBytes(d *Device) int64 {
 	var n int64
 	for _, s := range d.res.spares {
-		n += int64(len(s))
+		n += s.Len() * int64(s.Type().Bytes())
 	}
 	return n
+}
+
+// TestObjectStorageWidth checks that a functional object holds its
+// elements at the type's width: 2^20 uint8 elements take about 1 MiB of
+// heap, not the 8 MiB of int64 carriers.
+func TestObjectStorageWidth(t *testing.T) {
+	d := newDev(t, TargetFulcrum)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	id, err := d.Alloc(1<<20, isa.UInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 2<<20 {
+		t.Errorf("allocating 2^20 uint8 elements grew the heap by %d bytes, want < 2 MiB", grew)
+	}
+	o, err := d.Object(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.data.Len() != 1<<20 || o.data.Type() != isa.UInt8 {
+		t.Errorf("storage holds %d %v elements", o.data.Len(), o.data.Type())
+	}
+}
+
+// TestObjectStorageReuseByTypeAndLength checks that a spare serves only an
+// allocation of its own type and length: an equal-length allocation of
+// another type of the same width allocates fresh storage and drops the
+// spare, and one of the spare's type takes it.
+func TestObjectStorageReuseByTypeAndLength(t *testing.T) {
+	d := newDev(t, TargetFulcrum)
+	alloc := func(dt isa.DataType) *Object {
+		t.Helper()
+		id, err := d.Alloc(300, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _ := d.Object(id)
+		return o
+	}
+	free := func(o *Object) {
+		t.Helper()
+		if err := d.Free(o.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc(isa.Int64) // a keeper stays live, so each free leaves a spare
+	free(alloc(isa.UInt8))
+	b := alloc(isa.Int8)
+	if b.data.Type() != isa.Int8 || len(d.res.spares) != 0 {
+		t.Fatalf("int8 allocation over a uint8 spare got %v storage, %d spares left",
+			b.data.Type(), len(d.res.spares))
+	}
+	stored := &b.data.(isa.Slice[int8])[0]
+	free(b)
+	c := alloc(isa.Int8)
+	if &c.data.(isa.Slice[int8])[0] != stored || len(d.res.spares) != 0 {
+		t.Fatal("int8 allocation did not take the int8 spare of its length")
+	}
 }
 
 // TestObjectStorageReallocReadsZero checks that an object allocated into a
@@ -75,11 +138,11 @@ func TestObjectStorageReallocReadsZero(t *testing.T) {
 					}
 					tolerate(d.CopyHostToDevice(id, pattern))
 					tolerate(d.ExecScalar(isa.OpXor, id, -1, id))
-					data := d.res.objs[id].data
+					data := d.res.objs[id].data.(isa.Slice[int64])
 					if err := d.Free(id); err != nil {
 						t.Fatal(err)
 					}
-					if len(d.res.spares) != 1 || &d.res.spares[0][0] != &data[0] {
+					if len(d.res.spares) != 1 || &d.res.spares[0].(isa.Slice[int64])[0] != &data[0] {
 						t.Fatalf("round %d: freed storage not kept as the one spare", round)
 					}
 				}
@@ -89,39 +152,41 @@ func TestObjectStorageReallocReadsZero(t *testing.T) {
 }
 
 // TestObjectStorageBoundedByPeakLive runs a seeded random alloc/free
-// sequence of mixed lengths and checks after every step that spare plus
-// live storage never exceeds the peak live storage.
+// sequence of mixed types and lengths and checks after every step that
+// spare plus live storage bytes never exceed the peak live storage, and
+// that allocations do reuse spares of their type and length.
 func TestObjectStorageBoundedByPeakLive(t *testing.T) {
 	d := newDev(t, TargetBankLevel)
 	rng := rand.New(rand.NewSource(3))
 	lengths := []int64{1, 100, 4096, 5000, 8192}
+	types := []isa.DataType{isa.Int32, isa.UInt32, isa.UInt8}
 	var live []ObjID
-	var liveElems, peak, reused int64
+	var liveBytes, peak, reused int64
 	for step := 0; step < 5000; step++ {
 		if len(live) == 0 || (len(live) < 12 && rng.Intn(2) == 0) {
-			n := lengths[rng.Intn(len(lengths))]
-			before := spareElems(d)
-			id, err := d.Alloc(n, isa.Int32)
+			n, dt := lengths[rng.Intn(len(lengths))], types[rng.Intn(len(types))]
+			before := len(d.res.spares)
+			id, err := d.Alloc(n, dt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spareElems(d) == before-n {
+			if len(d.res.spares) == before-1 {
 				reused++
 			}
 			live = append(live, id)
-			liveElems += n
-			peak = max(peak, liveElems)
+			liveBytes += n * int64(dt.Bytes())
+			peak = max(peak, liveBytes)
 		} else {
 			i := rng.Intn(len(live))
 			o, _ := d.Object(live[i])
-			liveElems -= o.Len()
+			liveBytes -= o.Bytes()
 			if err := d.Free(live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
 		}
-		if s := spareElems(d); s+liveElems > peak {
-			t.Fatalf("step %d: spare %d + live %d elements exceed the peak %d", step, s, liveElems, peak)
+		if s := spareBytes(d); s+liveBytes > peak {
+			t.Fatalf("step %d: spare %d + live %d bytes exceed the peak %d", step, s, liveBytes, peak)
 		}
 	}
 	if reused == 0 {

@@ -207,8 +207,9 @@ func (in *Injector) scope() (lo, hi int) {
 
 // Region describes one device memory write for injection: the destination
 // object's storage and layout, plus the written element range [Lo, Hi).
+// Faults act on Data's stored bits, Type.Bits() per element.
 type Region struct {
-	Data         []int64
+	Data         isa.Elems
 	Type         isa.DataType
 	Lo, Hi       int64
 	ElemsPerCore int64
@@ -226,13 +227,13 @@ type Region struct {
 func (in *Injector) InjectWrite(r Region) (Counts, error) {
 	in.seq++
 	var delta Counts
-	if len(r.Data) == 0 || r.Hi <= r.Lo {
+	if r.Data == nil || r.Data.Len() == 0 || r.Hi <= r.Lo {
 		return delta, nil
 	}
 	b := int64(r.Type.Bits())
 	epc := r.ElemsPerCore
 	if epc <= 0 {
-		epc = int64(len(r.Data))
+		epc = r.Data.Len()
 	}
 	scopeLo, scopeHi := in.scope()
 
@@ -260,7 +261,7 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 				failedElems[i] = true
 				if !in.cfg.ECC {
 					g := mix2(uint64(in.cfg.Seed)^in.seq, 0xdead_c07e+uint64(i))
-					r.Data[i] = r.Type.Truncate(int64(g))
+					r.Data.SetBits(i, g)
 				}
 			}
 		}
@@ -280,7 +281,7 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 		}
 		if stuck {
 			// Stuck bit: only a mismatch with the written value is an error.
-			cur := uint64(r.Data[elem]) >> uint(bit) & 1
+			cur := r.Data.Bits(elem) >> uint(bit) & 1
 			want := uint64(0)
 			if stuckVal {
 				want = 1
@@ -316,7 +317,7 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 			continue
 		}
 		elem := int64(s.core)*epc + int64(s.elemFrac*float64(epc))
-		if elem < r.Lo || elem >= r.Hi || elem >= int64(len(r.Data)) {
+		if elem < r.Lo || elem >= r.Hi || elem >= r.Data.Len() {
 			continue
 		}
 		bit := int64(s.bitFrac * float64(b))
@@ -336,10 +337,10 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 	epw := 64 / b // elements per 64-bit word
 	for _, w := range words {
 		mask := flips[w]
-		clean := gatherWord(r.Data, r.Type, w, epw)
+		clean := gatherWord(r.Data, w, epw, b)
 		dirty := clean ^ mask
 		if !in.cfg.ECC {
-			scatterWord(r.Data, r.Type, w, epw, dirty)
+			scatterWord(r.Data, w, epw, b, dirty)
 			delta.Silent++
 			continue
 		}
@@ -349,14 +350,14 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 		case status == ECCDetected:
 			// Data lost: leave the corrupted word in memory and fail the
 			// operation.
-			scatterWord(r.Data, r.Type, w, epw, dirty)
+			scatterWord(r.Data, w, epw, b, dirty)
 			delta.Detected++
 			uncorrectable = true
 		case decoded == clean:
 			delta.Corrected++
 		default:
 			// A 3+-bit error aliased into a "correction" of the wrong bit.
-			scatterWord(r.Data, r.Type, w, epw, decoded)
+			scatterWord(r.Data, w, epw, b, decoded)
 			delta.Silent++
 		}
 	}
@@ -368,39 +369,29 @@ func (in *Injector) InjectWrite(r Region) (Counts, error) {
 	return delta, nil
 }
 
-// gatherWord assembles 64-bit logical word w from epw consecutive elements
-// (missing tail elements read as zero).
-func gatherWord(data []int64, dt isa.DataType, w, epw int64) uint64 {
-	b := uint(dt.Bits())
-	mask := ^uint64(0)
-	if b < 64 {
-		mask = 1<<b - 1
-	}
+// gatherWord assembles 64-bit logical word w from the stored bits of epw
+// consecutive b-bit elements (missing tail elements read as zero).
+func gatherWord(data isa.Elems, w, epw, b int64) uint64 {
 	var v uint64
 	for k := int64(0); k < epw; k++ {
 		e := w*epw + k
-		if e >= int64(len(data)) {
+		if e >= data.Len() {
 			break
 		}
-		v |= (uint64(data[e]) & mask) << (uint(k) * b)
+		v |= data.Bits(e) << uint(k*b)
 	}
 	return v
 }
 
-// scatterWord writes 64-bit logical word w back into its elements,
-// re-truncating each to canonical form.
-func scatterWord(data []int64, dt isa.DataType, w, epw int64, v uint64) {
-	b := uint(dt.Bits())
-	mask := ^uint64(0)
-	if b < 64 {
-		mask = 1<<b - 1
-	}
+// scatterWord stores 64-bit logical word w back into its elements, each
+// keeping its b bits of the word.
+func scatterWord(data isa.Elems, w, epw, b int64, v uint64) {
 	for k := int64(0); k < epw; k++ {
 		e := w*epw + k
-		if e >= int64(len(data)) {
+		if e >= data.Len() {
 			break
 		}
-		data[e] = dt.Truncate(int64(v >> (uint(k) * b) & mask))
+		data.SetBits(e, v>>uint(k*b))
 	}
 }
 

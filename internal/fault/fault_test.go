@@ -9,16 +9,33 @@ import (
 	"pimeval/internal/isa"
 )
 
-// region builds a Region over fresh data with a simple 4-core layout.
+// region builds a Region over fresh zeroed storage with a simple 4-core
+// layout.
 func region(dt isa.DataType, n int64) Region {
 	return Region{
-		Data:         make([]int64, n),
+		Data:         dt.MakeElems(n),
 		Type:         dt,
 		Lo:           0,
 		Hi:           n,
 		ElemsPerCore: (n + 3) / 4,
 		ActiveCores:  4,
 	}
+}
+
+// values returns the region's elements as canonical carriers.
+func values(r Region) []int64 {
+	v := make([]int64, r.Data.Len())
+	r.Data.Load(v, 0)
+	return v
+}
+
+// fill stores f(j) into every element j of the region.
+func fill(r Region, f func(j int) int64) {
+	v := make([]int64, r.Data.Len())
+	for j := range v {
+		v[j] = f(j)
+	}
+	r.Data.Store(0, v)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -66,13 +83,11 @@ func TestInjectDeterministic(t *testing.T) {
 		var last []int64
 		for i := 0; i < 5; i++ {
 			r := region(isa.Int32, 4096)
-			for j := range r.Data {
-				r.Data[j] = int64(int32(j * 2654435761))
-			}
+			fill(r, func(j int) int64 { return int64(int32(j * 2654435761)) })
 			if _, err := in.InjectWrite(r); err != nil {
 				t.Fatal(err)
 			}
-			last = r.Data
+			last = values(r)
 		}
 		return last, in.Counts()
 	}
@@ -97,10 +112,8 @@ func TestInjectRateZeroNoFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := region(isa.Int16, 1024)
-	for j := range r.Data {
-		r.Data[j] = int64(int16(j))
-	}
-	want := append([]int64(nil), r.Data...)
+	fill(r, func(j int) int64 { return int64(int16(j)) })
+	want := values(r)
 	delta, err := in.InjectWrite(r)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +121,7 @@ func TestInjectRateZeroNoFaults(t *testing.T) {
 	if delta.Any() {
 		t.Errorf("unexpected fault counts: %+v", delta)
 	}
-	if !reflect.DeepEqual(r.Data, want) {
+	if !reflect.DeepEqual(values(r), want) {
 		t.Error("data modified with no fault sources configured")
 	}
 }
@@ -124,10 +137,8 @@ func TestECCCorrectsInjectedSingles(t *testing.T) {
 	corrected := int64(0)
 	for i := 0; i < 50; i++ {
 		r := region(isa.Int64, 2048)
-		for j := range r.Data {
-			r.Data[j] = int64(j) * 0x9e3779b9
-		}
-		want := append([]int64(nil), r.Data...)
+		fill(r, func(j int) int64 { return int64(j) * 0x9e3779b9 })
+		want := values(r)
 		delta, err := in.InjectWrite(r)
 		if err != nil {
 			// A double flip in one word is possible; skip that write.
@@ -139,7 +150,7 @@ func TestECCCorrectsInjectedSingles(t *testing.T) {
 		if delta.Silent != 0 {
 			t.Fatalf("write %d: silent corruption under ECC: %+v", i, delta)
 		}
-		if !reflect.DeepEqual(r.Data, want) {
+		if !reflect.DeepEqual(values(r), want) {
 			t.Fatalf("write %d: data corrupted despite full correction", i)
 		}
 		corrected += delta.Corrected
@@ -157,7 +168,7 @@ func TestNoECCSilentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := region(isa.Int32, 8192)
-	want := append([]int64(nil), r.Data...)
+	want := values(r)
 	delta, err := in.InjectWrite(r)
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +176,10 @@ func TestNoECCSilentCorruption(t *testing.T) {
 	if delta.TransientFlips == 0 || delta.Silent == 0 {
 		t.Fatalf("expected silent corruption, got %+v", delta)
 	}
-	if reflect.DeepEqual(r.Data, want) {
+	if reflect.DeepEqual(values(r), want) {
 		t.Error("data unchanged despite injected flips")
 	}
-	for _, v := range r.Data {
+	for _, v := range values(r) {
 		if v != isa.Int32.Truncate(v) {
 			t.Fatalf("non-canonical value %#x after injection", v)
 		}
@@ -204,7 +215,7 @@ func TestFailedCoreNoECC(t *testing.T) {
 		if _, err := in.InjectWrite(r); err != nil {
 			t.Fatalf("no-ECC failed core must not error: %v", err)
 		}
-		return r.Data, in.Counts()
+		return values(r), in.Counts()
 	}
 	d1, c1 := mk()
 	d2, c2 := mk()
@@ -226,18 +237,19 @@ func TestScopeLimitsInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := region(isa.Int32, 4096)
-	want := append([]int64(nil), r.Data...)
+	want := values(r)
 	if _, err := in.InjectWrite(r); err != nil {
 		t.Fatal(err)
 	}
 	epc := r.ElemsPerCore
 	changed := false
-	for i := int64(0); i < int64(len(r.Data)); i++ {
-		inScope := i >= epc && i < 2*epc
-		if !inScope && r.Data[i] != want[i] {
+	got := values(r)
+	for i := range got {
+		inScope := int64(i) >= epc && int64(i) < 2*epc
+		if !inScope && got[i] != want[i] {
 			t.Fatalf("element %d outside scope [%d,%d) was corrupted", i, epc, 2*epc)
 		}
-		if inScope && r.Data[i] != want[i] {
+		if inScope && got[i] != want[i] {
 			changed = true
 		}
 	}
@@ -256,14 +268,12 @@ func TestStuckBitPersists(t *testing.T) {
 	firstPos := map[int]bool{}
 	for w := 0; w < 2; w++ {
 		r := region(isa.UInt8, 1024)
-		for j := range r.Data {
-			r.Data[j] = 0 // all-zero write: stuck-at-1 bits must surface
-		}
+		// Fresh storage is an all-zero write: stuck-at-1 bits must surface.
 		if _, err := in.InjectWrite(r); err != nil {
 			t.Fatal(err)
 		}
 		pos := map[int]bool{}
-		for i, v := range r.Data {
+		for i, v := range values(r) {
 			if v != 0 {
 				pos[i] = true
 			}

@@ -8,10 +8,7 @@
 // by the benchmarks.
 package isa
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Op identifies a PIM command.
 type Op int
@@ -216,30 +213,6 @@ func (t DataType) Truncate(v int64) int64 {
 	return v
 }
 
-// TruncateInto writes Truncate(src[i]) into dst[i] for every element of
-// src; dst must hold len(src) elements and may be src itself. The type
-// switch runs once per call and the loop converts through the element's
-// machine type, so a bulk copy into an object pays no per-element table
-// lookups or variable shifts.
-func (t DataType) TruncateInto(dst, src []int64) {
-	switch t {
-	case Int8:
-		truncateInto[int8](dst, src)
-	case UInt8:
-		truncateInto[uint8](dst, src)
-	case Int16:
-		truncateInto[int16](dst, src)
-	case UInt16:
-		truncateInto[uint16](dst, src)
-	case Int32:
-		truncateInto[int32](dst, src)
-	case UInt32:
-		truncateInto[uint32](dst, src)
-	default:
-		copy(dst[:len(src)], src)
-	}
-}
-
 // Fits reports whether every value is already truncated to the type's
 // width, i.e. Truncate(v) == v for all of vals.
 func (t DataType) Fits(vals []int64) bool {
@@ -266,13 +239,6 @@ type narrow interface {
 	~int8 | ~int16 | ~int32 | ~uint8 | ~uint16 | ~uint32
 }
 
-func truncateInto[T narrow](dst, src []int64) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = int64(T(v))
-	}
-}
-
 func fits[T narrow](vals []int64) bool {
 	for _, v := range vals {
 		if v != int64(T(v)) {
@@ -285,111 +251,33 @@ func fits[T narrow](vals []int64) bool {
 // Pack writes vals into dst little-endian at the type's width, Bytes()
 // bytes per element; dst must hold len(vals)*Bytes() bytes. Each element
 // keeps only its low Bytes() bytes, so Unpack(Pack(v)) == Truncate(v). This
-// is the element packing of both the PIMB stream and the PIMS snapshot wire
-// formats.
-//
-// Pack and Unpack reslice the byte side to exactly len(vals)*Bytes() and
-// then walk it one element width at a time. The walk's length test cannot
-// fail after the reslice, but it is what lets the compiler prove every
-// element load and store in bounds, so the loop bodies carry no bounds
-// checks.
+// is the element packing of the PIMB stream format; PIMS snapshots pack
+// object storage through the same loops (Slice.Pack).
 func (t DataType) Pack(dst []byte, vals []int64) {
-	switch t.Bytes() {
-	case 1:
-		dst = dst[:len(vals)]
-		for i, v := range vals {
-			dst[i] = byte(v)
-		}
-	case 2:
-		dst = dst[:len(vals)*2]
-		for _, v := range vals {
-			if len(dst) < 2 {
-				break
-			}
-			binary.LittleEndian.PutUint16(dst, uint16(v))
-			dst = dst[2:]
-		}
-	case 4:
-		dst = dst[:len(vals)*4]
-		for _, v := range vals {
-			if len(dst) < 4 {
-				break
-			}
-			binary.LittleEndian.PutUint32(dst, uint32(v))
-			dst = dst[4:]
-		}
-	default:
-		dst = dst[:len(vals)*8]
-		for _, v := range vals {
-			if len(dst) < 8 {
-				break
-			}
-			binary.LittleEndian.PutUint64(dst, uint64(v))
-			dst = dst[8:]
-		}
-	}
+	pack(t.Bytes(), dst, vals)
 }
 
 // Unpack reads len(dst) elements packed by Pack from src, sign- or
 // zero-extending each exactly as Truncate does. It is the hot loop of
-// stream decode: one loop per type, bounds checks hoisted as in Pack.
+// stream decode: one loop per type, bounds checks hoisted as in pack.
 func (t DataType) Unpack(dst []int64, src []byte) {
 	switch t {
 	case Int8:
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = int64(int8(src[i]))
-		}
+		unpack[int64, int8](dst, src)
 	case UInt8:
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] = int64(src[i])
-		}
+		unpack[int64, uint8](dst, src)
 	case Int16:
-		src = src[:len(dst)*2]
-		for i := range dst {
-			if len(src) < 2 {
-				break
-			}
-			dst[i] = int64(int16(binary.LittleEndian.Uint16(src)))
-			src = src[2:]
-		}
+		unpack[int64, int16](dst, src)
 	case UInt16:
-		src = src[:len(dst)*2]
-		for i := range dst {
-			if len(src) < 2 {
-				break
-			}
-			dst[i] = int64(binary.LittleEndian.Uint16(src))
-			src = src[2:]
-		}
+		unpack[int64, uint16](dst, src)
 	case Int32:
-		src = src[:len(dst)*4]
-		for i := range dst {
-			if len(src) < 4 {
-				break
-			}
-			dst[i] = int64(int32(binary.LittleEndian.Uint32(src)))
-			src = src[4:]
-		}
+		unpack[int64, int32](dst, src)
 	case UInt32:
-		src = src[:len(dst)*4]
-		for i := range dst {
-			if len(src) < 4 {
-				break
-			}
-			dst[i] = int64(binary.LittleEndian.Uint32(src))
-			src = src[4:]
-		}
+		unpack[int64, uint32](dst, src)
+	case Int64:
+		unpack[int64, int64](dst, src)
 	default:
-		src = src[:len(dst)*8]
-		for i := range dst {
-			if len(src) < 8 {
-				break
-			}
-			dst[i] = int64(binary.LittleEndian.Uint64(src))
-			src = src[8:]
-		}
+		unpack[int64, uint64](dst, src)
 	}
 }
 

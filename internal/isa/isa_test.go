@@ -163,11 +163,13 @@ func TestCommandName(t *testing.T) {
 }
 
 // FuzzElementConversions checks the bulk element conversions against their
-// per-element definitions for a fuzzed type and fuzzed values: TruncateInto
-// against Truncate (into a separate slice and in place), Fits against
-// "Truncate(v) == v for every v", and Unpack(Pack(v)) against Truncate(v),
-// with Pack writing exactly len(v)*Bytes() bytes. The value count is
-// len(data)/8 rounded up, so odd counts are covered.
+// per-element definitions for a fuzzed type and fuzzed values: element
+// storage's Store then Load against Truncate (also at an offset), Fits
+// against "Truncate(v) == v for every v", Unpack(Pack(v)) against
+// Truncate(v) with Pack writing exactly len(v)*Bytes() bytes, and storage's
+// Pack writing the same bytes as DataType.Pack, Unpack restoring the stored
+// elements and Bits/SetBits round-tripping each element's bits. The value
+// count is len(data)/8 rounded up, so odd counts are covered.
 func FuzzElementConversions(f *testing.F) {
 	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
@@ -189,15 +191,16 @@ func FuzzElementConversions(f *testing.F) {
 			fits = fits && want[i] == v
 		}
 
-		got := make([]int64, len(vals))
-		dt.TruncateInto(got, vals)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%v: TruncateInto(%v) = %v, want %v", dt, vals, got, want)
+		n := int64(len(vals))
+		store := dt.MakeElems(n + 3)
+		if store.Type() != dt || store.Len() != n+3 {
+			t.Fatalf("%v: MakeElems made %v of %d", dt, store.Type(), store.Len())
 		}
-		inPlace := slices.Clone(vals)
-		dt.TruncateInto(inPlace, inPlace)
-		if !slices.Equal(inPlace, want) {
-			t.Fatalf("%v: in-place TruncateInto(%v) = %v, want %v", dt, vals, inPlace, want)
+		store.Store(2, vals)
+		got := make([]int64, n+3)
+		store.Load(got, 0)
+		if !slices.Equal(got[2:2+n], want) || got[0] != 0 || got[1] != 0 || got[n+2] != 0 {
+			t.Fatalf("%v: Load(Store(%v) at 2) = %v, want %v inside zeros", dt, vals, got, want)
 		}
 		if dt.Fits(vals) != fits {
 			t.Fatalf("%v: Fits(%v) = %v, want %v", dt, vals, !fits, fits)
@@ -222,6 +225,26 @@ func FuzzElementConversions(f *testing.F) {
 		dt.Unpack(unpacked, buf)
 		if !slices.Equal(unpacked, want) {
 			t.Fatalf("%v: Unpack(Pack(%v)) = %v, want %v", dt, vals, unpacked, want)
+		}
+
+		stored := make([]byte, len(buf))
+		copy(stored, buf)
+		store.Pack(stored, 2, 2+n)
+		if !slices.Equal(stored, buf) {
+			t.Fatalf("%v: storage Pack = %x, DataType.Pack = %x", dt, stored, buf)
+		}
+		back := dt.MakeElems(n).Grow(n + 1)
+		back.Unpack(buf, 0, n)
+		for i := int64(0); i < n; i++ {
+			if back.Bits(i) != store.Bits(i+2) {
+				t.Fatalf("%v: element %d unpacks to bits %#x, stored %#x", dt, i, back.Bits(i), store.Bits(i+2))
+			}
+			back.SetBits(i, back.Bits(i)^1)
+			back.SetBits(i, back.Bits(i)^1)
+		}
+		back.Load(got[:n], 0)
+		if !slices.Equal(got[:n], want) {
+			t.Fatalf("%v: storage Unpack = %v, want %v", dt, got[:n], want)
 		}
 	})
 }
@@ -261,11 +284,12 @@ func BenchmarkUnpack(b *testing.B) {
 	})
 }
 
-func BenchmarkTruncateInto(b *testing.B) {
+// BenchmarkStore measures the h2d narrowing store into element storage.
+func BenchmarkStore(b *testing.B) {
 	benchTypes(b, func(b *testing.B, dt DataType, vals []int64) {
-		dst := make([]int64, len(vals))
+		dst := dt.MakeElems(int64(len(vals)))
 		for i := 0; i < b.N; i++ {
-			dt.TruncateInto(dst, vals)
+			dst.Store(0, vals)
 		}
 	})
 }

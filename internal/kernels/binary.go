@@ -1,70 +1,71 @@
 package kernels
 
 // Element-wise binary kernels and their scalar-broadcast twins. Each body is
-// the whole semantics of one (op, type) pair: the int64 → T conversion
+// the whole semantics of one (op, type) pair: the S → T conversion
 // truncates to the element width, T arithmetic wraps natively, and the
-// T → int64 conversion re-extends to the canonical carrier. Comparison ops
-// write 0/1 masks, canonical under every destination type.
+// T → S conversion stores the result (re-extending it into the canonical
+// carrier when S is int64). Comparison ops write 0/1 masks into a
+// destination of any element type D.
 
-func addK[T lane](dst, a, b []int64, lo, hi int64) {
+func addK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) + T(b[i]))
+		dst[i] = S(T(a[i]) + T(b[i]))
 	}
 }
 
-func subK[T lane](dst, a, b []int64, lo, hi int64) {
+func subK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) - T(b[i]))
+		dst[i] = S(T(a[i]) - T(b[i]))
 	}
 }
 
-func mulK[T lane](dst, a, b []int64, lo, hi int64) {
+func mulK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) * T(b[i]))
+		dst[i] = S(T(a[i]) * T(b[i]))
 	}
 }
 
-func andK[T lane](dst, a, b []int64, lo, hi int64) {
+func andK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) & T(b[i]))
+		dst[i] = S(T(a[i]) & T(b[i]))
 	}
 }
 
-func orK[T lane](dst, a, b []int64, lo, hi int64) {
+func orK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) | T(b[i]))
+		dst[i] = S(T(a[i]) | T(b[i]))
 	}
 }
 
-func xorK[T lane](dst, a, b []int64, lo, hi int64) {
+func xorK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) ^ T(b[i]))
+		dst[i] = S(T(a[i]) ^ T(b[i]))
 	}
 }
 
-func xnorK[T lane](dst, a, b []int64, lo, hi int64) {
+func xnorK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(^(T(a[i]) ^ T(b[i])))
+		dst[i] = S(^(T(a[i]) ^ T(b[i])))
 	}
 }
 
-// minK/maxK return the original canonical operand (identical to its
-// round trip through T), matching the reference's Compare-and-pick.
-func minK[T lane](dst, a, b []int64, lo, hi int64) {
+// minK/maxK store the original operand (identical to its round trip
+// through T), matching the reference's Compare-and-pick.
+func minK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -76,7 +77,7 @@ func minK[T lane](dst, a, b []int64, lo, hi int64) {
 	}
 }
 
-func maxK[T lane](dst, a, b []int64, lo, hi int64) {
+func maxK[S, T lane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -88,7 +89,7 @@ func maxK[T lane](dst, a, b []int64, lo, hi int64) {
 	}
 }
 
-func ltK[T lane](dst, a, b []int64, lo, hi int64) {
+func ltK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -100,7 +101,7 @@ func ltK[T lane](dst, a, b []int64, lo, hi int64) {
 	}
 }
 
-func gtK[T lane](dst, a, b []int64, lo, hi int64) {
+func gtK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -112,7 +113,7 @@ func gtK[T lane](dst, a, b []int64, lo, hi int64) {
 	}
 }
 
-func eqK[T lane](dst, a, b []int64, lo, hi int64) {
+func eqK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -128,14 +129,14 @@ func eqK[T lane](dst, a, b []int64, lo, hi int64) {
 // division by zero yields the all-ones magnitude quotient sign-adjusted by
 // the dividend (canonically -1 for non-negative, +1 for negative dividends),
 // and MinInt / -1 wraps back to MinInt — which Go's native division provides.
-func divSK[T signedLane](dst, a, b []int64, lo, hi int64) {
+func divSK[S, T signedLane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		x, y := T(a[i]), T(b[i])
 		switch {
 		case y != 0:
-			dst[i] = int64(x / y)
+			dst[i] = S(x / y)
 		case x < 0:
 			dst[i] = 1
 		default:
@@ -145,110 +146,110 @@ func divSK[T signedLane](dst, a, b []int64, lo, hi int64) {
 }
 
 // divUK: unsigned division by zero yields the all-ones quotient.
-func divUK[T unsignedLane](dst, a, b []int64, lo, hi int64) {
+func divUK[S lane, T unsignedLane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		if y := T(b[i]); y != 0 {
-			dst[i] = int64(T(a[i]) / y)
+			dst[i] = S(T(a[i]) / y)
 		} else {
-			dst[i] = int64(^T(0))
+			dst[i] = S(^T(0))
 		}
 	}
 }
 
 // Scalar-broadcast forms: the scalar converts to T once, outside the loop.
 
-func addSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func addSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) + y)
+		dst[i] = S(T(a[i]) + y)
 	}
 }
 
-func subSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func subSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) - y)
+		dst[i] = S(T(a[i]) - y)
 	}
 }
 
-func mulSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func mulSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) * y)
+		dst[i] = S(T(a[i]) * y)
 	}
 }
 
-func andSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func andSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) & y)
+		dst[i] = S(T(a[i]) & y)
 	}
 }
 
-func orSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func orSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) | y)
+		dst[i] = S(T(a[i]) | y)
 	}
 }
 
-func xorSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func xorSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(T(a[i]) ^ y)
+		dst[i] = S(T(a[i]) ^ y)
 	}
 }
 
-func xnorSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func xnorSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = int64(^(T(a[i]) ^ y))
+		dst[i] = S(^(T(a[i]) ^ y))
 	}
 }
 
-func minSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func minSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
-	y := T(s)
+	y, ys := T(s), S(s)
 	for i := range dst {
 		if T(a[i]) <= y {
 			dst[i] = a[i]
 		} else {
-			dst[i] = s
+			dst[i] = ys
 		}
 	}
 }
 
-func maxSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func maxSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
-	y := T(s)
+	y, ys := T(s), S(s)
 	for i := range dst {
 		if T(a[i]) >= y {
 			dst[i] = a[i]
 		} else {
-			dst[i] = s
+			dst[i] = ys
 		}
 	}
 }
 
-func ltSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func ltSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -261,7 +262,7 @@ func ltSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 	}
 }
 
-func gtSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func gtSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -274,7 +275,7 @@ func gtSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 	}
 }
 
-func eqSK[T lane](dst, a []int64, s int64, lo, hi int64) {
+func eqSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -287,7 +288,7 @@ func eqSK[T lane](dst, a []int64, s int64, lo, hi int64) {
 	}
 }
 
-func divSSK[T signedLane](dst, a []int64, s int64, lo, hi int64) {
+func divSSK[S, T signedLane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -302,22 +303,22 @@ func divSSK[T signedLane](dst, a []int64, s int64, lo, hi int64) {
 		return
 	}
 	for i := range dst {
-		dst[i] = int64(T(a[i]) / y)
+		dst[i] = S(T(a[i]) / y)
 	}
 }
 
-func divUSK[T unsignedLane](dst, a []int64, s int64, lo, hi int64) {
+func divUSK[S lane, T unsignedLane](dst, a []S, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	if y == 0 {
-		allOnes := int64(^T(0))
+		allOnes := S(^T(0))
 		for i := range dst {
 			dst[i] = allOnes
 		}
 		return
 	}
 	for i := range dst {
-		dst[i] = int64(T(a[i]) / y)
+		dst[i] = S(T(a[i]) / y)
 	}
 }

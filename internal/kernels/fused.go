@@ -4,15 +4,15 @@
 // the materialized intermediate of the sequential pair.
 //
 // Correctness contract: a fused kernel must be bit-identical to running the
-// two stage kernels sequentially through a canonical-int64 intermediate. The
+// two stage kernels sequentially through a materialized intermediate. The
 // generic composed kernels below get this for free by actually running the
-// registered stage kernels block-by-block through a stack buffer; the
-// hand-specialized single-pass kernels rely on the canonical round trip
-// int64 → T → int64 being lossless, so keeping the intermediate in T instead
-// of int64 cannot change the result (FuzzFusedKernels proves it over edge
-// values). Aliasing (dst overlapping an input) is safe for the same reason
-// it is in the sequential pair: lanes are index-aligned and each dst[i] is
-// written after every read of index i.
+// registered stage kernels block-by-block through a stack buffer of the
+// slice type; the hand-specialized single-pass kernels rely on the round
+// trip through T being lossless, so keeping the intermediate in T instead
+// of the slice type cannot change the result (FuzzFusedKernels proves it
+// over edge values). Aliasing (dst overlapping an input) is safe for the
+// same reason it is in the sequential pair: lanes are index-aligned and
+// each dst[i] is written after every read of index i.
 package kernels
 
 import "pimeval/internal/isa"
@@ -21,34 +21,65 @@ import "pimeval/internal/isa"
 // to stay on the stack, large enough to amortize the two kernel calls.
 const fusedBlock = 512
 
-// fusedBinKey identifies a specialized two-stage kernel whose fused form
-// takes two memory operands (binary+unary, binary+scalar, scalar+binary).
-type fusedBinKey struct {
-	op1, op2 isa.Op
-	dt       isa.DataType
-}
-
-// Specialized single-pass constructors, registered at init. The int64
-// arguments are the stage immediates (already truncated, the dispatcher's
-// contract); shapes without an immediate ignore them.
-var (
-	fusedScalarBinaryTab map[fusedBinKey]func(s1 int64) BinaryKernel
-	fusedBinaryUnaryTab  map[fusedBinKey]BinaryKernel
-	fusedBinaryScalarTab map[fusedBinKey]func(s2 int64) BinaryKernel
-)
-
 // FusedBinaryUnary returns a kernel computing dst[i] = op2(a[i] op1 b[i]),
 // or nil if either stage lacks a registered kernel.
 func FusedBinaryUnary(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
-	if k, ok := fusedBinaryUnaryTab[fusedBinKey{op1, op2, dt}]; ok {
-		return k
+	if !dt.Valid() {
+		return nil
 	}
-	k1, k2 := Binary(op1, dt), Unary(op2, dt)
+	return BinaryKernel(canonical[dt].fusedBinaryUnary(op1, op2))
+}
+
+// FusedBinaryScalar returns a kernel computing dst[i] = (a[i] op1 b[i]) op2 s2.
+func FusedBinaryScalar(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
+	if !dt.Valid() {
+		return nil
+	}
+	return BinaryKernel(canonical[dt].fusedBinaryScalar(op1, op2, s2))
+}
+
+// FusedScalarBinary returns a kernel computing dst[i] = (a[i] op1 s1) op2 b[i]
+// — the AXPY shape when op1 = mul and op2 = add.
+func FusedScalarBinary(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
+	if !dt.Valid() {
+		return nil
+	}
+	return BinaryKernel(canonical[dt].fusedScalarBinary(op1, op2, s1))
+}
+
+// FusedScalarScalar returns a kernel computing dst[i] = (a[i] op1 s1) op2 s2.
+func FusedScalarScalar(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
+	if !dt.Valid() {
+		return nil
+	}
+	return UnaryKernel(canonical[dt].fusedScalarScalar(op1, op2, s1, s2))
+}
+
+// FusedScalarUnary returns a kernel computing dst[i] = op2(a[i] op1 s1).
+func FusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
+	if !dt.Valid() {
+		return nil
+	}
+	return UnaryKernel(canonical[dt].fusedScalarUnary(op1, op2, s1))
+}
+
+// The fused constructors over slice type S: a registered single-pass
+// kernel when the stage pair has one, else the two stage kernels composed
+// through a stack buffer of fusedBlock elements.
+
+func (k *kernelSet[S]) fusedBinaryUnary(op1, op2 isa.Op) binaryFn[S] {
+	if !op1.Valid() || !op2.Valid() {
+		return nil
+	}
+	if op1 == isa.OpSub && op2 == isa.OpAbs && k.absDiff != nil {
+		return k.absDiff
+	}
+	k1, k2 := k.binary[op1], k.unary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []int64, lo, hi int64) {
-		var buf [fusedBlock]int64
+	return func(dst, a, b []S, lo, hi int64) {
+		var buf [fusedBlock]S
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
 			t := buf[:bhi-blo]
@@ -58,17 +89,19 @@ func FusedBinaryUnary(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
 	}
 }
 
-// FusedBinaryScalar returns a kernel computing dst[i] = (a[i] op1 b[i]) op2 s2.
-func FusedBinaryScalar(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
-	if mk, ok := fusedBinaryScalarTab[fusedBinKey{op1, op2, dt}]; ok {
-		return mk(s2)
+func (k *kernelSet[S]) fusedBinaryScalar(op1, op2 isa.Op, s2 int64) binaryFn[S] {
+	if !op1.Valid() || !op2.Valid() {
+		return nil
 	}
-	k1, k2 := Binary(op1, dt), Scalar(op2, dt)
+	if op1 == isa.OpAdd && op2 == isa.OpMax {
+		return k.addMax(s2)
+	}
+	k1, k2 := k.binary[op1], k.scalar[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []int64, lo, hi int64) {
-		var buf [fusedBlock]int64
+	return func(dst, a, b []S, lo, hi int64) {
+		var buf [fusedBlock]S
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
 			t := buf[:bhi-blo]
@@ -78,18 +111,19 @@ func FusedBinaryScalar(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel 
 	}
 }
 
-// FusedScalarBinary returns a kernel computing dst[i] = (a[i] op1 s1) op2 b[i]
-// — the AXPY shape when op1 = mul and op2 = add.
-func FusedScalarBinary(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
-	if mk, ok := fusedScalarBinaryTab[fusedBinKey{op1, op2, dt}]; ok {
-		return mk(s1)
+func (k *kernelSet[S]) fusedScalarBinary(op1, op2 isa.Op, s1 int64) binaryFn[S] {
+	if !op1.Valid() || !op2.Valid() {
+		return nil
 	}
-	k1, k2 := Scalar(op1, dt), Binary(op2, dt)
+	if op1 == isa.OpMul && op2 == isa.OpAdd {
+		return k.scaledAdd(s1)
+	}
+	k1, k2 := k.scalar[op1], k.binary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []int64, lo, hi int64) {
-		var buf [fusedBlock]int64
+	return func(dst, a, b []S, lo, hi int64) {
+		var buf [fusedBlock]S
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
 			t := buf[:bhi-blo]
@@ -99,14 +133,16 @@ func FusedScalarBinary(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel 
 	}
 }
 
-// FusedScalarScalar returns a kernel computing dst[i] = (a[i] op1 s1) op2 s2.
-func FusedScalarScalar(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
-	k1, k2 := Scalar(op1, dt), Scalar(op2, dt)
+func (k *kernelSet[S]) fusedScalarScalar(op1, op2 isa.Op, s1, s2 int64) unaryFn[S] {
+	if !op1.Valid() || !op2.Valid() {
+		return nil
+	}
+	k1, k2 := k.scalar[op1], k.scalar[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a []int64, lo, hi int64) {
-		var buf [fusedBlock]int64
+	return func(dst, a []S, lo, hi int64) {
+		var buf [fusedBlock]S
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
 			t := buf[:bhi-blo]
@@ -116,14 +152,16 @@ func FusedScalarScalar(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKern
 	}
 }
 
-// FusedScalarUnary returns a kernel computing dst[i] = op2(a[i] op1 s1).
-func FusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
-	k1, k2 := Scalar(op1, dt), Unary(op2, dt)
+func (k *kernelSet[S]) fusedScalarUnary(op1, op2 isa.Op, s1 int64) unaryFn[S] {
+	if !op1.Valid() || !op2.Valid() {
+		return nil
+	}
+	k1, k2 := k.scalar[op1], k.unary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a []int64, lo, hi int64) {
-		var buf [fusedBlock]int64
+	return func(dst, a []S, lo, hi int64) {
+		var buf [fusedBlock]S
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
 			t := buf[:bhi-blo]
@@ -134,22 +172,22 @@ func FusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
 }
 
 // scaledAddK is the single-pass AXPY kernel dst[i] = a[i]*s + b[i]. The
-// intermediate stays in T; the canonical round trip makes this bit-identical
+// intermediate stays in T; the lossless round trip makes this bit-identical
 // to mulSK followed by addK.
-func scaledAddK[T lane](s int64) BinaryKernel {
+func scaledAddK[S, T lane](s int64) binaryFn[S] {
 	y := T(s)
-	return func(dst, a, b []int64, lo, hi int64) {
+	return func(dst, a, b []S, lo, hi int64) {
 		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 		a, b = a[:len(dst)], b[:len(dst)]
 		for i := range dst {
-			dst[i] = int64(T(a[i])*y + T(b[i]))
+			dst[i] = S(T(a[i])*y + T(b[i]))
 		}
 	}
 }
 
 // absDiffK is the single-pass dst[i] = |a[i] - b[i]| for signed types
 // (unsigned abs is the identity, so the composed fallback covers it).
-func absDiffK[T signedLane](dst, a, b []int64, lo, hi int64) {
+func absDiffK[S, T signedLane](dst, a, b []S, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -157,52 +195,23 @@ func absDiffK[T signedLane](dst, a, b []int64, lo, hi int64) {
 		if v < 0 {
 			v = -v
 		}
-		dst[i] = int64(v)
+		dst[i] = S(v)
 	}
 }
 
 // addMaxSK is the single-pass ReLU-style dst[i] = max(a[i]+b[i], s),
 // replicating maxSK's write-the-original-operand semantics.
-func addMaxSK[T lane](s int64) BinaryKernel {
-	y := T(s)
-	return func(dst, a, b []int64, lo, hi int64) {
+func addMaxSK[S, T lane](s int64) binaryFn[S] {
+	y, ys := T(s), S(s)
+	return func(dst, a, b []S, lo, hi int64) {
 		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 		a, b = a[:len(dst)], b[:len(dst)]
 		for i := range dst {
 			if v := T(a[i]) + T(b[i]); v >= y {
-				dst[i] = int64(v)
+				dst[i] = S(v)
 			} else {
-				dst[i] = s
+				dst[i] = ys
 			}
 		}
 	}
-}
-
-func registerFusedLane[T lane](dt isa.DataType) {
-	fusedScalarBinaryTab[fusedBinKey{isa.OpMul, isa.OpAdd, dt}] = scaledAddK[T]
-	fusedBinaryScalarTab[fusedBinKey{isa.OpAdd, isa.OpMax, dt}] = addMaxSK[T]
-}
-
-func registerFusedSigned[T signedLane](dt isa.DataType) {
-	fusedBinaryUnaryTab[fusedBinKey{isa.OpSub, isa.OpAbs, dt}] = absDiffK[T]
-}
-
-func init() {
-	fusedScalarBinaryTab = make(map[fusedBinKey]func(int64) BinaryKernel)
-	fusedBinaryUnaryTab = make(map[fusedBinKey]BinaryKernel)
-	fusedBinaryScalarTab = make(map[fusedBinKey]func(int64) BinaryKernel)
-
-	registerFusedLane[int8](isa.Int8)
-	registerFusedLane[int16](isa.Int16)
-	registerFusedLane[int32](isa.Int32)
-	registerFusedLane[int64](isa.Int64)
-	registerFusedLane[uint8](isa.UInt8)
-	registerFusedLane[uint16](isa.UInt16)
-	registerFusedLane[uint32](isa.UInt32)
-	registerFusedLane[uint64](isa.UInt64)
-
-	registerFusedSigned[int8](isa.Int8)
-	registerFusedSigned[int16](isa.Int16)
-	registerFusedSigned[int32](isa.Int32)
-	registerFusedSigned[int64](isa.Int64)
 }

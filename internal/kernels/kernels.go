@@ -9,13 +9,18 @@
 // add/mul/and on power-of-two widths become mask-free native arithmetic on
 // the width's machine type.
 //
-// Value representation contract (shared with internal/device): objects carry
-// elements as canonical int64 values — truncated to the element width,
-// sign-extended for signed types, zero-extended for unsigned types (uint64
-// carries its raw bits, so the int64 may be negative). Kernels require
-// canonical inputs and produce canonical outputs; the round trip
-// int64 → T → int64 through the element's machine type T preserves exactly
-// the canonical form, which is what makes the loops mask-free.
+// Value representation contract (shared with internal/device): an element
+// travels in one of two forms. In object storage (isa.Elems) it is its
+// type's machine integer, exactly Bits() wide. At the host boundary and in
+// the exported []int64 kernels below it is the canonical int64 carrier —
+// truncated to the element width, sign-extended for signed types,
+// zero-extended for unsigned types (uint64 carries its raw bits, so the
+// int64 may be negative). Each kernel body is generic over the slice type S
+// it reads and writes and the element type T whose semantics it applies:
+// S(T(x)) truncates and re-extends, so one body serves both forms. The
+// exported kernels instantiate it at S = int64 and the storage kernels
+// (On) at S = T; the round trip int64 → T → int64 preserves exactly the
+// canonical form, which is what makes the loops mask-free in both.
 //
 // The registry is total over the command set the device dispatches
 // functionally: Binary/Scalar cover the 13 element-wise binary ops, Unary
@@ -47,31 +52,48 @@ type UnaryKernel func(dst, a []int64, lo, hi int64)
 type ShiftKernel func(dst, a []int64, amount int, lo, hi int64)
 
 // lane is the set of element machine types kernels specialize over — the
-// 8 PIM element types of isa.DataType.
-type lane interface {
-	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
-}
+// 8 PIM element types of isa.DataType — both as slice type S and as
+// semantic type T.
+type lane = isa.Lane
 
 // signedLane and unsignedLane split the lanes for the ops whose semantics
 // depend on signedness in ways the machine type alone does not express
 // (division's all-ones quotient, abs).
 type signedLane interface {
-	~int8 | ~int16 | ~int32 | ~int64
+	int8 | int16 | int32 | int64
 }
 
 type unsignedLane interface {
-	~uint8 | ~uint16 | ~uint32 | ~uint64
+	uint8 | uint16 | uint32 | uint64
 }
 
-// The dense kernel tables, filled at init. A nil entry means the (op, type)
-// pair is not a command the device dispatches; every pair it does dispatch
-// has a kernel (TestRegistryComplete).
-var (
-	binaryTab [isa.NumOps][isa.NumTypes]BinaryKernel
-	scalarTab [isa.NumOps][isa.NumTypes]ScalarKernel
-	unaryTab  [isa.NumOps][isa.NumTypes]UnaryKernel
-	shiftTab  [isa.NumOps][isa.NumTypes]ShiftKernel
+// The kernel shapes over slice type S; at S = int64 they are the exported
+// BinaryKernel, ScalarKernel, UnaryKernel and ShiftKernel.
+type (
+	binaryFn[S lane] func(dst, a, b []S, lo, hi int64)
+	scalarFn[S lane] func(dst, a []S, s int64, lo, hi int64)
+	unaryFn[S lane]  func(dst, a []S, lo, hi int64)
+	shiftFn[S lane]  func(dst, a []S, amount int, lo, hi int64)
 )
+
+// kernelSet is one element type's kernels over slice type S. A nil entry
+// means the (op, type) pair is not a command the device dispatches; every
+// pair it does dispatch has a kernel (TestRegistryComplete). The fused
+// fields are the single-pass two-stage kernels (fused.go).
+type kernelSet[S lane] struct {
+	binary [isa.NumOps]binaryFn[S]
+	scalar [isa.NumOps]scalarFn[S]
+	unary  [isa.NumOps]unaryFn[S]
+	shift  [isa.NumOps]shiftFn[S]
+
+	scaledAdd func(s1 int64) binaryFn[S] // mul then add, scalar-binary
+	addMax    func(s2 int64) binaryFn[S] // add then max, binary-scalar
+	absDiff   binaryFn[S]                // sub then abs, signed types only
+}
+
+// canonical holds every element type's kernels over int64 carriers: the
+// exported kernels. native (typed.go) holds the same bodies over storage.
+var canonical [isa.NumTypes]kernelSet[int64]
 
 // Binary returns the specialized kernel for an element-wise binary op, or
 // nil if none is registered.
@@ -79,7 +101,7 @@ func Binary(op isa.Op, dt isa.DataType) BinaryKernel {
 	if !op.Valid() || !dt.Valid() {
 		return nil
 	}
-	return binaryTab[op][dt]
+	return BinaryKernel(canonical[dt].binary[op])
 }
 
 // Scalar returns the scalar-broadcast kernel for a binary op, or nil.
@@ -87,7 +109,7 @@ func Scalar(op isa.Op, dt isa.DataType) ScalarKernel {
 	if !op.Valid() || !dt.Valid() {
 		return nil
 	}
-	return scalarTab[op][dt]
+	return ScalarKernel(canonical[dt].scalar[op])
 }
 
 // Unary returns the kernel for a unary op, or nil.
@@ -95,7 +117,7 @@ func Unary(op isa.Op, dt isa.DataType) UnaryKernel {
 	if !op.Valid() || !dt.Valid() {
 		return nil
 	}
-	return unaryTab[op][dt]
+	return UnaryKernel(canonical[dt].unary[op])
 }
 
 // Shift returns the kernel for a shift op, or nil.
@@ -103,74 +125,90 @@ func Shift(op isa.Op, dt isa.DataType) ShiftKernel {
 	if !op.Valid() || !dt.Valid() {
 		return nil
 	}
-	return shiftTab[op][dt]
+	return ShiftKernel(canonical[dt].shift[op])
 }
 
-// registerLane fills every signedness-neutral table column for one element
-// type: the machine type T carries the width, wraparound, and comparison
-// semantics, so one generic body serves all 8 types.
-func registerLane[T lane](dt isa.DataType) {
-	binaryTab[isa.OpAdd][dt] = addK[T]
-	binaryTab[isa.OpSub][dt] = subK[T]
-	binaryTab[isa.OpMul][dt] = mulK[T]
-	binaryTab[isa.OpAnd][dt] = andK[T]
-	binaryTab[isa.OpOr][dt] = orK[T]
-	binaryTab[isa.OpXor][dt] = xorK[T]
-	binaryTab[isa.OpXnor][dt] = xnorK[T]
-	binaryTab[isa.OpMin][dt] = minK[T]
-	binaryTab[isa.OpMax][dt] = maxK[T]
-	binaryTab[isa.OpLt][dt] = ltK[T]
-	binaryTab[isa.OpGt][dt] = gtK[T]
-	binaryTab[isa.OpEq][dt] = eqK[T]
+// registerLane fills every signedness-neutral entry of k for element type
+// T over slice type S: T carries the width, wraparound, and comparison
+// semantics, so one generic body serves all 8 types in both forms.
+func registerLane[S, T lane](k *kernelSet[S], dt isa.DataType) {
+	k.binary[isa.OpAdd] = addK[S, T]
+	k.binary[isa.OpSub] = subK[S, T]
+	k.binary[isa.OpMul] = mulK[S, T]
+	k.binary[isa.OpAnd] = andK[S, T]
+	k.binary[isa.OpOr] = orK[S, T]
+	k.binary[isa.OpXor] = xorK[S, T]
+	k.binary[isa.OpXnor] = xnorK[S, T]
+	k.binary[isa.OpMin] = minK[S, T]
+	k.binary[isa.OpMax] = maxK[S, T]
+	k.binary[isa.OpLt] = ltK[S, S, T]
+	k.binary[isa.OpGt] = gtK[S, S, T]
+	k.binary[isa.OpEq] = eqK[S, S, T]
 
-	scalarTab[isa.OpAdd][dt] = addSK[T]
-	scalarTab[isa.OpSub][dt] = subSK[T]
-	scalarTab[isa.OpMul][dt] = mulSK[T]
-	scalarTab[isa.OpAnd][dt] = andSK[T]
-	scalarTab[isa.OpOr][dt] = orSK[T]
-	scalarTab[isa.OpXor][dt] = xorSK[T]
-	scalarTab[isa.OpXnor][dt] = xnorSK[T]
-	scalarTab[isa.OpMin][dt] = minSK[T]
-	scalarTab[isa.OpMax][dt] = maxSK[T]
-	scalarTab[isa.OpLt][dt] = ltSK[T]
-	scalarTab[isa.OpGt][dt] = gtSK[T]
-	scalarTab[isa.OpEq][dt] = eqSK[T]
+	k.scalar[isa.OpAdd] = addSK[S, T]
+	k.scalar[isa.OpSub] = subSK[S, T]
+	k.scalar[isa.OpMul] = mulSK[S, T]
+	k.scalar[isa.OpAnd] = andSK[S, T]
+	k.scalar[isa.OpOr] = orSK[S, T]
+	k.scalar[isa.OpXor] = xorSK[S, T]
+	k.scalar[isa.OpXnor] = xnorSK[S, T]
+	k.scalar[isa.OpMin] = minSK[S, T]
+	k.scalar[isa.OpMax] = maxSK[S, T]
+	k.scalar[isa.OpLt] = ltSK[S, S, T]
+	k.scalar[isa.OpGt] = gtSK[S, S, T]
+	k.scalar[isa.OpEq] = eqSK[S, S, T]
 
-	unaryTab[isa.OpNot][dt] = notK[T]
-	unaryTab[isa.OpPopCount][dt] = popcountK(dt.Bits())
+	k.unary[isa.OpNot] = notK[S, T]
+	k.unary[isa.OpPopCount] = popcountK[S](dt.Bits())
 	if dt.Bits() == 8 {
-		unaryTab[isa.OpSbox][dt] = sboxK[T](&AESSbox)
-		unaryTab[isa.OpSboxInv][dt] = sboxK[T](&AESSboxInv)
+		k.unary[isa.OpSbox] = sboxK[S, T](&AESSbox)
+		k.unary[isa.OpSboxInv] = sboxK[S, T](&AESSboxInv)
 	}
 
-	shiftTab[isa.OpShiftL][dt] = shlK[T]
-	shiftTab[isa.OpShiftR][dt] = shrK[T]
+	k.shift[isa.OpShiftL] = shlK[S, T]
+	k.shift[isa.OpShiftR] = shrK[S, T]
+
+	k.scaledAdd = scaledAddK[S, T]
+	k.addMax = addMaxSK[S, T]
 }
 
-// registerSigned fills the signedness-dependent entries for a signed type.
+// registerSignedOps fills the signedness-dependent entries for a signed T.
+func registerSignedOps[S, T signedLane](k *kernelSet[S]) {
+	k.binary[isa.OpDiv] = divSK[S, T]
+	k.scalar[isa.OpDiv] = divSSK[S, T]
+	k.unary[isa.OpAbs] = absSK[S, T]
+	k.absDiff = absDiffK[S, T]
+}
+
+// registerUnsignedOps fills the signedness-dependent entries for an
+// unsigned T.
+func registerUnsignedOps[S lane, T unsignedLane](k *kernelSet[S]) {
+	k.binary[isa.OpDiv] = divUK[S, T]
+	k.scalar[isa.OpDiv] = divUSK[S, T]
+	k.unary[isa.OpAbs] = copyK[S]
+}
+
+// registerSigned and registerUnsigned instantiate element type T's bodies
+// in both forms: over int64 carriers into canonical, over T into native.
 func registerSigned[T signedLane](dt isa.DataType) {
-	binaryTab[isa.OpDiv][dt] = divSK[T]
-	scalarTab[isa.OpDiv][dt] = divSSK[T]
-	unaryTab[isa.OpAbs][dt] = absSK[T]
+	registerLane[int64, T](&canonical[dt], dt)
+	registerSignedOps[int64, T](&canonical[dt])
+	t := new(typed[T])
+	registerLane[T, T](&t.set, dt)
+	registerSignedOps[T, T](&t.set)
+	t.register(dt)
 }
 
-// registerUnsigned fills the signedness-dependent entries for an unsigned type.
 func registerUnsigned[T unsignedLane](dt isa.DataType) {
-	binaryTab[isa.OpDiv][dt] = divUK[T]
-	scalarTab[isa.OpDiv][dt] = divUSK[T]
-	unaryTab[isa.OpAbs][dt] = copyK
+	registerLane[int64, T](&canonical[dt], dt)
+	registerUnsignedOps[int64, T](&canonical[dt])
+	t := new(typed[T])
+	registerLane[T, T](&t.set, dt)
+	registerUnsignedOps[T, T](&t.set)
+	t.register(dt)
 }
 
 func init() {
-	registerLane[int8](isa.Int8)
-	registerLane[int16](isa.Int16)
-	registerLane[int32](isa.Int32)
-	registerLane[int64](isa.Int64)
-	registerLane[uint8](isa.UInt8)
-	registerLane[uint16](isa.UInt16)
-	registerLane[uint32](isa.UInt32)
-	registerLane[uint64](isa.UInt64)
-
 	registerSigned[int8](isa.Int8)
 	registerSigned[int16](isa.Int16)
 	registerSigned[int32](isa.Int32)

@@ -14,39 +14,201 @@ var allTypes = []isa.DataType{
 	isa.UInt8, isa.UInt16, isa.UInt32, isa.UInt64,
 }
 
+// stored returns fresh dt storage holding v.
+func stored(dt isa.DataType, v []int64) isa.Elems {
+	e := dt.MakeElems(int64(len(v)))
+	e.Store(0, v)
+	return e
+}
+
+// sameSlice reports whether a and b start at the same element.
+func sameSlice(a, b []int64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// The as* adapters run a storage-typed kernel under the canonical
+// signature, so one test drives both instantiations of a body: operands are
+// stored at their element types, the kernel runs on the storage, and dst is
+// loaded back. A dst that aliases a in the canonical call aliases it in
+// storage too. dstType is the destination's element type (compares may
+// narrow); a nil kernel adapts to nil.
+
+func asBinary(k ElemsBinary, dt, dstType isa.DataType) BinaryKernel {
+	if k == nil {
+		return nil
+	}
+	return func(dst, a, b []int64, lo, hi int64) {
+		ed := stored(dstType, dst)
+		ea := ed
+		if !sameSlice(a, dst) {
+			ea = stored(dt, a)
+		}
+		k(ed, ea, stored(dt, b), lo, hi)
+		ed.Load(dst, 0)
+	}
+}
+
+func asScalar(k ElemsScalar, dt, dstType isa.DataType) ScalarKernel {
+	if k == nil {
+		return nil
+	}
+	return func(dst, a []int64, s int64, lo, hi int64) {
+		ed := stored(dstType, dst)
+		ea := ed
+		if !sameSlice(a, dst) {
+			ea = stored(dt, a)
+		}
+		k(ed, ea, s, lo, hi)
+		ed.Load(dst, 0)
+	}
+}
+
+func asUnary(k ElemsUnary, dt isa.DataType) UnaryKernel {
+	if k == nil {
+		return nil
+	}
+	return func(dst, a []int64, lo, hi int64) {
+		ed := stored(dt, dst)
+		ea := ed
+		if !sameSlice(a, dst) {
+			ea = stored(dt, a)
+		}
+		k(ed, ea, lo, hi)
+		ed.Load(dst, 0)
+	}
+}
+
+func asShift(k ElemsShift, dt isa.DataType) ShiftKernel {
+	if k == nil {
+		return nil
+	}
+	return func(dst, a []int64, amount int, lo, hi int64) {
+		ed := stored(dt, dst)
+		ea := ed
+		if !sameSlice(a, dst) {
+			ea = stored(dt, a)
+		}
+		k(ed, ea, amount, lo, hi)
+		ed.Load(dst, 0)
+	}
+}
+
+// asSelect adapts a select whose condition has element type condType.
+func asSelect(k ElemsSelect, condType, dt isa.DataType) func(dst, cond, a, b []int64, lo, hi int64) {
+	return func(dst, cond, a, b []int64, lo, hi int64) {
+		ed := stored(dt, dst)
+		ec := ed
+		if !sameSlice(cond, dst) {
+			ec = stored(condType, cond)
+		}
+		k(ed, ec, stored(dt, a), stored(dt, b), lo, hi)
+		ed.Load(dst, 0)
+	}
+}
+
+// registry is one instantiation's lookup face: the exported canonical
+// kernels, or dt's storage-typed kernels (stored) adapted by the as*
+// functions.
+type registry struct {
+	name   string
+	stored bool
+	binary func(op isa.Op, dt isa.DataType) BinaryKernel
+	scalar func(op isa.Op, dt isa.DataType) ScalarKernel
+	unary  func(op isa.Op, dt isa.DataType) UnaryKernel
+	shift  func(op isa.Op, dt isa.DataType) ShiftKernel
+
+	fusedBinaryUnary  func(op1, op2 isa.Op, dt isa.DataType) BinaryKernel
+	fusedBinaryScalar func(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel
+	fusedScalarBinary func(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel
+	fusedScalarScalar func(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel
+	fusedScalarUnary  func(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel
+}
+
+var registries = []registry{
+	{
+		name: "canonical", binary: Binary, scalar: Scalar, unary: Unary, shift: Shift,
+		fusedBinaryUnary: FusedBinaryUnary, fusedBinaryScalar: FusedBinaryScalar,
+		fusedScalarBinary: FusedScalarBinary, fusedScalarScalar: FusedScalarScalar,
+		fusedScalarUnary: FusedScalarUnary,
+	},
+	{
+		name: "storage", stored: true,
+		binary: func(op isa.Op, dt isa.DataType) BinaryKernel { return asBinary(On(dt).Binary(op, dt), dt, dt) },
+		scalar: func(op isa.Op, dt isa.DataType) ScalarKernel { return asScalar(On(dt).Scalar(op, dt), dt, dt) },
+		unary:  func(op isa.Op, dt isa.DataType) UnaryKernel { return asUnary(On(dt).Unary(op), dt) },
+		shift:  func(op isa.Op, dt isa.DataType) ShiftKernel { return asShift(On(dt).Shift(op), dt) },
+		fusedBinaryUnary: func(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
+			return asBinary(On(dt).FusedBinaryUnary(op1, op2), dt, dt)
+		},
+		fusedBinaryScalar: func(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
+			return asBinary(On(dt).FusedBinaryScalar(op1, op2, s2), dt, dt)
+		},
+		fusedScalarBinary: func(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
+			return asBinary(On(dt).FusedScalarBinary(op1, op2, s1), dt, dt)
+		},
+		fusedScalarScalar: func(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
+			return asUnary(On(dt).FusedScalarScalar(op1, op2, s1, s2), dt)
+		},
+		fusedScalarUnary: func(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
+			return asUnary(On(dt).FusedScalarUnary(op1, op2, s1), dt)
+		},
+	},
+}
+
 // TestRegistryComplete pins the dispatch contract: every op the device
 // dispatches functionally resolves to a non-nil kernel for every element
-// type, so the resolve-once path — the device's only functional path —
-// never resolves a nil kernel.
+// type, in both instantiations, so the resolve-once path — the device's
+// only functional path — never resolves a nil kernel. Storage-typed
+// compares resolve for every destination type and select for every
+// condition type; no other op resolves for a destination of another type.
 func TestRegistryComplete(t *testing.T) {
 	binary := []isa.Op{
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
 		isa.OpXor, isa.OpXnor, isa.OpMin, isa.OpMax, isa.OpLt, isa.OpGt, isa.OpEq,
 	}
 	unary := []isa.Op{isa.OpNot, isa.OpAbs, isa.OpPopCount}
+	for _, r := range registries {
+		for _, dt := range allTypes {
+			for _, op := range binary {
+				if r.binary(op, dt) == nil {
+					t.Errorf("%s Binary(%v, %v) = nil", r.name, op, dt)
+				}
+				if r.scalar(op, dt) == nil {
+					t.Errorf("%s Scalar(%v, %v) = nil", r.name, op, dt)
+				}
+			}
+			for _, op := range unary {
+				if r.unary(op, dt) == nil {
+					t.Errorf("%s Unary(%v, %v) = nil", r.name, op, dt)
+				}
+			}
+			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+				if r.shift(op, dt) == nil {
+					t.Errorf("%s Shift(%v, %v) = nil", r.name, op, dt)
+				}
+			}
+			wantSbox := dt.Bits() == 8
+			for _, op := range []isa.Op{isa.OpSbox, isa.OpSboxInv} {
+				if got := r.unary(op, dt) != nil; got != wantSbox {
+					t.Errorf("%s Unary(%v, %v) registered = %v, want %v", r.name, op, dt, got, wantSbox)
+				}
+			}
+		}
+	}
 	for _, dt := range allTypes {
-		for _, op := range binary {
-			if Binary(op, dt) == nil {
-				t.Errorf("Binary(%v, %v) = nil", op, dt)
+		k := On(dt)
+		for _, other := range allTypes {
+			if k.Select(other) == nil {
+				t.Errorf("On(%v).Select(%v) = nil", dt, other)
 			}
-			if Scalar(op, dt) == nil {
-				t.Errorf("Scalar(%v, %v) = nil", op, dt)
-			}
-		}
-		for _, op := range unary {
-			if Unary(op, dt) == nil {
-				t.Errorf("Unary(%v, %v) = nil", op, dt)
-			}
-		}
-		for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
-			if Shift(op, dt) == nil {
-				t.Errorf("Shift(%v, %v) = nil", op, dt)
-			}
-		}
-		wantSbox := dt.Bits() == 8
-		for _, op := range []isa.Op{isa.OpSbox, isa.OpSboxInv} {
-			if got := Unary(op, dt) != nil; got != wantSbox {
-				t.Errorf("Unary(%v, %v) registered = %v, want %v", op, dt, got, wantSbox)
+			for _, op := range binary {
+				wantKernel := other == dt || op == isa.OpLt || op == isa.OpGt || op == isa.OpEq
+				if got := k.Binary(op, other) != nil; got != wantKernel {
+					t.Errorf("On(%v).Binary(%v, %v) registered = %v, want %v", dt, op, other, got, wantKernel)
+				}
+				if got := k.Scalar(op, other) != nil; got != wantKernel {
+					t.Errorf("On(%v).Scalar(%v, %v) registered = %v, want %v", dt, op, other, got, wantKernel)
+				}
 			}
 		}
 	}
@@ -66,6 +228,13 @@ func TestRegistryRejectsInvalid(t *testing.T) {
 	}
 	if Shift(isa.OpAdd, isa.Int32) != nil {
 		t.Error("binary op resolved as a shift kernel")
+	}
+	if On(isa.DataType(99)) != nil || On(isa.Int32).Binary(isa.Op(-1), isa.Int32) != nil ||
+		On(isa.Int32).Binary(isa.OpAdd, isa.DataType(99)) != nil || On(isa.Int32).Select(isa.DataType(-1)) != nil {
+		t.Error("out-of-range storage-typed lookup returned a kernel")
+	}
+	if On(isa.Int32).Unary(isa.OpAdd) != nil || On(isa.Int32).Shift(isa.OpNot) != nil {
+		t.Error("storage-typed lookup resolved an op outside its form")
 	}
 }
 
@@ -101,34 +270,40 @@ func TestCanonicalContract(t *testing.T) {
 	}
 }
 
+// sumSeg is the int64 instantiation of the segmented-sum kernel, run over
+// a as int64 storage.
+func sumSeg(a []int64, lo, hi, segLen, seg0 int64, vals []int64) {
+	On(isa.Int64).SumSeg(isa.Slice[int64](a), lo, hi, segLen, seg0, vals)
+}
+
 // TestSumSegSpansMidSegment checks the partial-segment accumulation used
 // when shard boundaries cut segments.
 func TestSumSegSpansMidSegment(t *testing.T) {
 	a := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	// Whole-range reference: segments of 4 -> {10, 26}.
 	whole := make([]int64, 2)
-	SumSeg(a, 0, 8, 4, 0, whole)
+	sumSeg(a, 0, 8, 4, 0, whole)
 	if whole[0] != 10 || whole[1] != 26 {
-		t.Fatalf("SumSeg whole = %v", whole)
+		t.Fatalf("sumSeg whole = %v", whole)
 	}
 	// Split at 6 (mid-segment): partials must merge to the same totals.
 	p1 := make([]int64, 2) // span [0,6) overlaps segments 0..1
-	SumSeg(a, 0, 6, 4, 0, p1)
+	sumSeg(a, 0, 6, 4, 0, p1)
 	p2 := make([]int64, 1) // span [6,8) overlaps segment 1 only
-	SumSeg(a, 6, 8, 4, 1, p2)
+	sumSeg(a, 6, 8, 4, 1, p2)
 	if p1[0] != 10 || p1[1]+p2[0] != 26 {
 		t.Errorf("mid-segment partials: %v + %v", p1, p2)
 	}
 }
 
-// sumSegRef is SumSeg's per-element definition.
+// sumSegRef is the segmented sum's per-element definition.
 func sumSegRef(a []int64, lo, hi, segLen, seg0 int64, vals []int64) {
 	for i := lo; i < hi; i++ {
 		vals[i/segLen-seg0] += a[i]
 	}
 }
 
-// TestSumSegMatchesPerElement checks SumSeg against its per-element
+// TestSumSegMatchesPerElement checks the segmented sum against its per-element
 // definition over seeded random segment lengths, spans cut at random
 // (mostly mid-segment) points, partials merged in span order, and values
 // near ±2^63 so that the sums wrap.
@@ -166,7 +341,7 @@ func TestSumSegMatchesPerElement(t *testing.T) {
 			seg0 := lo / segLen
 			part := make([]int64, (hi-1)/segLen-seg0+1)
 			ref := make([]int64, len(part))
-			SumSeg(a, lo, hi, segLen, seg0, part)
+			sumSeg(a, lo, hi, segLen, seg0, part)
 			sumSegRef(a, lo, hi, segLen, seg0, ref)
 			for k := range part {
 				if part[k] != ref[k] {

@@ -4,17 +4,17 @@ import "math/bits"
 
 // Unary and shift kernels.
 
-func notK[T lane](dst, a []int64, lo, hi int64) {
+func notK[S, T lane](dst, a []S, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(^T(a[i]))
+		dst[i] = S(^T(a[i]))
 	}
 }
 
 // absSK negates negative values; -MinInt wraps back to MinInt, matching the
 // reference's truncated negation.
-func absSK[T signedLane](dst, a []int64, lo, hi int64) {
+func absSK[S, T signedLane](dst, a []S, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
@@ -22,41 +22,40 @@ func absSK[T signedLane](dst, a []int64, lo, hi int64) {
 		if x < 0 {
 			x = -x
 		}
-		dst[i] = int64(x)
+		dst[i] = S(x)
 	}
 }
 
 // copyK is abs for unsigned types: the identity.
-func copyK(dst, a []int64, lo, hi int64) {
+func copyK[S lane](dst, a []S, lo, hi int64) {
 	copy(dst[lo:hi], a[lo:hi])
 }
 
 // popcountK counts set bits within the element width; the width mask is
-// hoisted into the closure (it only matters for signed negative carriers,
+// hoisted into the closure (it only matters for signed negative values,
 // whose sign extension would otherwise inflate the count).
-func popcountK(width int) UnaryKernel {
+func popcountK[S lane](width int) unaryFn[S] {
 	mask := ^uint64(0)
 	if width < 64 {
 		mask = uint64(1)<<uint(width) - 1
 	}
-	return func(dst, a []int64, lo, hi int64) {
+	return func(dst, a []S, lo, hi int64) {
 		dst, a = dst[lo:hi], a[lo:hi]
 		a = a[:len(dst)]
 		for i := range dst {
-			dst[i] = int64(bits.OnesCount64(uint64(a[i]) & mask))
+			dst[i] = S(bits.OnesCount64(uint64(a[i]) & mask))
 		}
 	}
 }
 
 // sboxK is the table-lookup kernel for the AES S-box commands, registered
-// for the 8-bit element types only; T re-extends the substituted byte into
-// the type's canonical carrier.
-func sboxK[T lane](tab *[256]byte) UnaryKernel {
-	return func(dst, a []int64, lo, hi int64) {
+// for the 8-bit element types only; T re-extends the substituted byte.
+func sboxK[S, T lane](tab *[256]byte) unaryFn[S] {
+	return func(dst, a []S, lo, hi int64) {
 		dst, a = dst[lo:hi], a[lo:hi]
 		a = a[:len(dst)]
 		for i := range dst {
-			dst[i] = int64(T(tab[byte(a[i])]))
+			dst[i] = S(T(tab[byte(a[i])]))
 		}
 	}
 }
@@ -65,19 +64,19 @@ func sboxK[T lane](tab *[256]byte) UnaryKernel {
 // every amount: shifts at or past the element width produce zero, except
 // arithmetic right shifts of negative values, which saturate to all ones.
 // Right shifts are arithmetic for signed T and logical for unsigned T.
-func shlK[T lane](dst, a []int64, amount int, lo, hi int64) {
+func shlK[S, T lane](dst, a []S, amount int, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) << uint(amount))
+		dst[i] = S(T(a[i]) << uint(amount))
 	}
 }
 
-func shrK[T lane](dst, a []int64, amount int, lo, hi int64) {
+func shrK[S, T lane](dst, a []S, amount int, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = int64(T(a[i]) >> uint(amount))
+		dst[i] = S(T(a[i]) >> uint(amount))
 	}
 }
 

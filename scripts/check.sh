@@ -37,8 +37,8 @@ go test -race -short -run 'TestRecoveryBattery' ./benchmarks/suite/replaytest/
 go test -race -run 'TestSnapshot|TestResume' ./internal/device/
 go test -race ./internal/chaos/
 
-echo "==> object storage recycling (race)"
-go test -race -run 'TestObjectStorage' ./internal/device/ ./internal/device/paralleltest/
+echo "==> object storage width, recycling and fault bits (race)"
+go test -race -run 'TestObjectStorage|TestFaultGolden' ./internal/device/ ./internal/device/paralleltest/
 
 echo "==> core package size (informational, see ROADMAP.md)"
 sh scripts/loc.sh
