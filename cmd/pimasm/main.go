@@ -342,11 +342,11 @@ func replayStream(out io.Writer, path string, workers int, optimize, pipeline bo
 		if err != nil {
 			return err
 		}
-		cs := &countingSource{Source: src}
+		cs := &cmdstream.CountingSource{Source: src}
 		if dev, err = pim.ReplaySource(cs, pim.ReplayConfig{Workers: workers, Pipelined: pipeline}); err != nil {
 			return err
 		}
-		replayed = cs.n
+		replayed = int(cs.N)
 	}
 	fmt.Fprintf(out, "replayed %d stream records on %s\n", replayed, dev.Target())
 	if fc := dev.FaultStats(); fc.Any() {
@@ -355,34 +355,6 @@ func replayStream(out io.Writer, path string, workers int, optimize, pipeline bo
 	}
 	fmt.Fprintln(out, dev.Report())
 	return nil
-}
-
-// countingSource counts records as they flow through, preserving the
-// chunked-payload interface of the wrapped source.
-type countingSource struct {
-	cmdstream.Source
-	n int
-}
-
-func (c *countingSource) Next() (*cmdstream.Record, error) {
-	rec, err := c.Source.Next()
-	if err == nil {
-		c.n++
-	}
-	return rec, err
-}
-
-func (c *countingSource) PendingPayload() bool {
-	cs, ok := c.Source.(cmdstream.ChunkedSource)
-	return ok && cs.PendingPayload()
-}
-
-func (c *countingSource) NextPayloadChunk() ([]int64, error) {
-	cs, ok := c.Source.(cmdstream.ChunkedSource)
-	if !ok {
-		return nil, io.EOF
-	}
-	return cs.NextPayloadChunk()
 }
 
 // optimizeStream runs the all-passes stream optimizer and prints its

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"pimeval/internal/dram"
 	"pimeval/internal/energy"
@@ -48,7 +47,7 @@ func TestBuildCachedMatchesBuild(t *testing.T) {
 // TestCompactPrograms pins the compact program representation: the live
 // size of the program caches sets the interpreter workloads' peak heap.
 func TestCompactPrograms(t *testing.T) {
-	if size := unsafe.Sizeof(MicroOp{}); size != 12 {
+	if size := reflect.TypeFor[MicroOp]().Size(); size != 12 {
 		t.Errorf("MicroOp is %d bytes, want 12", size)
 	}
 	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {

@@ -475,8 +475,10 @@ func (bw *binWriter) Close() error {
 }
 
 // binSource streams records out of a binary-encoded stream. It implements
-// ChunkedSource: h2d payloads are surfaced frame by frame, never
-// materialized unless the consumer asks (Materialize).
+// PackedSource: h2d payloads are surfaced frame by frame, as the packed
+// bytes the wire carries (NextPayloadFrame) or widened to int64 carriers
+// (NextPayloadChunk), never materialized unless the consumer asks
+// (Materialize).
 type binSource struct {
 	c   binCoder
 	h   Header
@@ -485,8 +487,8 @@ type binSource struct {
 	// Pending-payload state (the h2d record most recently returned).
 	pending  bool
 	pendType isa.DataType // packing of the pending payload
-	chunkBuf []int64
 	packbuf  []byte
+	chunks   chunker
 	ended    bool // end-of-stream marker consumed
 }
 
@@ -538,70 +540,86 @@ func binErr(what string, err error) error {
 
 func (s *binSource) PendingPayload() bool { return s.pending }
 
-// NextPayloadChunk returns the next payload frame of the pending h2d
-// record, or io.EOF after the terminating zero-count frame. The returned
-// slice is reused by the next call.
-func (s *binSource) NextPayloadChunk() ([]int64, error) {
+// frameLen reads the element count of the pending payload's next frame,
+// reporting io.EOF at the terminating zero-count frame. Any error ends the
+// payload.
+func (s *binSource) frameLen() (int, error) {
 	if !s.pending {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
 	var n int64
 	s.c.err = nil
 	s.c.uint(&n, "payload frame")
-	if s.c.err != nil {
+	switch {
+	case s.c.err != nil:
 		s.pending = false
-		return nil, s.c.err
-	}
-	if n == 0 {
+		return 0, s.c.err
+	case n == 0:
 		s.pending = false
-		return nil, io.EOF
-	}
-	if n > maxFrameElems {
+		return 0, io.EOF
+	case n > maxFrameElems:
 		s.pending = false
-		return nil, fmt.Errorf("cmdstream: decode payload: frame of %d elements exceeds limit", n)
+		return 0, fmt.Errorf("cmdstream: decode payload: frame of %d elements exceeds limit", n)
 	}
-	// Buffers are sized to the frame: any frame up to maxFrameElems is
-	// valid, even though encoders only emit payloadFrameElems.
-	size := max(int(n), payloadFrameElems)
-	width := s.pendType.Bytes()
-	if cap(s.packbuf) < int(n)*width {
-		s.packbuf = make([]byte, size*width)
+	return int(n), nil
+}
+
+// NextPayloadFrame returns the next payload frame of the pending h2d record
+// as the wire packs it, with its element type, or io.EOF after the
+// terminating zero-count frame. The returned bytes are reused by the next
+// call.
+func (s *binSource) NextPayloadFrame() (isa.DataType, []byte, error) {
+	n, err := s.frameLen()
+	if err != nil {
+		return 0, nil, err
 	}
-	buf := s.packbuf[:int(n)*width]
+	// Any frame up to maxFrameElems is valid, though encoders only emit
+	// payloadFrameElems; the buffer holds a canonical frame at the widest
+	// packing, so frames of every type reuse it.
+	size := n * s.pendType.Bytes()
+	if cap(s.packbuf) < size {
+		s.packbuf = make([]byte, max(size, payloadFrameElems*8))
+	}
+	buf := s.packbuf[:size]
 	if _, err := io.ReadFull(s.c.r, buf); err != nil {
 		s.pending = false
-		return nil, binErr("payload frame", err)
+		return 0, nil, binErr("payload frame", err)
 	}
-	if cap(s.chunkBuf) < int(n) {
-		s.chunkBuf = make([]int64, size)
-	}
-	chunk := s.chunkBuf[:n]
-	s.pendType.Unpack(chunk, buf)
-	return chunk, nil
+	return s.pendType, buf, nil
 }
 
-// swapPayloadBuffer installs buf (which may be nil) as the decode buffer
-// for the next payload chunk and returns the previous one — the buffer
-// backing the slice most recently returned by NextPayloadChunk. A
-// decode-ahead pipeline uses this to ship decoded frames downstream without
-// copying: it trades a recycled buffer for the filled one each frame.
-func (s *binSource) swapPayloadBuffer(buf []int64) []int64 {
-	old := s.chunkBuf
-	s.chunkBuf = buf
-	return old
+// NextPayloadChunk returns the next payload frame widened to int64
+// carriers; see chunker.
+func (s *binSource) NextPayloadChunk() ([]int64, error) {
+	return s.chunks.chunk(s.NextPayloadFrame())
 }
 
-// discardPayload drains an unconsumed pending payload.
+// swapPayloadBuffer installs buf (which may be nil) as the buffer the next
+// payload frame is read into and returns the previous one — the buffer
+// backing the frame most recently returned by NextPayloadFrame. A
+// decode-ahead pipeline uses this to ship frames downstream without copying:
+// it trades a recycled buffer for the filled one each frame.
+func (s *binSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {
+	old := s.packbuf
+	s.packbuf = buf
+	return old, true
+}
+
+// discardPayload skips the rest of an unconsumed pending payload.
 func (s *binSource) discardPayload() error {
-	for s.pending {
-		if _, err := s.NextPayloadChunk(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
+	for {
+		n, err := s.frameLen()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
 			return err
 		}
+		if _, err := s.c.r.Discard(n * s.pendType.Bytes()); err != nil {
+			s.pending = false
+			return binErr("payload frame", err)
+		}
 	}
-	return nil
 }
 
 func (s *binSource) Next() (*Record, error) {

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"pimeval/internal/isa"
 )
 
 // Pipelined stage adapters (DESIGN.md §14).
@@ -24,17 +26,17 @@ const (
 	defaultPipelineDepth = 256
 	// pipelineFrameTokens bounds in-flight h2d payload frames: one being
 	// filled by the decoder, one being consumed by the executor, plus slack
-	// so the decoder can stay a couple of full payloads ahead while the
-	// executor is inside a long compute phase — that read-ahead is what
-	// hides source latency (disk, network) behind execution. ~1 MiB of
-	// decoded payload per frame, so the window is ~8 MiB — still bounded
-	// for out-of-core replay.
-	pipelineFrameTokens = 8
+	// so the decoder can stay a full payload ahead while the executor is
+	// inside a long compute phase — that read-ahead is what hides source
+	// latency (disk, network) behind execution. Frames travel packed, at
+	// most 1 MiB each (a canonical frame of 8-byte elements), so the window
+	// is at most 4 MiB — bounded for out-of-core replay.
+	pipelineFrameTokens = 4
 	// maxPipelineElems bounds the inline payload elements (Record.Data of
 	// JSON-decoded or materialized records, plus segmented-reduction
 	// results) buffered between stages: 8 Mi elements = 64 MiB. The frame
-	// free list already bounds chunked payloads; this bounds the rest, so a
-	// pipelined replay of a payload-heavy stream stays out-of-core.
+	// free list already bounds streamed payloads; this bounds the rest, so
+	// a pipelined replay of a payload-heavy stream stays out-of-core.
 	maxPipelineElems = 8 << 20
 )
 
@@ -45,16 +47,19 @@ type pipeMsg struct {
 	rec     *Record
 	w       int64 // inline elems charged against maxPipelineElems
 	chunked bool  // rec's h2d payload follows as frame messages
-	frame   []int64
-	end     bool // payload terminator
+	dt      isa.DataType
+	frame   []byte // packed at dt's width
+	end     bool   // payload terminator
 	err     error
 }
 
 // PipelineSource wraps a Source and runs it on a dedicated goroutine,
 // staying one bounded window of records ahead of the consumer. It
-// implements ChunkedSource regardless of the wrapped source: chunked h2d
+// implements PackedSource regardless of the wrapped source: streamed h2d
 // payloads are forwarded frame by frame through a small recycled-buffer
-// pool, never materialized.
+// pool, never materialized, and always as packed frames — a wrapped source
+// with only the []int64 face has each chunk packed as an isa.Int64 frame
+// (packedFace), so frames travel in one form only.
 //
 // Close shuts the decode goroutine down and releases the buffers, but does
 // not close the wrapped source — the caller keeps ownership, so a pipeline
@@ -67,7 +72,7 @@ type PipelineSource struct {
 	src  Source
 	h    Header
 	msgs chan pipeMsg
-	free chan []int64 // frame-buffer tokens; nil entries allocate lazily
+	free chan []byte // frame-buffer tokens; nil entries allocate lazily
 	quit chan struct{}
 	done chan struct{} // producer exited
 	recs sync.Pool
@@ -78,15 +83,16 @@ type PipelineSource struct {
 	// Consumer-side state.
 	cur      *Record
 	curW     int64
-	curFrame []int64
+	curFrame []byte
 	pending  bool
 	err      error
+	chunks   chunker
 
 	closeOnce sync.Once
 }
 
 var _ Source = (*PipelineSource)(nil)
-var _ ChunkedSource = (*PipelineSource)(nil)
+var _ PackedSource = (*PipelineSource)(nil)
 
 // NewPipelineSource returns src wrapped in a decode-ahead pipeline stage
 // holding at most depth records (<= 0 selects the default). The wrapped
@@ -99,7 +105,7 @@ func NewPipelineSource(src Source, depth int) *PipelineSource {
 		src:   src,
 		h:     src.Header(),
 		msgs:  make(chan pipeMsg, depth),
-		free:  make(chan []int64, pipelineFrameTokens),
+		free:  make(chan []byte, pipelineFrameTokens),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 		space: make(chan struct{}, 1),
@@ -117,11 +123,13 @@ func (p *PipelineSource) Header() Header { return p.h }
 // produce is the decode stage: it pulls records (and payload frames) from
 // the wrapped source and forwards them, in order, through the bounded
 // queue. The first error — io.EOF included — terminates the stream.
-// payloadBufferSwapper is an optional ChunkedSource extension (implemented
-// by the binary decoder) that lets the pipeline trade a recycled frame
-// buffer for the decoder's filled one instead of copying ~1 MiB per frame.
+// payloadBufferSwapper is an optional PackedSource extension (implemented
+// by the binary decoder and forwarded by CountingSource) that lets the
+// pipeline trade a recycled frame buffer for the decoder's filled one
+// instead of copying up to 1 MiB per frame. It reports false when the
+// source cannot swap (a forwarder over a source without the extension).
 type payloadBufferSwapper interface {
-	swapPayloadBuffer(buf []int64) []int64
+	swapPayloadBuffer(buf []byte) ([]byte, bool)
 }
 
 func (p *PipelineSource) produce() {
@@ -134,7 +142,7 @@ func (p *PipelineSource) produce() {
 			p.send(pipeMsg{err: fmt.Errorf("cmdstream: pipeline source panicked: %v", r)})
 		}
 	}()
-	cs, _ := p.src.(ChunkedSource)
+	ps := packedFace(p.src)
 	sw, _ := p.src.(payloadBufferSwapper)
 	for {
 		rec, err := p.src.Next()
@@ -149,7 +157,7 @@ func (p *PipelineSource) produce() {
 		// Shallow copy: the Source contract guarantees slice fields are
 		// fresh per record, so only the backing struct needs its own copy.
 		*cp = *rec
-		chunked := cs != nil && rec.Kind == KindCopyH2D && cs.PendingPayload()
+		chunked := ps != nil && rec.Kind == KindCopyH2D && ps.PendingPayload()
 		w := int64(len(cp.Data) + len(cp.Results))
 		if w > 0 {
 			p.elems.Add(w)
@@ -164,7 +172,7 @@ func (p *PipelineSource) produce() {
 			continue
 		}
 		for {
-			chunk, cerr := cs.NextPayloadChunk()
+			dt, frame, cerr := ps.NextPayloadFrame()
 			if cerr == io.EOF {
 				if !p.send(pipeMsg{end: true}) {
 					return
@@ -179,15 +187,19 @@ func (p *PipelineSource) produce() {
 			if !ok {
 				return
 			}
+			// Zero-copy where the source can swap: re-arm the decoder with
+			// the recycled buffer and ship the one it just filled (frame's
+			// backing array).
+			swapped := false
 			if sw != nil {
-				// Zero-copy: re-arm the decoder with the recycled buffer
-				// and ship the one it just filled (chunk's backing array).
-				sw.swapPayloadBuffer(buf)
-				buf = chunk
-			} else {
-				buf = append(buf[:0], chunk...)
+				_, swapped = sw.swapPayloadBuffer(buf)
 			}
-			if !p.send(pipeMsg{frame: buf}) {
+			if swapped {
+				buf = frame
+			} else {
+				buf = append(buf[:0], frame...)
+			}
+			if !p.send(pipeMsg{dt: dt, frame: buf}) {
 				return
 			}
 		}
@@ -226,7 +238,7 @@ func (p *PipelineSource) throttle() bool {
 
 // frame borrows a payload frame buffer token, reporting false if the
 // pipeline was closed.
-func (p *PipelineSource) frame() ([]int64, bool) {
+func (p *PipelineSource) frame() ([]byte, bool) {
 	select {
 	case buf := <-p.free:
 		return buf, true
@@ -272,7 +284,7 @@ func (p *PipelineSource) Next() (*Record, error) {
 		return nil, p.err
 	}
 	for p.pending {
-		if _, err := p.NextPayloadChunk(); err != nil {
+		if _, _, err := p.NextPayloadFrame(); err != nil {
 			if err == io.EOF {
 				break
 			}
@@ -294,15 +306,15 @@ func (p *PipelineSource) Next() (*Record, error) {
 // streamed h2d payload still to be drained.
 func (p *PipelineSource) PendingPayload() bool { return p.pending }
 
-// NextPayloadChunk returns the next payload frame of the pending h2d
-// record, or io.EOF after the last one. The returned slice is recycled
-// after the next NextPayloadChunk or Next call.
-func (p *PipelineSource) NextPayloadChunk() ([]int64, error) {
+// NextPayloadFrame returns the next packed payload frame of the pending
+// h2d record, or io.EOF after the last one. The returned bytes are recycled
+// after the next NextPayloadFrame, NextPayloadChunk or Next call.
+func (p *PipelineSource) NextPayloadFrame() (isa.DataType, []byte, error) {
 	if p.err != nil {
-		return nil, p.err
+		return 0, nil, p.err
 	}
 	if !p.pending {
-		return nil, io.EOF
+		return 0, nil, io.EOF
 	}
 	p.releaseFrame()
 	msg := <-p.msgs
@@ -310,14 +322,20 @@ func (p *PipelineSource) NextPayloadChunk() ([]int64, error) {
 	case msg.err != nil:
 		p.pending = false
 		p.err = msg.err
-		return nil, p.err
+		return 0, nil, p.err
 	case msg.end:
 		p.pending = false
-		return nil, io.EOF
+		return 0, nil, io.EOF
 	default:
 		p.curFrame = msg.frame
-		return msg.frame, nil
+		return msg.dt, msg.frame, nil
 	}
+}
+
+// NextPayloadChunk returns the next payload frame widened to int64
+// carriers; see chunker.
+func (p *PipelineSource) NextPayloadChunk() ([]int64, error) {
+	return p.chunks.chunk(p.NextPayloadFrame())
 }
 
 // Close stops the decode goroutine and waits for it to exit. The wrapped

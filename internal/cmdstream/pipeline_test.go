@@ -19,37 +19,71 @@ import (
 // TestPipelineSourceEquivalence: reading a stream through the decode-ahead
 // pipeline must produce exactly the records the wrapped source produces, in
 // order, for both encodings — including chunked h2d payloads, which
-// Materialize reassembles from the forwarded frames.
+// Materialize reassembles from the forwarded frames. Binary streams are
+// also read through every payload face (packed frames, or []int64 chunks
+// behind chunkFace) serially and pipelined, and include a stream whose
+// payload type differs from its object's (a hostile stream); fullStream
+// itself carries raw int64 fallback payloads.
 func TestPipelineSourceEquivalence(t *testing.T) {
 	s := fullStream()
-	for _, f := range []cmdstream.Format{cmdstream.FormatBinary, cmdstream.FormatJSON} {
-		t.Run(f.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := s.EncodeFormat(&buf, f); err != nil {
-				t.Fatal(err)
+	encode := func(t *testing.T, f cmdstream.Format) []byte {
+		var buf bytes.Buffer
+		if err := s.EncodeFormat(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	collect := func(t *testing.T, enc []byte, packed, pipelined bool) *cmdstream.Stream {
+		src, err := cmdstream.OpenSource(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = faced(src, packed)
+		if pipelined {
+			ps := cmdstream.NewPipelineSource(src, 4) // tiny depth to force backpressure
+			defer func() {
+				if err := ps.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			src = ps
+		}
+		got, err := cmdstream.Collect(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, c := range []struct {
+		name    string
+		hostile bool // decodes to other payload values than s holds
+		enc     func(t *testing.T) []byte
+	}{
+		{"bin", false, func(t *testing.T) []byte { return encode(t, cmdstream.FormatBinary) }},
+		{"json", false, func(t *testing.T) []byte { return encode(t, cmdstream.FormatJSON) }},
+		{"bin-hostile-paytype", true, func(t *testing.T) []byte {
+			// Object 1's first h2d (the pinned wire codes: kind h2d 3,
+			// seq 2, obj 1, payload flag 1, type int8 0) relabelled uint8
+			// (4): frames of the same width under another type.
+			enc := encode(t, cmdstream.FormatBinary)
+			at := bytes.Index(enc, []byte{3, 2, 1, 1, 0})
+			if at < 0 {
+				t.Fatal("object 1's h2d record not found")
 			}
-			serialSrc, err := cmdstream.OpenSource(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			enc[at+4] = 4
+			return enc
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			enc := c.enc(t)
+			want := collect(t, enc, true, false)
+			if streamsEquivalent(want, s) == c.hostile {
+				t.Fatalf("serial collect equivalent to the encoded stream: %v, want %v", !c.hostile, c.hostile)
 			}
-			want, err := cmdstream.Collect(serialSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipedSrc, err := cmdstream.OpenSource(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps := cmdstream.NewPipelineSource(pipedSrc, 4) // tiny depth to force backpressure
-			got, err := cmdstream.Collect(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ps.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !streamsEquivalent(want, got) {
-				t.Fatal("pipelined collect differs from serial collect")
+			for _, m := range replayModes {
+				if got := collect(t, enc, m.packed, m.pipelined); !streamsEquivalent(want, got) {
+					t.Fatalf("%s collect differs from serial collect", m.name)
+				}
 			}
 		})
 	}

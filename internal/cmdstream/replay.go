@@ -121,11 +121,14 @@ func Replay(x Executor, s *Stream) error {
 // as src produces them, skipping the first opts.Skip and invoking
 // opts.Checkpoint at unit boundaries every opts.CheckpointEvery records.
 // Only the current record (or the current repeat-scope body) is resident,
-// and h2d payloads stream through bounded chunks when both the source and
-// the executor support it. Structure is checked incrementally (ScopeCheck),
-// so a malformed suffix is only detected after the preceding records have
-// executed. Repeat-scope bodies replay through x.WithRepeat, so the
-// executor applies the same charging semantics the live run did. When the
+// and h2d payloads stream through bounded frames when both the source and
+// the executor support it: packed frames landing straight in object storage
+// (PackedSource and PackedExecutor), else []int64 chunks (ChunkedSource and
+// ChunkedExecutor); otherwise each payload is materialized. Structure is
+// checked incrementally (ScopeCheck), so a malformed suffix is only
+// detected after the preceding records have executed. Repeat-scope bodies
+// replay through x.WithRepeat, so the executor applies the same charging
+// semantics the live run did. When the
 // stream was recorded functionally, reduction results are verified against
 // the recorded values — a replay that diverges from the live run fails
 // loudly instead of producing silently different numbers.
@@ -151,6 +154,8 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 	optimized := len(h.Optimized) > 0
 	cs, _ := src.(ChunkedSource)
 	ce, _ := x.(ChunkedExecutor)
+	ps, _ := src.(PackedSource)
+	pe, _ := x.(PackedExecutor)
 
 	var sc ScopeCheck
 	var consumed int64 // records pulled from src, skipped ones included
@@ -206,9 +211,16 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 			}
 			scope = append(scope, *rec)
 			continue
-		case rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload():
+		case rec.Kind == KindCopyH2D && ps != nil && pe != nil && ps.PendingPayload():
 			// The out-of-core h2d path: the payload flows source → device
-			// in bounded chunks and is never materialized.
+			// in bounded packed frames, each landing in object storage
+			// with one copy, and is never materialized.
+			if err := pe.CopyHostToDevicePacked(ObjID(rec.Obj), ps.NextPayloadFrame); err != nil {
+				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
+			}
+		case rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload():
+			// The same path for a source or executor with only the []int64
+			// face: bounded chunks of int64 carriers.
 			if err := ce.CopyHostToDeviceFrom(ObjID(rec.Obj), cs.NextPayloadChunk); err != nil {
 				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
 			}

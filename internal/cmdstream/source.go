@@ -1,6 +1,11 @@
 package cmdstream
 
-import "io"
+import (
+	"io"
+	"slices"
+
+	"pimeval/internal/isa"
+)
 
 // Source is the streaming producer side of the record pipeline: a header
 // plus an iterator over records. Every stream consumer in the repo (replay,
@@ -46,6 +51,18 @@ type ChunkedSource interface {
 	NextPayloadChunk() ([]int64, error)
 }
 
+// PackedSource is a ChunkedSource that can also surface each frame of a
+// pending h2d payload as the PIMB wire packs it: little-endian elements at
+// the width of the returned element type, the object's own type or, for a
+// payload whose values do not fit it, isa.Int64. NextPayloadFrame and
+// NextPayloadChunk read the same frame sequence, so one payload may be
+// drained through either face; the frame's bytes are reused by the next
+// call on either. The binary decoder and PipelineSource implement it.
+type PackedSource interface {
+	ChunkedSource
+	NextPayloadFrame() (isa.DataType, []byte, error)
+}
+
 // ChunkedExecutor is implemented by executors that can consume an h2d
 // payload in bounded chunks (the out-of-core replay path). next returns
 // successive chunks and io.EOF at end; the executor copies each chunk out
@@ -54,24 +71,144 @@ type ChunkedExecutor interface {
 	CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error
 }
 
+// PackedExecutor is implemented by executors that land packed payload
+// frames (PackedSource.NextPayloadFrame) in object storage directly, with no
+// int64 carrier in between. Replay takes this path when both sides offer it.
+type PackedExecutor interface {
+	CopyHostToDevicePacked(id ObjID, next func() (isa.DataType, []byte, error)) error
+}
+
+// chunker is the []int64 face over a packed frame reader: chunk widens one
+// frame (NextPayloadFrame's results) into a buffer reused across calls.
+type chunker struct{ buf []int64 }
+
+func (c *chunker) chunk(dt isa.DataType, frame []byte, err error) ([]int64, error) {
+	if err != nil {
+		return nil, err
+	}
+	n := len(frame) / dt.Bytes()
+	if cap(c.buf) < n {
+		c.buf = make([]int64, max(n, payloadFrameElems))
+	}
+	vals := c.buf[:n]
+	dt.Unpack(vals, frame)
+	return vals, nil
+}
+
 // Materialize completes rec in place: if src has a pending streamed payload
-// for rec (a ChunkedSource h2d record), it is drained into rec.Data. For
-// every other record this is a no-op.
+// for rec (a ChunkedSource h2d record), it is drained into rec.Data, each
+// packed frame unpacked once straight into it. For every other record this
+// is a no-op.
 func Materialize(src Source, rec *Record) error {
 	cs, ok := src.(ChunkedSource)
 	if !ok || !cs.PendingPayload() || rec.Kind != KindCopyH2D {
 		return nil
 	}
+	ps, packed := src.(PackedSource)
 	for {
-		chunk, err := cs.NextPayloadChunk()
-		if err == io.EOF {
-			return nil
+		if !packed {
+			chunk, err := cs.NextPayloadChunk()
+			if err != nil {
+				return eofNil(err)
+			}
+			rec.Data = append(rec.Data, chunk...)
+			continue
 		}
+		dt, frame, err := ps.NextPayloadFrame()
 		if err != nil {
-			return err
+			return eofNil(err)
 		}
-		rec.Data = append(rec.Data, chunk...)
+		have, n := len(rec.Data), len(frame)/dt.Bytes()
+		rec.Data = slices.Grow(rec.Data, n)[:have+n]
+		dt.Unpack(rec.Data[have:], frame)
 	}
+}
+
+// eofNil maps the end of a payload (io.EOF) to success.
+func eofNil(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// int64Frames is the packed face over a source with only the []int64 one:
+// each chunk is packed as an isa.Int64 frame, the wire's lossless form.
+type int64Frames struct {
+	ChunkedSource
+	buf []byte
+}
+
+func (f *int64Frames) NextPayloadFrame() (isa.DataType, []byte, error) {
+	chunk, err := f.NextPayloadChunk()
+	if err != nil {
+		return 0, nil, err
+	}
+	size := len(chunk) * isa.Int64.Bytes()
+	f.buf = slices.Grow(f.buf[:0], size)[:size]
+	isa.Int64.Pack(f.buf, chunk)
+	return isa.Int64, f.buf, nil
+}
+
+// packedFace returns src's packed payload face: src itself, src's chunks
+// through int64Frames when it has only the []int64 face, or nil when it
+// streams no payloads.
+func packedFace(src Source) PackedSource {
+	switch s := src.(type) {
+	case PackedSource:
+		return s
+	case ChunkedSource:
+		return &int64Frames{ChunkedSource: s}
+	}
+	return nil
+}
+
+// CountingSource counts the records pulled through it (N) and forwards
+// every payload face of the wrapped source: chunks, packed frames (through
+// packedFace) and the decode-ahead pipeline's buffer swap. Counting a
+// replay therefore never changes which h2d path it takes.
+type CountingSource struct {
+	Source
+	N      int64
+	frames PackedSource // packedFace(Source), resolved on first use
+}
+
+func (c *CountingSource) Next() (*Record, error) {
+	rec, err := c.Source.Next()
+	if err == nil {
+		c.N++
+	}
+	return rec, err
+}
+
+func (c *CountingSource) PendingPayload() bool {
+	cs, ok := c.Source.(ChunkedSource)
+	return ok && cs.PendingPayload()
+}
+
+func (c *CountingSource) NextPayloadChunk() ([]int64, error) {
+	cs, ok := c.Source.(ChunkedSource)
+	if !ok {
+		return nil, io.EOF
+	}
+	return cs.NextPayloadChunk()
+}
+
+func (c *CountingSource) NextPayloadFrame() (isa.DataType, []byte, error) {
+	if c.frames == nil {
+		if c.frames = packedFace(c.Source); c.frames == nil {
+			return 0, nil, io.EOF
+		}
+	}
+	return c.frames.NextPayloadFrame()
+}
+
+func (c *CountingSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {
+	sw, ok := c.Source.(payloadBufferSwapper)
+	if !ok {
+		return nil, false
+	}
+	return sw.swapPayloadBuffer(buf)
 }
 
 // sliceSource iterates a materialized record slice.

@@ -3,8 +3,10 @@ package device
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pimeval/internal/cmdstream"
+	"pimeval/internal/isa"
 	"pimeval/internal/perf"
 )
 
@@ -22,6 +24,7 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 	if err != nil {
 		return err
 	}
+	var data []int64
 	if d.cfg.Functional {
 		if int64(len(values)) != o.n {
 			return fmt.Errorf("%w: copy of %d values into object of %d", ErrShapeMismatch, len(values), o.n)
@@ -32,23 +35,12 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 		if err != nil {
 			return err
 		}
-	}
-	ev := d.begin(ClassCopy)
-	if d.pipe.wantRecord() {
-		ev.Record = cmdstream.Record{Kind: cmdstream.KindCopyH2D, Obj: int64(id)}
-		if d.cfg.Functional {
-			// Functional recordings carry the payload so a replay
-			// reconstructs the same device data; the copy detaches the
-			// record from the caller's slice. The payload is captured
-			// pre-injection: replays re-run the fault stage at the same
-			// sequence number and corrupt it identically.
-			ev.Record.Data = append([]int64(nil), values...)
+		if d.pipe.wantRecord() {
+			// The copy detaches the record from the caller's slice.
+			data = append([]int64(nil), values...)
 		}
 	}
-	ferr := d.injectWrite(o, 0, o.n)
-	cost := perf.DataMovement(d.cfg.Module, o.Bytes(), false).Scale(float64(d.pipe.repeat))
-	d.finishCopy(ev, "copy.h2d", o.Bytes(), cost, o.Bytes()*d.pipe.repeat, 0, 0)
-	return ferr
+	return d.finishH2D(id, o, data)
 }
 
 // CopyHostToDeviceFrom is the chunked (out-of-core) form of
@@ -60,7 +52,40 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 // recorded form are identical to a CopyHostToDevice of the concatenated
 // chunks — including that re-recording a functional replay materializes the
 // payload into the new record.
-func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) (err error) {
+func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error {
+	return d.copyInFrames(id, func() (h2dFrame, error) {
+		vals, err := next()
+		return h2dFrame{vals: vals}, err
+	})
+}
+
+// CopyHostToDevicePacked is CopyHostToDeviceFrom over packed frames: next
+// returns each frame as little-endian elements at the returned type's width
+// (cmdstream.PackedSource.NextPayloadFrame). A frame of the object's own
+// type lands in storage with one copy (isa.Elems.Unpack); a frame of any
+// other type, such as the int64 fallback of a payload that does not fit the
+// object's type, is widened to carriers and narrowed like a chunk. The
+// result is identical to CopyHostToDeviceFrom of the frames' carriers.
+func (d *Device) CopyHostToDevicePacked(id ObjID, next func() (isa.DataType, []byte, error)) error {
+	return d.copyInFrames(id, func() (h2dFrame, error) {
+		dt, raw, err := next()
+		return h2dFrame{packed: true, dt: dt, raw: raw}, err
+	})
+}
+
+// h2dFrame is one frame of a streamed h2d payload: a chunk of int64
+// carriers, or packed bytes at dt's width.
+type h2dFrame struct {
+	vals   []int64
+	packed bool
+	dt     isa.DataType
+	raw    []byte
+}
+
+// copyInFrames is the one body of both streamed h2d entry points: it lands
+// next's frames in the object in order, then checks the total length,
+// records, injects faults and charges exactly as CopyHostToDevice does.
+func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err error) {
 	if d.guarded() {
 		defer guard(&err)
 	}
@@ -72,38 +97,67 @@ func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) (e
 		return err
 	}
 	wantData := d.pipe.wantRecord() && d.cfg.Functional
-	var buffered []int64
+	// data is the recorded payload: carriers captured pre-truncation and
+	// pre-injection, as CopyHostToDevice records them. wide holds a packed
+	// frame's carriers when it cannot land as it is, or is recorded.
+	var data, wide []int64
 	var off int64
 	for {
-		chunk, cerr := next()
-		if cerr == io.EOF {
+		f, ferr := next()
+		if ferr == io.EOF {
 			break
 		}
-		if cerr != nil {
-			return cerr
+		if ferr != nil {
+			return ferr
 		}
-		if d.cfg.Functional {
-			if off+int64(len(chunk)) > o.n {
-				return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
-					ErrShapeMismatch, off+int64(len(chunk)), o.n)
+		n := int64(len(f.vals))
+		if f.packed {
+			if !f.dt.Valid() || len(f.raw)%f.dt.Bytes() != 0 {
+				return fmt.Errorf("%w: packed frame of %d bytes as %v", ErrBadArgument, len(f.raw), f.dt)
 			}
-			o.data.Store(off, chunk)
+			n = int64(len(f.raw) / f.dt.Bytes())
+		}
+		if d.cfg.Functional && off+n > o.n {
+			return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
+				ErrShapeMismatch, off+n, o.n)
+		}
+		vals := f.vals
+		if f.packed && (wantData || d.cfg.Functional && f.dt != o.dt) {
+			wide = slices.Grow(wide[:0], int(n))[:n]
+			f.dt.Unpack(wide, f.raw)
+			vals = wide
+		}
+		switch {
+		case !d.cfg.Functional:
+		case f.packed && f.dt == o.dt:
+			o.data.Unpack(f.raw, off, off+n)
+		default:
+			o.data.Store(off, vals)
 		}
 		if wantData {
-			// The payload is captured pre-truncation and pre-injection,
-			// exactly as CopyHostToDevice records it.
-			buffered = append(buffered, chunk...)
+			data = append(data, vals...)
 		}
-		off += int64(len(chunk))
+		off += n
 	}
 	if d.cfg.Functional && off != o.n {
 		return fmt.Errorf("%w: chunked copy of %d values into object of %d", ErrShapeMismatch, off, o.n)
 	}
+	return d.finishH2D(id, o, data)
+}
+
+// finishH2D is the tail every h2d shares: the event (recording data as the
+// functional payload), fault injection over the whole object, and the
+// transfer's cost and statistics.
+func (d *Device) finishH2D(id ObjID, o *Object, data []int64) error {
 	ev := d.begin(ClassCopy)
 	if d.pipe.wantRecord() {
 		ev.Record = cmdstream.Record{Kind: cmdstream.KindCopyH2D, Obj: int64(id)}
 		if d.cfg.Functional {
-			ev.Record.Data = buffered
+			// Functional recordings carry the payload so a replay
+			// reconstructs the same device data. It is captured
+			// pre-injection: replays re-run the fault stage at the same
+			// sequence number and corrupt it identically.
+			ev.Record.Data = data
 		}
 	}
 	ferr := d.injectWrite(o, 0, o.n)

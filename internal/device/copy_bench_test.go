@@ -11,41 +11,52 @@ import (
 )
 
 // BenchmarkH2D times the out-of-core h2d path of stream replay for each
-// element type: one 256Ki-element payload decoded frame by frame from a
-// PIMB stream (cmdstream's Unpack) and written into a device object
-// (CopyHostToDeviceFrom's narrowing Store). Each iteration opens the encoded
-// stream afresh, so decoder setup is included.
+// element type and both payload faces: one 256Ki-element payload read frame
+// by frame from a PIMB stream and written into a device object. "packed" is
+// the path replay takes (cmdstream.PackedSource frames landing in storage
+// through CopyHostToDevicePacked, one copy per frame); "chunks" is the
+// []int64 face (the decoder's Unpack to int64 carriers, then
+// CopyHostToDeviceFrom's narrowing Store), which a source wrapper without
+// the packed face still takes. Each iteration opens the encoded stream
+// afresh, so decoder setup is included.
 func BenchmarkH2D(b *testing.B) {
 	const n = 256 << 10
 	for dt := isa.DataType(0); int(dt) < isa.NumTypes; dt++ {
-		b.Run(dt.String(), func(b *testing.B) {
-			enc := h2dStream(b, dt, n)
-			d, err := New(Config{Target: TargetFulcrum, Module: dram.DDR4(1), Functional: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			id, err := d.Alloc(n, dt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n * int64(dt.Bytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src, err := cmdstream.OpenSource(bytes.NewReader(enc))
+		for _, face := range []string{"packed", "chunks"} {
+			b.Run(dt.String()+"/"+face, func(b *testing.B) {
+				enc := h2dStream(b, dt, n)
+				d, err := New(Config{Target: TargetFulcrum, Module: dram.DDR4(1), Functional: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for k := 0; k < 2; k++ { // the alloc, then the h2d record
-					if _, err := src.Next(); err != nil {
+				id, err := d.Alloc(n, dt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(n * int64(dt.Bytes()))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src, err := cmdstream.OpenSource(bytes.NewReader(enc))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for k := 0; k < 2; k++ { // the alloc, then the h2d record
+						if _, err := src.Next(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					ps := src.(cmdstream.PackedSource)
+					if face == "packed" {
+						err = d.CopyHostToDevicePacked(id, ps.NextPayloadFrame)
+					} else {
+						err = d.CopyHostToDeviceFrom(id, ps.NextPayloadChunk)
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}
-				cs := src.(cmdstream.ChunkedSource)
-				if err := d.CopyHostToDeviceFrom(id, cs.NextPayloadChunk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package isa
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // Lane is the set of element machine types: the Go integer type that holds
 // one element of each DataType at exactly its width (int8 for Int8, uint16
@@ -131,12 +134,42 @@ func (s Slice[S]) Tile(src Elems) {
 	}
 }
 
+// Pack and Unpack move storage to and from the wire with one copy through
+// the storage's byte view on a little-endian host, where the two layouts are
+// the same bytes; the pack/unpack loops are the big-endian path and the
+// reference. Either way a dst or src too short for [lo, hi) panics before
+// any element moves, as the loops' reslice does.
 func (s Slice[S]) Pack(dst []byte, lo, hi int64) {
-	pack(laneType[S]().Bytes(), dst, s[lo:hi])
+	vals := s[lo:hi]
+	if hostLittleEndian {
+		b := byteView(vals)
+		copy(dst[:len(b)], b)
+		return
+	}
+	pack(laneType[S]().Bytes(), dst, vals)
 }
 
 func (s Slice[S]) Unpack(src []byte, lo, hi int64) {
-	unpack[S, S](s[lo:hi], src)
+	vals := s[lo:hi]
+	if hostLittleEndian {
+		b := byteView(vals)
+		copy(b, src[:len(b)])
+		return
+	}
+	unpack[S, S](vals, src)
+}
+
+// hostLittleEndian reports whether the host stores integers little-endian,
+// the byte order of both wire formats.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// byteView returns the memory of vals as bytes, len(vals)*sizeof(S) of them,
+// sharing vals' backing array. It is the repository's one use of unsafe: the
+// only way to copy a whole storage span as bytes. Slice.Pack and
+// Slice.Unpack are its only callers, and only on a little-endian host, where
+// the view is exactly the span's packed wire form.
+func byteView[S Lane](vals []S) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(S(0))))
 }
 
 func (s Slice[S]) Grow(n int64) Elems {
@@ -153,7 +186,8 @@ func (s Slice[S]) SetBits(i int64, v uint64) { s[i] = S(v) }
 // element's low width bytes; dst must hold len(vals)*width bytes. It is the
 // one packing loop of both wire formats: DataType.Pack instantiates it at
 // the int64 carrier (PIMB payloads), Slice.Pack at the storage's machine
-// type (PIMS object sections).
+// type (PIMS object sections) on a big-endian host, where the byte view
+// does not apply.
 //
 // Each case reslices the byte side to exactly len(vals)*width and then
 // walks it one element width at a time. The walk's length test cannot fail
@@ -199,7 +233,8 @@ func pack[S Lane](width int, dst []byte, vals []S) {
 // unpack reads len(dst) elements of machine type T packed by pack from src
 // into dst: T's width selects the loop and T's signedness extends each
 // element, so S = int64 yields canonical carriers (DataType.Unpack) and
-// S = T yields storage (Slice.Unpack). Bounds checks are hoisted as in pack.
+// S = T yields storage (Slice.Unpack on a big-endian host). Bounds checks
+// are hoisted as in pack.
 func unpack[S, T Lane](dst []S, src []byte) {
 	switch laneType[T]().Bytes() {
 	case 1:

@@ -252,7 +252,7 @@ func fits[T narrow](vals []int64) bool {
 // bytes per element; dst must hold len(vals)*Bytes() bytes. Each element
 // keeps only its low Bytes() bytes, so Unpack(Pack(v)) == Truncate(v). This
 // is the element packing of the PIMB stream format; PIMS snapshots pack
-// object storage through the same loops (Slice.Pack).
+// object storage into the same layout (Slice.Pack).
 func (t DataType) Pack(dst []byte, vals []int64) {
 	pack(t.Bytes(), dst, vals)
 }

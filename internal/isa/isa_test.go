@@ -168,8 +168,12 @@ func TestCommandName(t *testing.T) {
 // against "Truncate(v) == v for every v", Unpack(Pack(v)) against
 // Truncate(v) with Pack writing exactly len(v)*Bytes() bytes, and storage's
 // Pack writing the same bytes as DataType.Pack, Unpack restoring the stored
-// elements and Bits/SetBits round-tripping each element's bits. The value
-// count is len(data)/8 rounded up, so odd counts are covered.
+// elements and Bits/SetBits round-tripping each element's bits. Storage's
+// Pack and Unpack, which copy through a byte view on a little-endian host,
+// are also compared with the generic loops called directly (loopsOf), so the
+// big-endian path stays tested here, and an interior-span Unpack must leave
+// every element outside its span as it was. The value count is len(data)/8
+// rounded up, so odd counts are covered.
 func FuzzElementConversions(f *testing.F) {
 	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
@@ -246,7 +250,107 @@ func FuzzElementConversions(f *testing.F) {
 		if !slices.Equal(got[:n], want) {
 			t.Fatalf("%v: storage Unpack = %v, want %v", dt, got[:n], want)
 		}
+
+		loopPack, loopUnpack := loops(store)
+		looped := make([]byte, len(buf))
+		copy(looped, buf)
+		clear(looped[:len(vals)*w])
+		loopPack(looped, 2, 2+n)
+		if !slices.Equal(stored, looped) {
+			t.Fatalf("%v: storage Pack = %x, pack loop = %x", dt, stored, looped)
+		}
+		const sentinelBits = 0xa5a5a5a5a5a5a5a5
+		viewed, byLoop := dt.MakeElems(n+3), dt.MakeElems(n+3)
+		for i := int64(0); i < n+3; i++ {
+			viewed.SetBits(i, sentinelBits)
+			byLoop.SetBits(i, sentinelBits)
+		}
+		viewed.Unpack(buf, 1, 1+n)
+		_, loopUnpack = loops(byLoop)
+		loopUnpack(buf, 1, 1+n)
+		for i := int64(0); i < n+3; i++ {
+			if viewed.Bits(i) != byLoop.Bits(i) {
+				t.Fatalf("%v: storage Unpack into [1, %d) element %d bits %#x, unpack loop %#x",
+					dt, 1+n, i, viewed.Bits(i), byLoop.Bits(i))
+			}
+			if inside := i >= 1 && i < 1+n; !inside && viewed.Bits(i) != sentinelBits&dt.maskU() {
+				t.Fatalf("%v: storage Unpack into [1, %d) wrote element %d", dt, 1+n, i)
+			}
+		}
 	})
+}
+
+// loops returns the generic pack and unpack loops over e's own machine
+// type, with Slice.Pack and Slice.Unpack's signatures: the big-endian path
+// of those methods, run on any host.
+func loops(e Elems) (packFn, unpackFn func(b []byte, lo, hi int64)) {
+	switch s := e.(type) {
+	case Slice[int8]:
+		return loopsOf(s)
+	case Slice[int16]:
+		return loopsOf(s)
+	case Slice[int32]:
+		return loopsOf(s)
+	case Slice[int64]:
+		return loopsOf(s)
+	case Slice[uint8]:
+		return loopsOf(s)
+	case Slice[uint16]:
+		return loopsOf(s)
+	case Slice[uint32]:
+		return loopsOf(s)
+	default:
+		return loopsOf(e.(Slice[uint64]))
+	}
+}
+
+func loopsOf[S Lane](s Slice[S]) (packFn, unpackFn func(b []byte, lo, hi int64)) {
+	return func(dst []byte, lo, hi int64) { pack(laneType[S]().Bytes(), dst, s[lo:hi]) },
+		func(src []byte, lo, hi int64) { unpack[S, S](s[lo:hi], src) }
+}
+
+// TestPackUnpackShortBuffer: a byte side one byte short of the span must
+// panic in storage's Pack and Unpack exactly as it does in the generic
+// loops, before any element moves, never silently copy fewer elements.
+func TestPackUnpackShortBuffer(t *testing.T) {
+	const n = 5
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for dt := DataType(0); dt < numTypes; dt++ {
+		short, out := make([]byte, n*dt.Bytes()-1), make([]byte, n*dt.Bytes()-1)
+		for i := range short {
+			short[i], out[i] = 0xff, 0xa5
+		}
+		loopPack, loopUnpack := loops(dt.MakeElems(n + 1))
+		s := dt.MakeElems(n + 1)
+		for _, c := range []struct {
+			name      string
+			view, ref func()
+		}{
+			{"Unpack", func() { s.Unpack(short, 1, 1+n) }, func() { loopUnpack(short, 1, 1+n) }},
+			{"Pack", func() { s.Pack(out, 1, 1+n) }, func() { loopPack(out, 1, 1+n) }},
+		} {
+			if !panics(c.ref) {
+				t.Fatalf("%v: %s loop accepted a short buffer", dt, c.name)
+			}
+			if !panics(c.view) {
+				t.Errorf("%v: storage %s accepted a short buffer", dt, c.name)
+			}
+		}
+		for i := int64(0); i < n+1; i++ {
+			if s.Bits(i) != 0 {
+				t.Errorf("%v: storage Unpack from a short buffer wrote element %d", dt, i)
+			}
+		}
+		for i, b := range out {
+			if b != 0xa5 {
+				t.Errorf("%v: storage Pack into a short buffer wrote byte %d", dt, i)
+			}
+		}
+	}
 }
 
 // benchVals returns one payload frame (128Ki elements) of seeded values

@@ -431,7 +431,7 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 		return discard("unreadable stream spool", err)
 	}
 	defer src.Close()
-	cs := &countingSource{src: src}
+	cs := &cmdstream.CountingSource{Source: src}
 
 	start := s.now()
 	// Prefer the checkpoint; any snapshot problem falls back to a
@@ -461,7 +461,7 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 	}
 	elapsedMS := float64(s.now().Sub(start)) / 1e6
 
-	res, err := buildResult(dev, meta.Session, meta.Tenant, meta.Pipelined, cs.n, elapsedMS)
+	res, err := buildResult(dev, meta.Session, meta.Tenant, meta.Pipelined, cs.N, elapsedMS)
 	if err != nil {
 		return discard("render result", err)
 	}
@@ -477,7 +477,7 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 	s.met.finish(dev.Stats(), elapsedMS)
 	s.met.sessionsRecovered.Add(1)
 	log.Info("recovered journaled session", "session", meta.Session,
-		"records", cs.n, "resumed_at", skip)
+		"records", cs.N, "resumed_at", skip)
 	cleanup()
 	return recoverReplayed
 }

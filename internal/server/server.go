@@ -149,6 +149,10 @@ type Server struct {
 	// test scaffolding for deterministic saturation and cancellation
 	// scenarios.
 	testHookReplayStart func(ctx context.Context, tenant, session string)
+	// testHookSource, when set, wraps each session's decoded source before
+	// replay — test scaffolding for observing which payload face the
+	// replay reads.
+	testHookSource func(cmdstream.Source) cmdstream.Source
 }
 
 // New builds a Server from cfg.
@@ -244,39 +248,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// countingSource counts records as the replayer consumes them, forwarding
-// the ChunkedSource face of the wrapped source so out-of-core h2d payloads
-// keep streaming in bounded chunks through the wrapper.
-type countingSource struct {
-	src cmdstream.Source
-	n   int64
-}
-
-func (c *countingSource) Header() cmdstream.Header { return c.src.Header() }
-
-func (c *countingSource) Next() (*cmdstream.Record, error) {
-	rec, err := c.src.Next()
-	if err == nil {
-		c.n++
-	}
-	return rec, err
-}
-
-func (c *countingSource) Close() error { return c.src.Close() }
-
-func (c *countingSource) PendingPayload() bool {
-	cs, ok := c.src.(cmdstream.ChunkedSource)
-	return ok && cs.PendingPayload()
-}
-
-func (c *countingSource) NextPayloadChunk() ([]int64, error) {
-	cs, ok := c.src.(cmdstream.ChunkedSource)
-	if !ok {
-		return nil, io.EOF
-	}
-	return cs.NextPayloadChunk()
 }
 
 // statusForOpen maps a failure to open the submitted stream at all: anything

@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"pimeval/internal/cmdstream"
+	"pimeval/internal/isa"
 	"pimeval/pim"
 )
 
@@ -381,5 +384,87 @@ func TestStreamOfBinaryAndJSONAgree(t *testing.T) {
 	}
 	if bin.Report != jsn.Report || bin.CommandCSV != jsn.CommandCSV || bin.Metrics != jsn.Metrics {
 		t.Error("binary and JSON submissions of the same stream disagree")
+	}
+}
+
+// payloadSpy forwards a source's packed payload face and counts the frames
+// read through it and the calls to its []int64 face.
+type payloadSpy struct {
+	cmdstream.Source
+	frames, chunks *atomic.Int64
+}
+
+func (s payloadSpy) PendingPayload() bool {
+	return s.Source.(cmdstream.PackedSource).PendingPayload()
+}
+
+func (s payloadSpy) NextPayloadChunk() ([]int64, error) {
+	s.chunks.Add(1)
+	return s.Source.(cmdstream.PackedSource).NextPayloadChunk()
+}
+
+func (s payloadSpy) NextPayloadFrame() (isa.DataType, []byte, error) {
+	dt, frame, err := s.Source.(cmdstream.PackedSource).NextPayloadFrame()
+	if err == nil {
+		s.frames.Add(1)
+	}
+	return dt, frame, err
+}
+
+// TestServedPayloadTakesPackedPath: a served binary session, serial or
+// pipelined, lands its h2d payloads as packed frames through the session's
+// counting wrapper — a 256 Ki-element payload spans two frames and never
+// touches the []int64 chunk face — and its response matches the unserved
+// replay bit for bit.
+func TestServedPayloadTakesPackedPath(t *testing.T) {
+	const n = 256 << 10
+	dev, err := pim.NewDevice(pim.Config{Target: pim.Fulcrum, Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.RecordStream()
+	x, err := dev.Alloc(n, pim.Int32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]int32, n)
+	for i := range xs {
+		xs[i] = int32(i*2654435761) >> 3
+	}
+	if err := pim.CopyToDevice(dev, x, xs); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.MulScalar(x, 3, x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.RedSum(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Free(x); err != nil {
+		t.Fatal(err)
+	}
+	enc := encodeStream(t, dev.RecordedStream(), pim.StreamBinary)
+	want := localExpected(t, enc, 1)
+
+	var frames, chunks atomic.Int64
+	srv := New(Config{Devices: 1, Workers: 1})
+	srv.testHookSource = func(src cmdstream.Source) cmdstream.Source {
+		return payloadSpy{Source: src, frames: &frames, chunks: &chunks}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, query := range []string{"?pipelined=0", "?pipelined=1"} {
+		frames.Store(0)
+		resp, sr, errMsg := submit(t, ts, enc, "t", query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, errMsg)
+		}
+		checkMatches(t, sr, want)
+		if got := frames.Load(); got != 2 {
+			t.Errorf("%s: %d packed frames read, want 2", query, got)
+		}
+		if got := chunks.Load(); got != 0 {
+			t.Errorf("%s: NextPayloadChunk called %d times", query, got)
+		}
 	}
 }

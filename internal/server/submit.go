@@ -213,7 +213,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer src.Close()
-	cs := &countingSource{src: src}
+	if s.testHookSource != nil {
+		src = s.testHookSource(src)
+	}
+	cs := &cmdstream.CountingSource{Source: src}
 
 	// One fresh device per session: the stream header fixes architecture,
 	// geometry, functional mode, and fault seed; nothing is shared with any
@@ -243,15 +246,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st := statusFor(err)
 		s.met.sessionsFailed.Add(1)
 		reject(w, st, 0, err.Error())
-		finish(st, cs.n, err.Error())
+		finish(st, cs.N, err.Error())
 		return
 	}
 
-	res, err := buildResult(d, session, tenant, pipelined, cs.n, elapsedMS)
+	res, err := buildResult(d, session, tenant, pipelined, cs.N, elapsedMS)
 	if err != nil {
 		s.met.sessionsFailed.Add(1)
 		reject(w, http.StatusInternalServerError, 0, err.Error())
-		finish(http.StatusInternalServerError, cs.n, err.Error())
+		finish(http.StatusInternalServerError, cs.N, err.Error())
 		return
 	}
 	j.close()
@@ -260,7 +263,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.met.sessionsFailed.Add(1)
 		reject(w, http.StatusInternalServerError, 0, err.Error())
-		finish(http.StatusInternalServerError, cs.n, err.Error())
+		finish(http.StatusInternalServerError, cs.N, err.Error())
 		return
 	}
 	// Publish the result for retries before the journal is dropped and the
@@ -276,7 +279,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(payload)
 	io.WriteString(w, "\n")
-	finish(http.StatusOK, cs.n, "ok")
+	finish(http.StatusOK, cs.N, "ok")
 }
 
 // buildResult assembles the response from the session device. Every field
