@@ -69,6 +69,10 @@ var recoveryModes = []recoveryMode{
 		optimize: pim.OptimizeConfig{DeadCode: true, Hoist: true}},
 	{name: "opt-all+pipelined-resume", resumePipelined: true,
 		optimize: pim.AllPasses()},
+	// Optimizer windows hold their payloads packed at element width; this
+	// crosses them with the pipeline on both sides of the kill.
+	{name: "opt-window+pipelined-both", ckptPipelined: true, resumePipelined: true,
+		optimize: pim.OptimizeConfig{DeadCode: true, Hoist: true}},
 }
 
 // recoveryCase is the kill-at-every-checkpoint differential: record one

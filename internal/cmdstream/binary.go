@@ -254,7 +254,7 @@ func (c *binCoder) fields(rec *Record) {
 	case KindCopyH2D:
 		c.uint(&rec.Obj, "obj")
 		c.hasPayload = 0
-		if len(rec.Data) > 0 {
+		if rec.PayloadLen() > 0 {
 			c.hasPayload = 1
 		}
 		c.byte(&c.hasPayload, "payload flag")
@@ -408,12 +408,30 @@ func (bw *binWriter) Write(rec *Record) error {
 	if !bw.began {
 		return fmt.Errorf("cmdstream: binary writer: Write before Begin")
 	}
-	// The payload packs at the object's tracked element type when every
-	// value fits it; otherwise the raw 8-byte fallback keeps the encoding
-	// lossless.
+	// The payload packs at the object's tracked element type. A packed
+	// payload already at that type is emitted as it is; any other is widened
+	// and packs at the type when every value fits it, else in the raw 8-byte
+	// fallback that keeps the encoding lossless.
+	var data []int64
+	var direct *Payload
 	if rec.Kind == KindCopyH2D {
 		bw.c.payType = binTypeRaw
-		if tc, ok := bw.objTypes[rec.Obj]; ok && binTypes[tc].Fits(rec.Data) {
+		tc, tracked := bw.objTypes[rec.Obj]
+		switch p := rec.Packed; {
+		case p != nil && tracked && p.Type == binTypes[tc]:
+			if err := p.check(); err != nil {
+				return err
+			}
+			direct, bw.c.payType = p, tc
+		case p != nil:
+			var err error
+			if data, err = p.Int64s(); err != nil {
+				return err
+			}
+		default:
+			data = rec.Data
+		}
+		if direct == nil && tracked && binTypes[tc].Fits(data) {
 			bw.c.payType = tc
 		}
 	}
@@ -431,10 +449,13 @@ func (bw *binWriter) Write(rec *Record) error {
 	if err := bw.flush(); err != nil {
 		return err
 	}
-	if rec.Kind == KindCopyH2D && bw.c.hasPayload == 1 {
-		return bw.payload(rec.Data)
+	switch {
+	case rec.Kind != KindCopyH2D || bw.c.hasPayload == 0:
+		return nil
+	case direct != nil:
+		return bw.packedPayload(direct)
 	}
-	return nil
+	return bw.payload(data)
 }
 
 // payload writes the h2d payload frames after the record head: each a
@@ -451,8 +472,7 @@ func (bw *binWriter) payload(data []int64) error {
 	}
 	for off := 0; off < len(data); off += payloadFrameElems {
 		n := min(len(data)-off, payloadFrameElems)
-		bw.c.buf = binary.AppendUvarint(bw.c.buf, uint64(n))
-		if err := bw.flush(); err != nil {
+		if err := bw.frameHead(n); err != nil {
 			return err
 		}
 		buf := bw.packbuf[:n*width]
@@ -462,6 +482,39 @@ func (bw *binWriter) payload(data []int64) error {
 		}
 	}
 	return bw.w.WriteByte(0)
+}
+
+// packedPayload writes a payload already packed at the payload type,
+// recutting its frames to payloadFrameElems so the output is the canonical
+// framing payload would produce from the same values.
+func (bw *binWriter) packedPayload(p *Payload) error {
+	width := p.Type.Bytes()
+	frames := p.Frames
+	var cur []byte
+	for left := int(p.Len()); left > 0; {
+		n := min(left, payloadFrameElems)
+		if err := bw.frameHead(n); err != nil {
+			return err
+		}
+		for need := n * width; need > 0; {
+			for len(cur) == 0 {
+				cur, frames = frames[0], frames[1:]
+			}
+			k := min(need, len(cur))
+			if _, err := bw.w.Write(cur[:k]); err != nil {
+				return err
+			}
+			cur, need = cur[k:], need-k
+		}
+		left -= n
+	}
+	return bw.w.WriteByte(0)
+}
+
+// frameHead writes a payload frame's uvarint element count.
+func (bw *binWriter) frameHead(n int) error {
+	bw.c.buf = binary.AppendUvarint(bw.c.buf, uint64(n))
+	return bw.flush()
 }
 
 func (bw *binWriter) Close() error {

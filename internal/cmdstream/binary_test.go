@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"pimeval/internal/cmdstream"
+	"pimeval/internal/device"
 	"pimeval/internal/dram"
+	"pimeval/internal/isa"
 )
 
 // fullStream builds a stream exercising every record kind, every exec form,
@@ -651,5 +653,132 @@ func TestBinaryRejectsBadFields(t *testing.T) {
 		if err == nil || errors.Is(err, cmdstream.ErrTruncated) {
 			t.Errorf("decode uvarint above MaxInt64 in %v: err = %v, want an overflow error", body, err)
 		}
+	}
+}
+
+// TestBinaryWriterPackedPayload: the writer emits a packed payload of its
+// object's tracked type as it is, recut to the canonical frame size, and
+// widens any other through the Fits path — so every form of one payload
+// encodes to the same bytes as its int64 carriers. A packed payload the
+// wire cannot carry is an error, not a panic.
+func TestBinaryWriterPackedPayload(t *testing.T) {
+	const n = 1<<17 + 1000 // spans two canonical frames
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i%60000) - 30000
+	}
+	pack := func(dt isa.DataType, cuts ...int) *cmdstream.Payload {
+		p := &cmdstream.Payload{Type: dt}
+		for lo := 0; lo < n; {
+			hi := n
+			if len(cuts) > 0 {
+				hi, cuts = min(lo+cuts[0], n), cuts[1:]
+			}
+			f := make([]byte, (hi-lo)*dt.Bytes())
+			dt.Pack(f, vals[lo:hi])
+			p.Frames = append(p.Frames, f)
+			lo = hi
+		}
+		return p
+	}
+	encode := func(h2d cmdstream.Record) ([]byte, error) {
+		h2d.Seq, h2d.Kind, h2d.Obj = 2, cmdstream.KindCopyH2D, 1
+		var buf bytes.Buffer
+		err := (&cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+			{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int16", N: n}, h2d,
+		}}).EncodeBinary(&buf)
+		return buf.Bytes(), err
+	}
+	want, err := encode(cmdstream.Record{Data: vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*cmdstream.Payload{
+		"in-type canonical": pack(isa.Int16),
+		"in-type ragged":    pack(isa.Int16, 5, 1<<17, 77),
+		"raw int64":         pack(isa.Int64, 1000),
+		"int32":             pack(isa.Int32),
+	} {
+		got, err := encode(cmdstream.Record{Packed: p})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: packed payload encodes differently from its carriers", name)
+		}
+	}
+	for name, p := range map[string]*cmdstream.Payload{
+		"invalid type":  {Type: isa.DataType(99), Frames: [][]byte{{1, 2, 3}}},
+		"partial frame": {Type: isa.Int16, Frames: [][]byte{{1, 2, 3}}},
+		"partial raw":   {Type: isa.Int64, Frames: [][]byte{{1, 2, 3}}},
+	} {
+		if _, err := encode(cmdstream.Record{Packed: p}); !errors.Is(err, cmdstream.ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", name, err)
+		}
+	}
+}
+
+// TestPumpMatchesReRecording: transcoding a PIMB stream (Pump, which
+// materializes payloads at element width) and re-recording its replay
+// (the device records in-type frames packed) both reproduce the stream's
+// bytes exactly, raw int64 fallback payloads included.
+func TestPumpMatchesReRecording(t *testing.T) {
+	d := newDev(t)
+	d.StartRecording()
+	const n = 1<<17 + 300
+	for i, dt := range []isa.DataType{isa.UInt8, isa.Int16, isa.Int32, isa.Int64} {
+		id, err := d.Alloc(n, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int64, n)
+		for j := range vals {
+			vals[j] = dt.Truncate(int64(j*(i+3)) * 40503)
+		}
+		if i == 1 {
+			vals[n-1] = 1 << 40 // does not fit int16: the raw fallback
+		}
+		if err := d.CopyHostToDevice(id, vals); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WithRepeat(2, func() error { return d.CopyHostToDevice(id, vals) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var enc bytes.Buffer
+	if err := d.RecordedStream().EncodeBinary(&enc); err != nil {
+		t.Fatal(err)
+	}
+	open := func() cmdstream.Source {
+		src, err := cmdstream.OpenSource(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	var pumped bytes.Buffer
+	if err := cmdstream.Pump(cmdstream.NewWriter(&pumped, cmdstream.FormatBinary), open()); err != nil {
+		t.Fatal(err)
+	}
+	src := open()
+	r, err := device.NewFromHeader(src.Header(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerecorded bytes.Buffer
+	if err := r.StartRecordingTo(cmdstream.NewWriter(&rerecorded, cmdstream.FormatBinary)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdstream.ReplaySourceOpts(r, src, cmdstream.ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.FinishRecording(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pumped.Bytes(), enc.Bytes()) {
+		t.Error("Pump transcoding changed the stream's bytes")
+	}
+	if !bytes.Equal(rerecorded.Bytes(), enc.Bytes()) {
+		t.Error("re-recording the replay changed the stream's bytes")
 	}
 }

@@ -114,8 +114,14 @@ type Record struct {
 	SrcOff int64 `json:"srcoff,omitempty"`
 	DstOff int64 `json:"dstoff,omitempty"`
 
-	// Host-to-device payload (functional recordings only).
-	Data []int64 `json:"data,omitempty"`
+	// Host-to-device payload (functional recordings only), in one of two
+	// forms: int64 carriers (Data), the form of the host boundary — live
+	// recording, JSON and materialized streams (Collect, Decode) — or, for
+	// a payload materialized from a packed source, the frames the PIMB
+	// decoder produced at the element's width (Packed). At most one is set;
+	// PayloadLen measures either.
+	Data   []int64  `json:"data,omitempty"`
+	Packed *Payload `json:"-"`
 
 	// Host-phase cost as issued (pre-repeat-scaling).
 	TimeNS   float64 `json:"time_ns,omitempty"`

@@ -177,7 +177,11 @@ func (jw *jsonWriter) Write(rec *Record) error {
 		}
 	}
 	jw.wrote = true
-	rb, err := json.Marshal(rec)
+	w, err := rec.Widened()
+	if err != nil {
+		return err
+	}
+	rb, err := json.Marshal(&w)
 	if err != nil {
 		return err
 	}

@@ -245,11 +245,31 @@ func outOfCoreReplay(t *testing.T, packed, pipelined bool) {
 	}
 }
 
-// payloadEdgeCases replays, in every replay mode, the h2d payloads that do
-// not land as one packed copy or do not match their object: a raw int64
-// fallback payload (values that do not fit the object's type), a frame whose
-// payload type differs from the object's (a hostile stream), and payloads
-// over and under the object's length, spanning two frames. The first two
+// materialized completes every record's payload as it is pulled
+// (cmdstream.Materialize), so the replay walker receives records that hold
+// their payloads packed at element width — the form an optimizer window
+// hands it.
+type materialized struct{ cmdstream.Source }
+
+func (m materialized) Next() (*cmdstream.Record, error) {
+	rec, err := m.Source.Next()
+	if err == nil {
+		err = cmdstream.Materialize(m.Source, rec)
+	}
+	return rec, err
+}
+
+// payloadForms are where a replayed h2d payload is held when it lands:
+// streamed from the source, materialized before the walker sees it, or
+// buffered in a repeat-scope body.
+var payloadForms = []string{"streamed", "materialized", "scope"}
+
+// payloadEdgeCases replays, in every replay mode and payload form, the h2d
+// payloads that do not land as one packed copy or do not match their
+// object: a raw int64 fallback payload (values that do not fit the
+// object's type), a frame whose payload type differs from the object's (a
+// hostile stream), and payloads over and under the object's length,
+// spanning two frames. The first two
 // must land exactly as their values truncated to the object's type; the
 // last two must fail with ErrShapeMismatch, never panic.
 func payloadEdgeCases(t *testing.T) {
@@ -260,12 +280,18 @@ func payloadEdgeCases(t *testing.T) {
 		vals[i] = int64(i*40503) - 1<<20
 	}
 	h := fullStream().Header
-	stream := func(typ string, payload []int64) []byte {
+	stream := func(typ string, payload []int64, scope bool) []byte {
 		var buf bytes.Buffer
 		s := &cmdstream.Stream{Header: h, Records: []cmdstream.Record{
 			{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: typ, N: n},
 			{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: payload},
 		}}
+		if scope {
+			s.Records = []cmdstream.Record{s.Records[0],
+				{Seq: 2, Kind: cmdstream.KindRepeatBegin, Repeat: 2},
+				{Seq: 3, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: payload},
+				{Seq: 4, Kind: cmdstream.KindRepeatEnd}}
+		}
 		if err := s.EncodeBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -278,55 +304,114 @@ func payloadEdgeCases(t *testing.T) {
 	// The hostile stream is a uint16 object's stream whose alloc is
 	// rewritten to int8 (the pinned wire codes: kind alloc 1, seq 1, obj 1,
 	// type uint16 5 → int8 0), so its payload frames stay packed as uint16.
-	hostile := stream("uint16", fits)
-	at := bytes.Index(hostile, []byte{1, 1, 1, 5})
-	if at < 0 {
-		t.Fatal("alloc record not found")
+	hostile := func(scope bool) []byte {
+		enc := stream("uint16", fits, scope)
+		at := bytes.Index(enc, []byte{1, 1, 1, 5})
+		if at < 0 {
+			t.Fatal("alloc record not found")
+		}
+		enc[at+3] = 0
+		return enc
 	}
-	hostile[at+3] = 0
 	cases := []struct {
 		name  string
-		enc   []byte
+		enc   func(scope bool) []byte
 		typ   isa.DataType
 		vals  []int64 // the payload's values, before truncation to typ
 		shape bool    // want ErrShapeMismatch
 	}{
-		{"raw-int64", stream("int16", vals[:n]), isa.Int16, vals[:n], false},
+		{"raw-int64", func(sc bool) []byte { return stream("int16", vals[:n], sc) }, isa.Int16, vals[:n], false},
 		{"hostile-paytype", hostile, isa.Int8, fits, false},
-		{"over", stream("int32", vals), isa.Int32, nil, true},
-		{"under", stream("int32", vals[:frame]), isa.Int32, nil, true},
+		{"over", func(sc bool) []byte { return stream("int32", vals, sc) }, isa.Int32, nil, true},
+		{"under", func(sc bool) []byte { return stream("int32", vals[:frame], sc) }, isa.Int32, nil, true},
 	}
 	for _, c := range cases {
-		for _, m := range replayModes {
-			t.Run(c.name+"/"+m.name, func(t *testing.T) {
-				src, err := cmdstream.OpenSource(bytes.NewReader(c.enc))
-				if err != nil {
-					t.Fatal(err)
+		for _, form := range payloadForms {
+			enc := c.enc(form == "scope")
+			for _, m := range replayModes {
+				name := c.name + "/" + form + "/" + m.name
+				if form == "streamed" {
+					name = c.name + "/" + m.name
 				}
-				dev, err := device.NewFromHeader(h, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = cmdstream.ReplaySourceOpts(dev, faced(src, m.packed), cmdstream.ReplayOptions{Pipelined: m.pipelined})
-				if c.shape {
-					if !errors.Is(err, device.ErrShapeMismatch) {
-						t.Fatalf("got %v, want ErrShapeMismatch", err)
+				t.Run(name, func(t *testing.T) {
+					src, err := cmdstream.OpenSource(bytes.NewReader(enc))
+					if err != nil {
+						t.Fatal(err)
 					}
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := dev.CopyDeviceToHost(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range c.vals {
-					if want := c.typ.Truncate(v); got[i] != want {
-						t.Fatalf("element %d = %d, want %d", i, got[i], want)
+					if src = faced(src, m.packed); form == "materialized" {
+						src = materialized{src}
 					}
-				}
-			})
+					dev, err := device.NewFromHeader(h, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = cmdstream.ReplaySourceOpts(dev, src, cmdstream.ReplayOptions{Pipelined: m.pipelined})
+					if c.shape {
+						if !errors.Is(err, device.ErrShapeMismatch) {
+							t.Fatalf("got %v, want ErrShapeMismatch", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := dev.CopyDeviceToHost(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range c.vals {
+						if want := c.typ.Truncate(v); got[i] != want {
+							t.Fatalf("element %d = %d, want %d", i, got[i], want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReplayHostilePackedPayload: a materialized record whose packed
+// payload no element loop can read (an invalid element type, a partial
+// element) or whose length does not match its object fails with a typed
+// device error, never a panic — landed directly, in a repeat-scope body,
+// and behind the pipeline.
+func TestReplayHostilePackedPayload(t *testing.T) {
+	h := fullStream().Header
+	cases := []struct {
+		name string
+		pay  cmdstream.Payload
+		want error
+	}{
+		{"invalid-type", cmdstream.Payload{Type: isa.DataType(99), Frames: [][]byte{make([]byte, 16)}}, device.ErrBadArgument},
+		{"partial-element", cmdstream.Payload{Type: isa.Int32, Frames: [][]byte{make([]byte, 30)}}, device.ErrBadArgument},
+		{"short", cmdstream.Payload{Type: isa.Int16, Frames: [][]byte{make([]byte, 6), make([]byte, 8)}}, device.ErrShapeMismatch},
+		{"long", cmdstream.Payload{Type: isa.Int16, Frames: [][]byte{make([]byte, 8), make([]byte, 10)}}, device.ErrShapeMismatch},
+	}
+	for _, c := range cases {
+		for _, scope := range []bool{false, true} {
+			for _, pipelined := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/scope=%v/pipelined=%v", c.name, scope, pipelined), func(t *testing.T) {
+					pay := c.pay
+					recs := []cmdstream.Record{
+						{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int16", N: 8},
+						{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Packed: &pay},
+					}
+					if scope {
+						recs = []cmdstream.Record{recs[0],
+							{Seq: 2, Kind: cmdstream.KindRepeatBegin, Repeat: 3},
+							{Seq: 3, Kind: cmdstream.KindCopyH2D, Obj: 1, Packed: &pay},
+							{Seq: 4, Kind: cmdstream.KindRepeatEnd}}
+					}
+					dev, err := device.NewFromHeader(h, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = cmdstream.ReplaySourceOpts(dev, cmdstream.FromRecords(h, recs), cmdstream.ReplayOptions{Pipelined: pipelined})
+					if !errors.Is(err, c.want) {
+						t.Fatalf("got %v, want %v", err, c.want)
+					}
+				})
+			}
 		}
 	}
 }

@@ -33,8 +33,9 @@ const (
 	// is at most 4 MiB — bounded for out-of-core replay.
 	pipelineFrameTokens = 4
 	// maxPipelineElems bounds the inline payload elements (Record.Data of
-	// JSON-decoded or materialized records, plus segmented-reduction
-	// results) buffered between stages: 8 Mi elements = 64 MiB. The frame
+	// JSON-decoded records, Record.Packed of materialized ones, plus
+	// segmented-reduction results; Record.PayloadLen) buffered between
+	// stages: 8 Mi elements, at most 64 MiB. The frame
 	// free list already bounds streamed payloads; this bounds the rest, so
 	// a pipelined replay of a payload-heavy stream stays out-of-core.
 	maxPipelineElems = 8 << 20
@@ -158,7 +159,7 @@ func (p *PipelineSource) produce() {
 		// fresh per record, so only the backing struct needs its own copy.
 		*cp = *rec
 		chunked := ps != nil && rec.Kind == KindCopyH2D && ps.PendingPayload()
-		w := int64(len(cp.Data) + len(cp.Results))
+		w := cp.PayloadLen() + int64(len(cp.Results))
 		if w > 0 {
 			p.elems.Add(w)
 		}
@@ -463,7 +464,7 @@ func (a *AsyncSink) Write(rec *Record) error {
 		cp = new(Record)
 	}
 	*cp = *rec
-	w := int64(len(cp.Data) + len(cp.Results))
+	w := cp.PayloadLen() + int64(len(cp.Results))
 	if w > 0 {
 		a.elems.Add(w)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,6 +87,83 @@ func TestPipelineSourceEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// nextCounter counts the records pulled from the wrapped source, from
+// whichever goroutine pulls them.
+type nextCounter struct {
+	cmdstream.Source
+	n atomic.Int64
+}
+
+func (c *nextCounter) Next() (*cmdstream.Record, error) {
+	c.n.Add(1)
+	return c.Source.Next()
+}
+
+// TestPipelineSourceBoundsPackedPayloads: materialized records, such as an
+// optimizer window's, carry their payloads packed at element width. The
+// pipeline charges them by element count (Record.PayloadLen) against its
+// inline payload budget, so the producer blocks behind a payload over the
+// budget, and a pipelined replay of them is bit-identical to the serial
+// one.
+func TestPipelineSourceBoundsPackedPayloads(t *testing.T) {
+	const n = 8<<20 + 1 // one element over the pipeline's inline budget
+	h := fullStream().Header
+	var recs []cmdstream.Record
+	for obj := int64(1); obj <= 3; obj++ {
+		frame := make([]byte, n)
+		for i := range frame {
+			frame[i] = byte(i*7 + int(obj))
+		}
+		recs = append(recs,
+			cmdstream.Record{Seq: 2*obj - 1, Kind: cmdstream.KindAlloc, Obj: obj, Type: "uint8", N: n},
+			cmdstream.Record{Seq: 2 * obj, Kind: cmdstream.KindCopyH2D, Obj: obj,
+				Packed: &cmdstream.Payload{Type: isa.UInt8, Frames: [][]byte{frame[:n/2], frame[n/2:]}}})
+	}
+
+	counted := &nextCounter{Source: cmdstream.FromRecords(h, recs)}
+	ps := cmdstream.NewPipelineSource(counted, 64)
+	for i := 0; i < 2; i++ {
+		if _, err := ps.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The consumer holds the first payload: the producer must stop there.
+	time.Sleep(50 * time.Millisecond)
+	if got := counted.n.Load(); got != 2 {
+		t.Errorf("producer pulled %d records while a payload over the budget was in flight, want 2", got)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replay := func(pipelined bool) *device.Device {
+		d, err := device.NewFromHeader(h, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.EnableTrace()
+		if err := cmdstream.ReplaySourceOpts(d, cmdstream.FromRecords(h, recs), cmdstream.ReplayOptions{Pipelined: pipelined}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	serial, piped := replay(false), replay(true)
+	if serial.TraceString() != piped.TraceString() || serial.ReportString() != piped.ReportString() {
+		t.Error("pipelined replay of packed payloads diverged from the serial replay")
+	}
+	for obj := int64(1); obj <= 3; obj++ {
+		got, err := piped.CopyDeviceToHost(cmdstream.ObjID(obj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if want := int64(byte(i*7 + int(obj))); v != want {
+				t.Fatalf("object %d element %d = %d, want %d", obj, i, v, want)
+			}
+		}
 	}
 }
 

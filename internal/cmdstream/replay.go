@@ -121,17 +121,18 @@ func Replay(x Executor, s *Stream) error {
 // as src produces them, skipping the first opts.Skip and invoking
 // opts.Checkpoint at unit boundaries every opts.CheckpointEvery records.
 // Only the current record (or the current repeat-scope body) is resident,
-// and h2d payloads stream through bounded frames when both the source and
-// the executor support it: packed frames landing straight in object storage
-// (PackedSource and PackedExecutor), else []int64 chunks (ChunkedSource and
-// ChunkedExecutor); otherwise each payload is materialized. Structure is
-// checked incrementally (ScopeCheck), so a malformed suffix is only
-// detected after the preceding records have executed. Repeat-scope bodies
-// replay through x.WithRepeat, so the executor applies the same charging
-// semantics the live run did. When the
-// stream was recorded functionally, reduction results are verified against
-// the recorded values — a replay that diverges from the live run fails
-// loudly instead of producing silently different numbers.
+// and every h2d payload lands through copyIn: a streamed one in bounded
+// frames when both the source and the executor support it, packed frames
+// straight into object storage (PackedSource and PackedExecutor) or else
+// []int64 chunks (ChunkedSource and ChunkedExecutor); a materialized one,
+// such as a scope body's or an optimizer window's, as its packed frames.
+// Structure is checked incrementally (ScopeCheck), so a malformed suffix is
+// only detected after the preceding records have executed. Repeat-scope
+// bodies replay through x.WithRepeat, so the executor applies the same
+// charging semantics the live run did. When the stream was recorded
+// functionally, reduction results are verified against the recorded values
+// — a replay that diverges from the live run fails loudly instead of
+// producing silently different numbers.
 //
 // Because every layer of the stack is deterministic, a replay resumed from
 // a restored executor at cursor N is bit-identical to an uninterrupted
@@ -152,10 +153,6 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 	h := src.Header()
 	verify := h.Functional
 	optimized := len(h.Optimized) > 0
-	cs, _ := src.(ChunkedSource)
-	ce, _ := x.(ChunkedExecutor)
-	ps, _ := src.(PackedSource)
-	pe, _ := x.(PackedExecutor)
 
 	var sc ScopeCheck
 	var consumed int64 // records pulled from src, skipped ones included
@@ -194,7 +191,7 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 		case rec.Kind == KindRepeatEnd:
 			if err := x.WithRepeat(factor, func() error {
 				for i := range scope {
-					if err := replayOne(x, &scope[i], verify, optimized); err != nil {
+					if err := replayOne(x, nil, &scope[i], verify, optimized); err != nil {
 						return fmt.Errorf("cmdstream: seq %d (%s): %w", scope[i].Seq, scope[i].Kind, err)
 					}
 				}
@@ -205,30 +202,14 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 		case sc.InScope():
 			// Scope bodies replay through WithRepeat as one unit, so the
 			// body is buffered (scopes are bounded; payloads inside them
-			// materialize).
+			// materialize at element width).
 			if err := Materialize(src, rec); err != nil {
 				return err
 			}
 			scope = append(scope, *rec)
 			continue
-		case rec.Kind == KindCopyH2D && ps != nil && pe != nil && ps.PendingPayload():
-			// The out-of-core h2d path: the payload flows source → device
-			// in bounded packed frames, each landing in object storage
-			// with one copy, and is never materialized.
-			if err := pe.CopyHostToDevicePacked(ObjID(rec.Obj), ps.NextPayloadFrame); err != nil {
-				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
-			}
-		case rec.Kind == KindCopyH2D && cs != nil && ce != nil && cs.PendingPayload():
-			// The same path for a source or executor with only the []int64
-			// face: bounded chunks of int64 carriers.
-			if err := ce.CopyHostToDeviceFrom(ObjID(rec.Obj), cs.NextPayloadChunk); err != nil {
-				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
-			}
 		default:
-			if err := Materialize(src, rec); err != nil {
-				return err
-			}
-			if err := replayOne(x, rec, verify, optimized); err != nil {
+			if err := replayOne(x, src, rec, verify, optimized); err != nil {
 				return fmt.Errorf("cmdstream: seq %d (%s): %w", rec.Seq, rec.Kind, err)
 			}
 		}
@@ -244,8 +225,10 @@ func ReplaySourceOpts(x Executor, src Source, opts ReplayOptions) error {
 	}
 }
 
-// replayOne executes a single non-structural record.
-func replayOne(x Executor, rec *Record, verify, optimized bool) error {
+// replayOne executes a single non-structural record; src is the source
+// whose pending payload an h2d record may still be streaming (nil for a
+// buffered scope body).
+func replayOne(x Executor, src Source, rec *Record, verify, optimized bool) error {
 	switch rec.Kind {
 	case KindAlloc:
 		dt, ok := isa.TypeByName(rec.Type)
@@ -268,7 +251,7 @@ func replayOne(x Executor, rec *Record, verify, optimized bool) error {
 	case KindFree:
 		return x.Free(ObjID(rec.Obj))
 	case KindCopyH2D:
-		return x.CopyHostToDevice(ObjID(rec.Obj), rec.Data)
+		return copyIn(x, src, rec)
 	case KindCopyD2H:
 		_, err := x.CopyDeviceToHost(ObjID(rec.Obj))
 		return err
@@ -284,6 +267,41 @@ func replayOne(x Executor, rec *Record, verify, optimized bool) error {
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
+}
+
+// copyIn is the replay walker's one h2d landing, for a payload in any
+// form: still streaming from src, materialized at element width (Packed),
+// or as int64 carriers (Data). Packed frames land through PackedExecutor,
+// one copy each. An executor without that face takes a streaming payload
+// as []int64 chunks (ChunkedExecutor) or, like a materialized one, widened
+// once at its exact length.
+func copyIn(x Executor, src Source, rec *Record) error {
+	id := ObjID(rec.Obj)
+	pe, _ := x.(PackedExecutor)
+	if cs, ok := src.(ChunkedSource); ok && cs.PendingPayload() {
+		ps, packed := src.(PackedSource)
+		ce, chunked := x.(ChunkedExecutor)
+		switch {
+		case packed && pe != nil:
+			return pe.CopyHostToDevicePacked(id, ps.NextPayloadFrame)
+		case chunked:
+			return ce.CopyHostToDeviceFrom(id, cs.NextPayloadChunk)
+		}
+		if err := Materialize(src, rec); err != nil {
+			return err
+		}
+	}
+	if rec.Packed == nil {
+		return x.CopyHostToDevice(id, rec.Data)
+	}
+	if pe != nil {
+		return pe.CopyHostToDevicePacked(id, rec.Packed.frames())
+	}
+	data, err := rec.Packed.Int64s()
+	if err != nil {
+		return err
+	}
+	return x.CopyHostToDevice(id, data)
 }
 
 // replayExec dispatches an exec record through the form-specific entry point.

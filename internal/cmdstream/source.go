@@ -1,6 +1,8 @@
 package cmdstream
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"slices"
 
@@ -14,10 +16,10 @@ import (
 // slice API onto it.
 //
 // Contract: Next returns io.EOF after the last record. The returned *Record
-// may reuse one backing struct across calls, but its slice fields (Data,
-// Results) are freshly allocated per record — a consumer that retains a
-// record may copy the struct shallowly. Sources that stream h2d payloads
-// out-of-core additionally implement ChunkedSource.
+// may reuse one backing struct across calls, but its slice and pointer
+// fields (Data, Packed, Results) are freshly allocated per record — a
+// consumer that retains a record may copy the struct shallowly. Sources that
+// stream h2d payloads out-of-core additionally implement ChunkedSource.
 type Source interface {
 	// Header identifies the device the stream was recorded on. It is valid
 	// immediately (before the first Next call).
@@ -96,40 +98,123 @@ func (c *chunker) chunk(dt isa.DataType, frame []byte, err error) ([]int64, erro
 }
 
 // Materialize completes rec in place: if src has a pending streamed payload
-// for rec (a ChunkedSource h2d record), it is drained into rec.Data, each
-// packed frame unpacked once straight into it. For every other record this
-// is a no-op.
+// for rec (a ChunkedSource h2d record), it is drained into rec.Packed, each
+// frame an exact-size copy of the packed bytes src produced (a source with
+// only the []int64 face through packedFace). No frame is widened and no
+// buffer grows by doubling. For every other record this is a no-op.
 func Materialize(src Source, rec *Record) error {
 	cs, ok := src.(ChunkedSource)
 	if !ok || !cs.PendingPayload() || rec.Kind != KindCopyH2D {
 		return nil
 	}
-	ps, packed := src.(PackedSource)
+	ps := packedFace(src)
+	var p *Payload
 	for {
-		if !packed {
-			chunk, err := cs.NextPayloadChunk()
-			if err != nil {
-				return eofNil(err)
-			}
-			rec.Data = append(rec.Data, chunk...)
-			continue
-		}
 		dt, frame, err := ps.NextPayloadFrame()
-		if err != nil {
-			return eofNil(err)
+		if err == io.EOF {
+			rec.Packed = p
+			return nil
 		}
-		have, n := len(rec.Data), len(frame)/dt.Bytes()
-		rec.Data = slices.Grow(rec.Data, n)[:have+n]
-		dt.Unpack(rec.Data[have:], frame)
+		if err != nil {
+			return err
+		}
+		switch {
+		case p == nil:
+			p = &Payload{Type: dt}
+		case dt != p.Type:
+			return fmt.Errorf("cmdstream: %w: payload frames packed as both %v and %v", ErrFormat, p.Type, dt)
+		}
+		p.Frames = append(p.Frames, bytes.Clone(frame))
 	}
 }
 
-// eofNil maps the end of a payload (io.EOF) to success.
-func eofNil(err error) error {
-	if err == io.EOF {
-		return nil
+// Payload is a materialized h2d payload at element width: the frames a
+// PackedSource produced, each little-endian elements of Type. Frames are
+// owned by the payload and never modified once it is built.
+type Payload struct {
+	Type   isa.DataType
+	Frames [][]byte
+}
+
+// Len returns the payload's length in elements (in bytes, for an invalid
+// Type, so a hostile payload still measures without panicking).
+func (p *Payload) Len() int64 {
+	var n int
+	for _, f := range p.Frames {
+		n += len(f)
 	}
-	return err
+	if p.Type.Valid() {
+		n /= p.Type.Bytes()
+	}
+	return int64(n)
+}
+
+// check reports a payload no element loop can read: an invalid element
+// type or a frame that is not a whole number of elements.
+func (p *Payload) check() error {
+	if !p.Type.Valid() {
+		return fmt.Errorf("cmdstream: %w: payload element type %d", ErrFormat, p.Type)
+	}
+	for _, f := range p.Frames {
+		if len(f)%p.Type.Bytes() != 0 {
+			return fmt.Errorf("cmdstream: %w: payload frame of %d bytes as %v", ErrFormat, len(f), p.Type)
+		}
+	}
+	return nil
+}
+
+// Int64s widens the payload to int64 carriers in one allocation at its
+// exact length: the host-boundary form (Record.Data).
+func (p *Payload) Int64s() ([]int64, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	vals := make([]int64, p.Len())
+	off := 0
+	for _, f := range p.Frames {
+		n := len(f) / p.Type.Bytes()
+		p.Type.Unpack(vals[off:off+n], f)
+		off += n
+	}
+	return vals, nil
+}
+
+// frames returns a reader over the payload's frames in the shape of
+// PackedSource.NextPayloadFrame, for PackedExecutor.
+func (p *Payload) frames() func() (isa.DataType, []byte, error) {
+	i := 0
+	return func() (isa.DataType, []byte, error) {
+		if i == len(p.Frames) {
+			return 0, nil, io.EOF
+		}
+		i++
+		return p.Type, p.Frames[i-1], nil
+	}
+}
+
+// PayloadLen returns the length in elements of the record's h2d payload,
+// in whichever form it is held.
+func (r *Record) PayloadLen() int64 {
+	if r.Packed != nil {
+		return r.Packed.Len()
+	}
+	return int64(len(r.Data))
+}
+
+// Widened returns a copy of r with a packed payload widened into Data
+// (Payload.Int64s) and Packed cleared: the record as the host boundary
+// carries it. A record without a packed payload is copied as it is.
+func (r *Record) Widened() (Record, error) {
+	w := *r
+	if w.Packed == nil {
+		return w, nil
+	}
+	data, err := w.Packed.Int64s()
+	if err != nil {
+		return w, err
+	}
+	w.Data, w.Packed = data, nil
+	return w, nil
 }
 
 // int64Frames is the packed face over a source with only the []int64 one:
@@ -255,9 +340,13 @@ func (c *Collector) Begin(h Header) error {
 	return nil
 }
 
-// Write appends a copy of the record.
+// Write appends a copy of the record, a packed payload widened into Data.
 func (c *Collector) Write(rec *Record) error {
-	c.recs = append(c.recs, *rec)
+	w, err := rec.Widened()
+	if err != nil {
+		return err
+	}
+	c.recs = append(c.recs, w)
 	return nil
 }
 
@@ -273,7 +362,8 @@ func (c *Collector) Stream() *Stream {
 }
 
 // Collect materializes a source into a stream, draining streamed h2d
-// payloads into Record.Data. It does not close the source.
+// payloads into Record.Data, each widened with one allocation at its exact
+// length. It does not close the source.
 func Collect(src Source) (*Stream, error) {
 	s := &Stream{Header: src.Header()}
 	for {
@@ -287,14 +377,19 @@ func Collect(src Source) (*Stream, error) {
 		if err := Materialize(src, rec); err != nil {
 			return nil, err
 		}
-		s.Records = append(s.Records, *rec)
+		w, err := rec.Widened()
+		if err != nil {
+			return nil, err
+		}
+		s.Records = append(s.Records, w)
 	}
 }
 
 // Pump drives every record of src through dst: Begin with the source
-// header, one Write per record (with streamed payloads materialized — the
-// per-record buffer is the only allocation, so a multi-GB stream transcodes
-// with bounded memory), and a final Close on dst. The source is not closed.
+// header, one Write per record (with streamed payloads materialized at
+// element width — the per-record frames are the only allocation, so a
+// multi-GB stream transcodes with bounded memory), and a final Close on
+// dst. The source is not closed.
 func Pump(dst Sink, src Source) error {
 	if err := dst.Begin(src.Header()); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pimeval/internal/cmdstream"
@@ -385,5 +386,61 @@ func TestCopyHostToDeviceFrom(t *testing.T) {
 	}
 	if err := over.CopyHostToDeviceFrom(o2, chunks(100)); err == nil {
 		t.Error("oversized chunk stream accepted")
+	}
+}
+
+// TestMaterializeAllocatesOnce: materializing a streamed payload keeps it
+// at element width with one exact-size copy per frame — a 2 Mi-element
+// int64 payload allocates its 16 MiB and a small constant, never the
+// doubling growth of an int64 carrier slice — and widening it at the host
+// boundary (Payload.Int64s) is one allocation at its exact length.
+func TestMaterializeAllocatesOnce(t *testing.T) {
+	const n = 2 << 20
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * -7919
+	}
+	s := &cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+		{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int64", N: n},
+		{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: vals},
+		{Seq: 3, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: vals},
+	}}
+	var buf bytes.Buffer
+	if err := s.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := cmdstream.OpenSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *cmdstream.Record
+	for i := 0; i < 3; i++ {
+		// The first payload warms the decoder's frame buffer; the second
+		// is measured.
+		if rec, err = src.Next(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := cmdstream.Materialize(src, rec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i == 2 {
+			const limit = 8*n + 64<<10
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Errorf("Materialize allocated %d bytes for a %d-byte payload (limit %d)", got, 8*n, limit)
+			}
+		}
+	}
+	if rec.Packed == nil || rec.Data != nil || rec.PayloadLen() != n {
+		t.Fatalf("materialized record holds Packed %v, %d carriers, length %d", rec.Packed != nil, len(rec.Data), rec.PayloadLen())
+	}
+	var wide []int64
+	if allocs := testing.AllocsPerRun(2, func() { wide, err = rec.Packed.Int64s() }); allocs != 1 || err != nil {
+		t.Errorf("Int64s: %v allocations, error %v; want one allocation", allocs, err)
+	}
+	if len(wide) != n || cap(wide) != n || !reflect.DeepEqual(wide, vals) {
+		t.Error("Int64s does not reproduce the payload at its exact length")
 	}
 }

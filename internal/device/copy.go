@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -40,7 +41,7 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 			data = append([]int64(nil), values...)
 		}
 	}
-	return d.finishH2D(id, o, data)
+	return d.finishH2D(id, o, data, nil)
 }
 
 // CopyHostToDeviceFrom is the chunked (out-of-core) form of
@@ -65,7 +66,9 @@ func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) er
 // type lands in storage with one copy (isa.Elems.Unpack); a frame of any
 // other type, such as the int64 fallback of a payload that does not fit the
 // object's type, is widened to carriers and narrowed like a chunk. The
-// result is identical to CopyHostToDeviceFrom of the frames' carriers.
+// result is identical to CopyHostToDeviceFrom of the frames' carriers; only
+// the recorded payload's form differs, packed frames (Record.Packed) when
+// every frame is of the object's type.
 func (d *Device) CopyHostToDevicePacked(id ObjID, next func() (isa.DataType, []byte, error)) error {
 	return d.copyInFrames(id, func() (h2dFrame, error) {
 		dt, raw, err := next()
@@ -97,9 +100,11 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 		return err
 	}
 	wantData := d.pipe.wantRecord() && d.cfg.Functional
-	// data is the recorded payload: carriers captured pre-truncation and
-	// pre-injection, as CopyHostToDevice records them. wide holds a packed
-	// frame's carriers when it cannot land as it is, or is recorded.
+	// The recorded payload is captured pre-truncation and pre-injection, as
+	// CopyHostToDevice records it: packed, a copy of each frame, while every
+	// frame is of the object's own type, else as carriers (data). wide holds
+	// a packed frame's carriers when it cannot land or be recorded as it is.
+	var pay *cmdstream.Payload
 	var data, wide []int64
 	var off int64
 	for {
@@ -121,20 +126,36 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 			return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
 				ErrShapeMismatch, off+n, o.n)
 		}
+		inType := f.packed && f.dt == o.dt
+		recordPacked := wantData && inType && data == nil
 		vals := f.vals
-		if f.packed && (wantData || d.cfg.Functional && f.dt != o.dt) {
+		if f.packed && (d.cfg.Functional && !inType || wantData && !recordPacked) {
 			wide = slices.Grow(wide[:0], int(n))[:n]
 			f.dt.Unpack(wide, f.raw)
 			vals = wide
 		}
 		switch {
 		case !d.cfg.Functional:
-		case f.packed && f.dt == o.dt:
+		case inType:
 			o.data.Unpack(f.raw, off, off+n)
 		default:
 			o.data.Store(off, vals)
 		}
-		if wantData {
+		switch {
+		case recordPacked && n > 0:
+			if pay == nil {
+				pay = &cmdstream.Payload{Type: o.dt}
+			}
+			pay.Frames = append(pay.Frames, bytes.Clone(f.raw))
+		case wantData && !recordPacked:
+			if pay != nil {
+				// A frame of another type follows packed ones: the
+				// record falls back to carriers for the whole payload.
+				if data, err = pay.Int64s(); err != nil {
+					return err
+				}
+				pay = nil
+			}
 			data = append(data, vals...)
 		}
 		off += n
@@ -142,13 +163,13 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 	if d.cfg.Functional && off != o.n {
 		return fmt.Errorf("%w: chunked copy of %d values into object of %d", ErrShapeMismatch, off, o.n)
 	}
-	return d.finishH2D(id, o, data)
+	return d.finishH2D(id, o, data, pay)
 }
 
-// finishH2D is the tail every h2d shares: the event (recording data as the
-// functional payload), fault injection over the whole object, and the
-// transfer's cost and statistics.
-func (d *Device) finishH2D(id ObjID, o *Object, data []int64) error {
+// finishH2D is the tail every h2d shares: the event (recording data or pay
+// as the functional payload), fault injection over the whole object, and
+// the transfer's cost and statistics.
+func (d *Device) finishH2D(id ObjID, o *Object, data []int64, pay *cmdstream.Payload) error {
 	ev := d.begin(ClassCopy)
 	if d.pipe.wantRecord() {
 		ev.Record = cmdstream.Record{Kind: cmdstream.KindCopyH2D, Obj: int64(id)}
@@ -157,7 +178,7 @@ func (d *Device) finishH2D(id ObjID, o *Object, data []int64) error {
 			// reconstructs the same device data. It is captured
 			// pre-injection: replays re-run the fault stage at the same
 			// sequence number and corrupt it identically.
-			ev.Record.Data = data
+			ev.Record.Data, ev.Record.Packed = data, pay
 		}
 	}
 	ferr := d.injectWrite(o, 0, o.n)

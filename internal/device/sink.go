@@ -94,7 +94,12 @@ func (r *recorderSink) Emit(ev *Event) {
 	r.seq++
 	rec.Seq = r.seq
 	if r.collect {
-		r.recs = append(r.recs, rec)
+		// The in-memory stream is the host boundary: payloads as carriers.
+		w, err := rec.Widened()
+		if err != nil && r.err == nil {
+			r.err = err
+		}
+		r.recs = append(r.recs, w)
 	}
 	for _, s := range r.sinks {
 		if r.err != nil {

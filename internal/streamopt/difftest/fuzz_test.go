@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // and checks the differential contract: identical live-object data, costs
 // never above the recorded run, and a structurally valid optimized stream.
 // The stream fits one optimizer window, so the streaming entry point
-// (OptimizeSource) must also return exactly Optimize's records and counters.
+// (OptimizeSource) must also return exactly Optimize's records and counters,
+// over the recorded records and over the stream's PIMB decoding alike; the
+// latter must also replay bit for bit like the optimized stream.
 func FuzzOptimizeStream(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x10, 0x04, 0x7F, 0x51, 0x02, 0x33}, uint8(15))
 	f.Add([]byte{0x33, 0xFF, 0x00, 0x62, 0x01, 0x00, 0x05, 0x10, 0x20}, uint8(9))
@@ -114,23 +117,57 @@ func FuzzOptimizeStream(f *testing.F) {
 		if err := opt.Validate(); err != nil {
 			t.Fatalf("optimized stream is structurally invalid: %v", err)
 		}
-		osrc, sres, err := pim.OptimizeSource(cmdstream.FromStream(stream), cfg)
-		if err != nil {
-			t.Fatalf("optimize source: %v", err)
+		// The windowed entry point, over the recorded records and over the
+		// stream's PIMB decoding (whose windows hold payloads packed at
+		// element width; Collect widens them back).
+		var enc bytes.Buffer
+		if err := stream.EncodeFormat(&enc, pim.StreamBinary); err != nil {
+			t.Fatal(err)
 		}
-		windowed, err := cmdstream.Collect(osrc)
-		if err != nil {
-			t.Fatalf("optimize source: %v", err)
+		optimizeSource := func(src pim.StreamSource) (pim.StreamSource, *pim.OptimizeResult) {
+			osrc, sres, err := pim.OptimizeSource(src, cfg)
+			if err != nil {
+				t.Fatalf("optimize source: %v", err)
+			}
+			return osrc, sres
 		}
-		if !reflect.DeepEqual(windowed.Records, opt.Records) || *sres != res {
-			t.Fatalf("combo %s: OptimizeSource (%+v) differs from Optimize (%+v)", comboName(cfg), *sres, res)
+		openPIMB := func() pim.StreamSource {
+			src, err := pim.OpenStreamSource(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+		for _, packed := range []bool{false, true} {
+			src := cmdstream.FromStream(stream)
+			if packed {
+				src = openPIMB()
+			}
+			osrc, sres := optimizeSource(src)
+			windowed, err := cmdstream.Collect(osrc)
+			if err != nil {
+				t.Fatalf("optimize source: %v", err)
+			}
+			if !reflect.DeepEqual(windowed.Records, opt.Records) || *sres != res {
+				t.Fatalf("combo %s, PIMB %v: OptimizeSource (%+v) differs from Optimize (%+v)", comboName(cfg), packed, *sres, res)
+			}
 		}
 		rdev, err := pim.Replay(opt, pim.ReplayConfig{Workers: 1})
 		if err != nil {
 			t.Fatalf("optimized replay (combo %s, %+v): %v", comboName(cfg), res, err)
 		}
-		optM := rdev.Metrics()
+		optM, optReport := rdev.Metrics(), rdev.Report()
 		optData := readObjects(t, rdev, objs)
+		for _, pipelined := range []bool{false, true} {
+			osrc, _ := optimizeSource(openPIMB())
+			pdev, err := pim.ReplaySource(osrc, pim.ReplayConfig{Workers: 1, Pipelined: pipelined})
+			if err != nil {
+				t.Fatalf("optimized PIMB replay (combo %s, pipelined %v): %v", comboName(cfg), pipelined, err)
+			}
+			if pdev.Report() != optReport || !reflect.DeepEqual(readObjects(t, pdev, objs), optData) {
+				t.Fatalf("combo %s: optimized PIMB replay (pipelined %v) differs from the optimized stream's", comboName(cfg), pipelined)
+			}
+		}
 		for id := range objs {
 			if !reflect.DeepEqual(optData[id], liveData[id]) {
 				t.Fatalf("combo %s: object %d data diverged\n got %v\nwant %v",

@@ -8,7 +8,10 @@ import (
 
 // Window bounds for the streaming optimizer: a window closes at the first
 // scope boundary after windowRecs records or windowPayloadElems payload
-// elements (64 MiB at 8 bytes/element), whichever comes first. Repeat
+// elements, whichever comes first. Payloads are held as they were
+// materialized (cmdstream.Materialize): packed at their element width, so a
+// full window holds 8 to 64 MiB of payload. The bound counts elements, not
+// bytes, so window boundaries do not depend on the payload form. Repeat
 // scopes never split across windows (hoisting is scope-local), so a window
 // can exceed the bounds by the length of one scope body.
 const (
@@ -106,7 +109,7 @@ func (s *windowSource) fill() error {
 			return err
 		}
 		s.win = append(s.win, *rec)
-		payload += int64(len(rec.Data))
+		payload += rec.PayloadLen()
 	}
 	s.win = run(s.win, s.cfg, s.res)
 	return nil

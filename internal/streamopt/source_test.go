@@ -1,8 +1,11 @@
 package streamopt
 
 import (
+	"bytes"
 	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pimeval/internal/cmdstream"
@@ -251,6 +254,128 @@ func TestOptimizeSourceValidates(t *testing.T) {
 		}
 		if err == io.EOF {
 			t.Errorf("%s: malformed stream optimized without error", name)
+		}
+	}
+}
+
+// TestOptimizeSourcePackedWindows: over a PIMB decoder, optimizer windows
+// hold their payloads packed at element width — in-type frames, raw int64
+// fallback frames, and payloads in repeat-scope bodies. The window bound
+// still counts elements, so a payload-heavy stream splits into exactly the
+// windows its int64 carriers do: the same records once widened, the same
+// counters, and a bit-identical replay, serial and pipelined.
+func TestOptimizeSourcePackedWindows(t *testing.T) {
+	const n = 1 << 19
+	const blocks = 7 // 10.5 Mi payload elements: the bound closes one window
+	fit, raw := make([]int64, n), make([]int64, n)
+	for i := range fit {
+		fit[i] = int64(i%50000) - 25000
+		raw[i] = -fit[i]
+	}
+	raw[n/2] = 1 << 40 // does not fit int16: the raw int64 fallback
+	h := windowStream(1).Header
+	s := &cmdstream.Stream{Header: h}
+	typed := func(rec cmdstream.Record) cmdstream.Record {
+		rec.Type, rec.N = "int16", n
+		return rec
+	}
+	var payload int64
+	for b := int64(0); b < blocks; b++ {
+		a, c, d, e := 4*b+1, 4*b+2, 4*b+3, 4*b+4
+		inA, inC, inE := h2d(a), h2d(c), h2d(e)
+		inA.Data, inC.Data, inE.Data = fit, fit, fit
+		if b%4 == 0 {
+			inC.Data = raw
+		}
+		s.Records = append(s.Records,
+			typed(alloc(a)), typed(alloc(c)), typed(alloc(d)), typed(alloc(e)),
+			inA, inC,
+			typed(binRec("mul", a, c, d)), // dead: d is freed unread
+			free(d),
+			repeatBegin(2),
+			inE,
+			typed(scalarRec("add", a, 3, c)), // invariant: hoisted
+			repeatEnd(),
+			d2h(c), free(a),
+		)
+		payload += 3 * n
+	}
+	for i := range s.Records {
+		s.Records[i].Seq = int64(i + 1)
+	}
+	if payload <= windowPayloadElems {
+		t.Fatalf("fixture carries %d payload elements, within one window", payload)
+	}
+	var enc bytes.Buffer
+	if err := s.EncodeBinary(&enc); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{DeadCode: true, Hoist: true}
+	optimize := func(packed bool) (cmdstream.Source, *Result) {
+		src := cmdstream.FromStream(s)
+		if packed {
+			var err error
+			if src, err = cmdstream.OpenSource(bytes.NewReader(enc.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		osrc, res, err := OptimizeSource(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return osrc, res
+	}
+	wantSrc, wantRes := optimize(false)
+	want, err := cmdstream.Collect(wantSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSrc, gotRes := optimize(true)
+	got, err := cmdstream.Collect(gotSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Payloads compare with slices.Equal: reflect would walk every element.
+	same := len(got.Records) == len(want.Records)
+	for i := 0; same && i < len(got.Records); i++ {
+		g, w := got.Records[i], want.Records[i]
+		same = slices.Equal(g.Data, w.Data)
+		g.Data, w.Data = nil, nil
+		same = same && reflect.DeepEqual(g, w)
+	}
+	if !same || *gotRes != *wantRes {
+		t.Fatalf("packed windows differ from carrier windows: %d records %+v, want %d records %+v",
+			len(got.Records), *gotRes, len(want.Records), *wantRes)
+	}
+	if wantRes.Eliminated == 0 || wantRes.Hoisted == 0 {
+		t.Fatalf("degenerate fixture: %+v", *wantRes)
+	}
+
+	replay := func(src cmdstream.Source, pipelined bool) (string, map[int64][]int64) {
+		d, err := device.NewFromHeader(src.Header(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.EnableTrace()
+		if err := cmdstream.ReplaySourceOpts(d, src, cmdstream.ReplayOptions{Pipelined: pipelined}); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[int64][]int64)
+		for b := int64(0); b < blocks; b++ {
+			for _, id := range []int64{4*b + 2, 4*b + 4} {
+				if out[id], err = d.CopyDeviceToHost(device.ObjID(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return d.ReportString() + d.TraceString(), out
+	}
+	wantReport, wantData := replay(cmdstream.FromStream(want), false)
+	for _, pipelined := range []bool{false, true} {
+		src, _ := optimize(true)
+		report, data := replay(src, pipelined)
+		if report != wantReport || !maps.EqualFunc(data, wantData, slices.Equal[[]int64]) {
+			t.Errorf("pipelined=%v: replay over packed windows diverged", pipelined)
 		}
 	}
 }
