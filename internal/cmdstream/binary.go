@@ -528,8 +528,9 @@ func (bw *binWriter) Close() error {
 }
 
 // binSource streams records out of a binary-encoded stream. It implements
-// PackedSource: h2d payloads are surfaced frame by frame, as the packed
-// bytes the wire carries (NextPayloadFrame) or widened to int64 carriers
+// PackedSource and FrameReader: h2d payloads are surfaced frame by frame,
+// read into the consumer's memory (ReadPayloadFrame), as the packed bytes
+// the wire carries (NextPayloadFrame) or widened to int64 carriers
 // (NextPayloadChunk), never materialized unless the consumer asks
 // (Materialize).
 type binSource struct {
@@ -541,6 +542,7 @@ type binSource struct {
 	pending  bool
 	pendType isa.DataType // packing of the pending payload
 	packbuf  []byte
+	body     frameBody // the frame ReadPayloadFrame is reading
 	chunks   chunker
 	ended    bool // end-of-stream marker consumed
 }
@@ -617,28 +619,75 @@ func (s *binSource) frameLen() (int, error) {
 	return int(n), nil
 }
 
+// ReadPayloadFrame reads the next payload frame of the pending h2d record
+// through fn, straight from the decoder's input: a large read skips the
+// bufio.Reader's buffer, so a consumer landing the frame in object storage
+// copies each byte once. It returns io.EOF after the terminating
+// zero-count frame. What fn leaves unread is discarded, so a frame fn
+// rejects leaves the stream in step; a read that runs out of input fails
+// as a truncated stream and ends the payload.
+func (s *binSource) ReadPayloadFrame(fn FrameFunc) error {
+	n, err := s.frameLen()
+	if err != nil {
+		return err
+	}
+	s.body = frameBody{r: s.c.r, left: n * s.pendType.Bytes()}
+	err = fn(s.pendType, s.body.left, &s.body)
+	if s.body.err == nil && s.body.left > 0 {
+		_, s.body.err = s.c.r.Discard(s.body.left)
+	}
+	if s.body.err != nil {
+		s.pending = false
+		return binErr("payload frame", s.body.err)
+	}
+	return err
+}
+
+// frameBody is the reader ReadPayloadFrame hands its FrameFunc: the
+// frame's remaining bytes of the decoder's input, and the first error
+// reading them.
+type frameBody struct {
+	r    *bufio.Reader
+	left int
+	err  error
+}
+
+func (b *frameBody) Read(p []byte) (int, error) {
+	if b.left == 0 {
+		return 0, io.EOF
+	}
+	if b.err != nil {
+		return 0, b.err
+	}
+	n, err := b.r.Read(p[:min(len(p), b.left)])
+	b.left -= n
+	if err != nil {
+		b.err = err
+	}
+	return n, err
+}
+
 // NextPayloadFrame returns the next payload frame of the pending h2d record
 // as the wire packs it, with its element type, or io.EOF after the
 // terminating zero-count frame. The returned bytes are reused by the next
 // call.
 func (s *binSource) NextPayloadFrame() (isa.DataType, []byte, error) {
-	n, err := s.frameLen()
+	var frame []byte
+	err := s.ReadPayloadFrame(func(dt isa.DataType, size int, r io.Reader) error {
+		// Any frame up to maxFrameElems is valid, though encoders only
+		// emit payloadFrameElems; the buffer holds a canonical frame at
+		// the widest packing, so frames of every type reuse it.
+		if cap(s.packbuf) < size {
+			s.packbuf = make([]byte, max(size, payloadFrameElems*8))
+		}
+		frame = s.packbuf[:size]
+		_, err := io.ReadFull(r, frame)
+		return err
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	// Any frame up to maxFrameElems is valid, though encoders only emit
-	// payloadFrameElems; the buffer holds a canonical frame at the widest
-	// packing, so frames of every type reuse it.
-	size := n * s.pendType.Bytes()
-	if cap(s.packbuf) < size {
-		s.packbuf = make([]byte, max(size, payloadFrameElems*8))
-	}
-	buf := s.packbuf[:size]
-	if _, err := io.ReadFull(s.c.r, buf); err != nil {
-		s.pending = false
-		return 0, nil, binErr("payload frame", err)
-	}
-	return s.pendType, buf, nil
+	return s.pendType, frame, nil
 }
 
 // NextPayloadChunk returns the next payload frame widened to int64
@@ -661,16 +710,14 @@ func (s *binSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {
 // discardPayload skips the rest of an unconsumed pending payload.
 func (s *binSource) discardPayload() error {
 	for {
-		n, err := s.frameLen()
+		// A FrameFunc that reads nothing leaves the whole frame to
+		// ReadPayloadFrame's discard.
+		err := s.ReadPayloadFrame(func(isa.DataType, int, io.Reader) error { return nil })
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
-		}
-		if _, err := s.c.r.Discard(n * s.pendType.Bytes()); err != nil {
-			s.pending = false
-			return binErr("payload frame", err)
 		}
 	}
 }

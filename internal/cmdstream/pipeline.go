@@ -76,7 +76,12 @@ type PipelineSource struct {
 	free chan []byte // frame-buffer tokens; nil entries allocate lazily
 	quit chan struct{}
 	done chan struct{} // producer exited
-	recs sync.Pool
+	// recs recycles record structs from the consumer to the producer,
+	// buffered to the queue depth, the most records in flight. It is a
+	// channel, not a sync.Pool: the runtime's pool registry would pin the
+	// whole pipeline, frame buffers and wrapped decoder included, for up to
+	// two collections after Close.
+	recs chan *Record
 
 	elems atomic.Int64  // in-flight inline payload elements
 	space chan struct{} // signaled when elems drops below the cap
@@ -106,6 +111,7 @@ func NewPipelineSource(src Source, depth int) *PipelineSource {
 		src:   src,
 		h:     src.Header(),
 		msgs:  make(chan pipeMsg, depth),
+		recs:  make(chan *Record, depth),
 		free:  make(chan []byte, pipelineFrameTokens),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -151,8 +157,10 @@ func (p *PipelineSource) produce() {
 			p.send(pipeMsg{err: err})
 			return
 		}
-		cp, _ := p.recs.Get().(*Record)
-		if cp == nil {
+		var cp *Record
+		select {
+		case cp = <-p.recs:
+		default:
 			cp = new(Record)
 		}
 		// Shallow copy: the Source contract guarantees slice fields are
@@ -263,7 +271,10 @@ func (p *PipelineSource) recycle() {
 		}
 	}
 	*p.cur = Record{}
-	p.recs.Put(p.cur)
+	select {
+	case p.recs <- p.cur:
+	default:
+	}
 	p.cur, p.curW = nil, 0
 }
 
@@ -369,7 +380,7 @@ const (
 // AsyncSink wraps a Sink and runs its Write path on a dedicated goroutine,
 // so stream encoding overlaps the work (execution, optimization) that
 // produces the records. Records are forwarded in order through a bounded
-// queue of pooled copies; like the device recorder itself, write errors are
+// queue of recycled copies; like the device recorder itself, write errors are
 // deferred — the first one is returned by Close (and by any Write after it
 // surfaces). Begin is forwarded synchronously so header errors stay
 // immediate.
@@ -380,7 +391,7 @@ type AsyncSink struct {
 	inner Sink
 	msgs  chan asyncMsg
 	done  chan struct{}
-	pool  sync.Pool
+	recs  chan *Record // recycled record copies; see PipelineSource.recs
 
 	elems atomic.Int64
 	space chan struct{}
@@ -409,6 +420,7 @@ func NewAsyncSink(sink Sink, depth int) *AsyncSink {
 		inner: sink,
 		msgs:  make(chan asyncMsg, depth),
 		done:  make(chan struct{}),
+		recs:  make(chan *Record, depth),
 		space: make(chan struct{}, 1),
 	}
 }
@@ -447,7 +459,10 @@ func (a *AsyncSink) encode() {
 			}
 		}
 		*m.rec = Record{}
-		a.pool.Put(m.rec)
+		select {
+		case a.recs <- m.rec:
+		default:
+		}
 	}
 }
 
@@ -459,8 +474,10 @@ func (a *AsyncSink) Write(rec *Record) error {
 	if a.failed.Load() {
 		return a.err
 	}
-	cp, _ := a.pool.Get().(*Record)
-	if cp == nil {
+	var cp *Record
+	select {
+	case cp = <-a.recs:
+	default:
 		cp = new(Record)
 	}
 	*cp = *rec

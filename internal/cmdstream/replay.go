@@ -123,8 +123,9 @@ func Replay(x Executor, s *Stream) error {
 // Only the current record (or the current repeat-scope body) is resident,
 // and every h2d payload lands through copyIn: a streamed one in bounded
 // frames when both the source and the executor support it, packed frames
-// straight into object storage (PackedSource and PackedExecutor) or else
-// []int64 chunks (ChunkedSource and ChunkedExecutor); a materialized one,
+// into object storage (PackedSource and PackedExecutor; read straight from
+// the input when the source is a FrameReader) or else []int64 chunks
+// (ChunkedSource and ChunkedExecutor); a materialized one,
 // such as a scope body's or an optimizer window's, as its packed frames.
 // Structure is checked incrementally (ScopeCheck), so a malformed suffix is
 // only detected after the preceding records have executed. Repeat-scope
@@ -272,7 +273,9 @@ func replayOne(x Executor, src Source, rec *Record, verify, optimized bool) erro
 // copyIn is the replay walker's one h2d landing, for a payload in any
 // form: still streaming from src, materialized at element width (Packed),
 // or as int64 carriers (Data). Packed frames land through PackedExecutor,
-// one copy each. An executor without that face takes a streaming payload
+// one copy each: a FrameReader source's frames are read from its input
+// straight into storage, other frames are copied from the bytes they are
+// held in. An executor without that face takes a streaming payload
 // as []int64 chunks (ChunkedExecutor) or, like a materialized one, widened
 // once at its exact length.
 func copyIn(x Executor, src Source, rec *Record) error {
@@ -283,7 +286,7 @@ func copyIn(x Executor, src Source, rec *Record) error {
 		ce, chunked := x.(ChunkedExecutor)
 		switch {
 		case packed && pe != nil:
-			return pe.CopyHostToDevicePacked(id, ps.NextPayloadFrame)
+			return pe.CopyHostToDevicePacked(id, func(fn FrameFunc) error { return readFrame(ps, fn) })
 		case chunked:
 			return ce.CopyHostToDeviceFrom(id, cs.NextPayloadChunk)
 		}

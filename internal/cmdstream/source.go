@@ -73,11 +73,45 @@ type ChunkedExecutor interface {
 	CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error
 }
 
+// FrameReader is implemented by packed sources that can read a payload
+// frame into memory the consumer supplies instead of their own buffer:
+// ReadPayloadFrame reads the next frame of the pending h2d payload through
+// fn, or returns io.EOF after the last. It reads the same frame sequence as
+// NextPayloadFrame, so one payload may be drained through either. The
+// binary decoder reads the frame straight from its input, so a consumer
+// that lands it in object storage moves each byte once; CountingSource
+// forwards the face.
+type FrameReader interface {
+	ReadPayloadFrame(fn FrameFunc) error
+}
+
+// A FrameFunc consumes one packed payload frame: size bytes of
+// little-endian elements of type dt, read from r. Whatever fn leaves unread
+// is skipped, so a frame fn rejects does not desynchronize the stream; fn's
+// error, or the source's own read error, is the result.
+type FrameFunc func(dt isa.DataType, size int, r io.Reader) error
+
 // PackedExecutor is implemented by executors that land packed payload
-// frames (PackedSource.NextPayloadFrame) in object storage directly, with no
-// int64 carrier in between. Replay takes this path when both sides offer it.
+// frames in object storage directly, with no int64 carrier in between: each
+// call of frames passes one frame to a FrameFunc and io.EOF ends the
+// payload (FrameReader.ReadPayloadFrame's shape). Replay takes this path
+// when both sides offer it.
 type PackedExecutor interface {
-	CopyHostToDevicePacked(id ObjID, next func() (isa.DataType, []byte, error)) error
+	CopyHostToDevicePacked(id ObjID, frames func(FrameFunc) error) error
+}
+
+// readFrame reads ps's next payload frame through fn: straight from the
+// input when ps is a FrameReader, else from the bytes NextPayloadFrame
+// returns.
+func readFrame(ps PackedSource, fn FrameFunc) error {
+	if fr, ok := ps.(FrameReader); ok {
+		return fr.ReadPayloadFrame(fn)
+	}
+	dt, frame, err := ps.NextPayloadFrame()
+	if err != nil {
+		return err
+	}
+	return fn(dt, len(frame), bytes.NewReader(frame))
 }
 
 // chunker is the []int64 face over a packed frame reader: chunk widens one
@@ -99,9 +133,10 @@ func (c *chunker) chunk(dt isa.DataType, frame []byte, err error) ([]int64, erro
 
 // Materialize completes rec in place: if src has a pending streamed payload
 // for rec (a ChunkedSource h2d record), it is drained into rec.Packed, each
-// frame an exact-size copy of the packed bytes src produced (a source with
-// only the []int64 face through packedFace). No frame is widened and no
-// buffer grows by doubling. For every other record this is a no-op.
+// frame read once into an exact-size buffer the payload owns (from a
+// FrameReader, straight from its input; from a source with only the
+// []int64 face, through packedFace). No frame is widened and no buffer
+// grows by doubling. For every other record this is a no-op.
 func Materialize(src Source, rec *Record) error {
 	cs, ok := src.(ChunkedSource)
 	if !ok || !cs.PendingPayload() || rec.Kind != KindCopyH2D {
@@ -109,8 +144,22 @@ func Materialize(src Source, rec *Record) error {
 	}
 	ps := packedFace(src)
 	var p *Payload
+	keep := func(dt isa.DataType, size int, r io.Reader) error {
+		switch {
+		case p == nil:
+			p = &Payload{Type: dt}
+		case dt != p.Type:
+			return fmt.Errorf("cmdstream: %w: payload frames packed as both %v and %v", ErrFormat, p.Type, dt)
+		}
+		frame := make([]byte, size)
+		if _, err := io.ReadFull(r, frame); err != nil {
+			return err
+		}
+		p.Frames = append(p.Frames, frame)
+		return nil
+	}
 	for {
-		dt, frame, err := ps.NextPayloadFrame()
+		err := readFrame(ps, keep)
 		if err == io.EOF {
 			rec.Packed = p
 			return nil
@@ -118,13 +167,6 @@ func Materialize(src Source, rec *Record) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case p == nil:
-			p = &Payload{Type: dt}
-		case dt != p.Type:
-			return fmt.Errorf("cmdstream: %w: payload frames packed as both %v and %v", ErrFormat, p.Type, dt)
-		}
-		p.Frames = append(p.Frames, bytes.Clone(frame))
 	}
 }
 
@@ -180,15 +222,17 @@ func (p *Payload) Int64s() ([]int64, error) {
 }
 
 // frames returns a reader over the payload's frames in the shape of
-// PackedSource.NextPayloadFrame, for PackedExecutor.
-func (p *Payload) frames() func() (isa.DataType, []byte, error) {
+// FrameReader.ReadPayloadFrame, for PackedExecutor.
+func (p *Payload) frames() func(FrameFunc) error {
 	i := 0
-	return func() (isa.DataType, []byte, error) {
+	var r bytes.Reader
+	return func(fn FrameFunc) error {
 		if i == len(p.Frames) {
-			return 0, nil, io.EOF
+			return io.EOF
 		}
 		i++
-		return p.Type, p.Frames[i-1], nil
+		r.Reset(p.Frames[i-1])
+		return fn(p.Type, len(p.Frames[i-1]), &r)
 	}
 }
 
@@ -250,8 +294,9 @@ func packedFace(src Source) PackedSource {
 
 // CountingSource counts the records pulled through it (N) and forwards
 // every payload face of the wrapped source: chunks, packed frames (through
-// packedFace) and the decode-ahead pipeline's buffer swap. Counting a
-// replay therefore never changes which h2d path it takes.
+// packedFace), reads into consumer memory (FrameReader) and the
+// decode-ahead pipeline's buffer swap. Counting a replay therefore never
+// changes which h2d path it takes.
 type CountingSource struct {
 	Source
 	N      int64
@@ -280,12 +325,25 @@ func (c *CountingSource) NextPayloadChunk() ([]int64, error) {
 }
 
 func (c *CountingSource) NextPayloadFrame() (isa.DataType, []byte, error) {
-	if c.frames == nil {
-		if c.frames = packedFace(c.Source); c.frames == nil {
-			return 0, nil, io.EOF
-		}
+	if c.face() == nil {
+		return 0, nil, io.EOF
 	}
 	return c.frames.NextPayloadFrame()
+}
+
+func (c *CountingSource) ReadPayloadFrame(fn FrameFunc) error {
+	if c.face() == nil {
+		return io.EOF
+	}
+	return readFrame(c.frames, fn)
+}
+
+// face resolves the wrapped source's packed face on first use.
+func (c *CountingSource) face() PackedSource {
+	if c.frames == nil {
+		c.frames = packedFace(c.Source)
+	}
+	return c.frames
 }
 
 func (c *CountingSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {

@@ -444,3 +444,47 @@ func TestMaterializeAllocatesOnce(t *testing.T) {
 		t.Error("Int64s does not reproduce the payload at its exact length")
 	}
 }
+
+// TestMaterializeSkipsDecoderBuffer: materializing from a binary source
+// reads each frame straight into the payload's own buffer, so even the
+// first payload a decoder meets allocates about its own size, never the
+// decoder's reusable 1 MiB frame buffer.
+func TestMaterializeSkipsDecoderBuffer(t *testing.T) {
+	const n = 3000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i%200) - 100
+	}
+	s := &cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+		{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "int16", N: n},
+		{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: vals},
+	}}
+	var buf bytes.Buffer
+	if err := s.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := cmdstream.OpenSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *cmdstream.Record
+	for i := 0; i < 2; i++ {
+		if rec, err = src.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := cmdstream.Materialize(src, rec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 2*n + 16<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("materializing a %d-byte payload allocated %d bytes (limit %d)", 2*n, got, limit)
+	}
+	got, err := rec.Packed.Int64s()
+	if err != nil || rec.Packed.Type != isa.Int16 || !reflect.DeepEqual(got, vals) {
+		t.Fatalf("materialized payload %v as %v, error %v", got[:min(len(got), 4)], rec.Packed.Type, err)
+	}
+}

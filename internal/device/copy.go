@@ -1,7 +1,6 @@
 package device
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -36,6 +35,7 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 		if err != nil {
 			return err
 		}
+		o.stale = false
 		if d.pipe.wantRecord() {
 			// The copy detaches the record from the caller's slice.
 			data = append([]int64(nil), values...)
@@ -54,41 +54,51 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 // chunks — including that re-recording a functional replay materializes the
 // payload into the new record.
 func (d *Device) CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error {
-	return d.copyInFrames(id, func() (h2dFrame, error) {
+	return d.copyInFrames(id, func(land func(h2dFrame) error) error {
 		vals, err := next()
-		return h2dFrame{vals: vals}, err
+		if err != nil {
+			return err
+		}
+		return land(h2dFrame{vals: vals})
 	})
 }
 
-// CopyHostToDevicePacked is CopyHostToDeviceFrom over packed frames: next
-// returns each frame as little-endian elements at the returned type's width
-// (cmdstream.PackedSource.NextPayloadFrame). A frame of the object's own
-// type lands in storage with one copy (isa.Elems.Unpack); a frame of any
-// other type, such as the int64 fallback of a payload that does not fit the
-// object's type, is widened to carriers and narrowed like a chunk. The
-// result is identical to CopyHostToDeviceFrom of the frames' carriers; only
-// the recorded payload's form differs, packed frames (Record.Packed) when
-// every frame is of the object's type.
-func (d *Device) CopyHostToDevicePacked(id ObjID, next func() (isa.DataType, []byte, error)) error {
-	return d.copyInFrames(id, func() (h2dFrame, error) {
-		dt, raw, err := next()
-		return h2dFrame{packed: true, dt: dt, raw: raw}, err
+// CopyHostToDevicePacked is CopyHostToDeviceFrom over packed frames: each
+// call of frames hands one frame to its cmdstream.FrameFunc as
+// little-endian elements at the frame's type width, read from an
+// io.Reader, and returns io.EOF after the last (the shape of
+// cmdstream.FrameReader.ReadPayloadFrame). A frame of the object's own type
+// is read straight into storage (isa.Elems.UnpackFrom) unless the copy is
+// recorded; a frame of any other type, such as the int64 fallback of a
+// payload that does not fit the object's type, is widened to carriers and
+// narrowed like a chunk. The result is identical to CopyHostToDeviceFrom of
+// the frames' carriers; only the recorded payload's form differs, packed
+// frames (Record.Packed) when every frame is of the object's type.
+func (d *Device) CopyHostToDevicePacked(id ObjID, frames func(cmdstream.FrameFunc) error) error {
+	return d.copyInFrames(id, func(land func(h2dFrame) error) error {
+		return frames(func(dt isa.DataType, size int, r io.Reader) error {
+			return land(h2dFrame{dt: dt, size: size, r: r})
+		})
 	})
 }
 
 // h2dFrame is one frame of a streamed h2d payload: a chunk of int64
-// carriers, or packed bytes at dt's width.
+// carriers, or, when r is set, size bytes of packed elements of type dt
+// that r yields.
 type h2dFrame struct {
-	vals   []int64
-	packed bool
-	dt     isa.DataType
-	raw    []byte
+	vals []int64
+	dt   isa.DataType
+	size int
+	r    io.Reader
 }
 
-// copyInFrames is the one body of both streamed h2d entry points: it lands
-// next's frames in the object in order, then checks the total length,
-// records, injects faults and charges exactly as CopyHostToDevice does.
-func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err error) {
+// copyInFrames is the one body of both streamed h2d entry points: each call
+// of frames lands one frame in the object, in order, until io.EOF; then it
+// checks the total length, records, injects faults and charges exactly as
+// CopyHostToDevice does. A copy that fails after frames began to land
+// leaves them in place; on stale storage the rest is zeroed, so the object
+// reads as a fresh one that took the landed prefix.
+func (d *Device) copyInFrames(id ObjID, frames func(land func(h2dFrame) error) error) (err error) {
 	if d.guarded() {
 		defer guard(&err)
 	}
@@ -99,45 +109,63 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 	if err != nil {
 		return err
 	}
-	wantData := d.pipe.wantRecord() && d.cfg.Functional
+	functional := d.cfg.Functional
+	wantData := d.pipe.wantRecord() && functional
 	// The recorded payload is captured pre-truncation and pre-injection, as
-	// CopyHostToDevice records it: packed, a copy of each frame, while every
-	// frame is of the object's own type, else as carriers (data). wide holds
-	// a packed frame's carriers when it cannot land or be recorded as it is.
+	// CopyHostToDevice records it: packed, each frame read into a buffer the
+	// record keeps, while every frame is of the object's own type, else as
+	// carriers (data). wide holds a packed frame's carriers when it cannot
+	// land or be recorded as it is; scratch holds its bytes.
 	var pay *cmdstream.Payload
 	var data, wide []int64
+	var scratch []byte
 	var off int64
-	for {
-		f, ferr := next()
-		if ferr == io.EOF {
-			break
-		}
-		if ferr != nil {
-			return ferr
-		}
+	land := func(f h2dFrame) error {
 		n := int64(len(f.vals))
-		if f.packed {
-			if !f.dt.Valid() || len(f.raw)%f.dt.Bytes() != 0 {
-				return fmt.Errorf("%w: packed frame of %d bytes as %v", ErrBadArgument, len(f.raw), f.dt)
+		if f.r != nil {
+			if !f.dt.Valid() || f.size < 0 || f.size%f.dt.Bytes() != 0 {
+				return fmt.Errorf("%w: packed frame of %d bytes as %v", ErrBadArgument, f.size, f.dt)
 			}
-			n = int64(len(f.raw) / f.dt.Bytes())
+			n = int64(f.size / f.dt.Bytes())
 		}
-		if d.cfg.Functional && off+n > o.n {
+		if functional && off+n > o.n {
 			return fmt.Errorf("%w: chunked copy of over %d values into object of %d",
 				ErrShapeMismatch, off+n, o.n)
 		}
-		inType := f.packed && f.dt == o.dt
+		inType := f.r != nil && f.dt == o.dt
 		recordPacked := wantData && inType && data == nil
 		vals := f.vals
-		if f.packed && (d.cfg.Functional && !inType || wantData && !recordPacked) {
-			wide = slices.Grow(wide[:0], int(n))[:n]
-			f.dt.Unpack(wide, f.raw)
-			vals = wide
+		var raw []byte
+		if f.r != nil {
+			if !wantData && (inType || !functional) {
+				// Only storage takes the frame: one pass from the reader.
+				if functional {
+					if err := o.data.UnpackFrom(f.r, off, off+n); err != nil {
+						return err
+					}
+				}
+				off += n
+				return nil
+			}
+			if recordPacked {
+				raw = make([]byte, f.size)
+			} else {
+				scratch = slices.Grow(scratch[:0], f.size)[:f.size]
+				raw = scratch
+			}
+			if _, err := io.ReadFull(f.r, raw); err != nil {
+				return err
+			}
+			if functional && !inType || wantData && !recordPacked {
+				wide = slices.Grow(wide[:0], int(n))[:n]
+				f.dt.Unpack(wide, raw)
+				vals = wide
+			}
 		}
 		switch {
-		case !d.cfg.Functional:
+		case !functional:
 		case inType:
-			o.data.Unpack(f.raw, off, off+n)
+			o.data.Unpack(raw, off, off+n)
 		default:
 			o.data.Store(off, vals)
 		}
@@ -146,11 +174,12 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 			if pay == nil {
 				pay = &cmdstream.Payload{Type: o.dt}
 			}
-			pay.Frames = append(pay.Frames, bytes.Clone(f.raw))
+			pay.Frames = append(pay.Frames, raw)
 		case wantData && !recordPacked:
 			if pay != nil {
 				// A frame of another type follows packed ones: the
 				// record falls back to carriers for the whole payload.
+				var err error
 				if data, err = pay.Int64s(); err != nil {
 					return err
 				}
@@ -159,10 +188,22 @@ func (d *Device) copyInFrames(id ObjID, next func() (h2dFrame, error)) (err erro
 			data = append(data, vals...)
 		}
 		off += n
+		return nil
 	}
-	if d.cfg.Functional && off != o.n {
-		return fmt.Errorf("%w: chunked copy of %d values into object of %d", ErrShapeMismatch, off, o.n)
+	for err == nil {
+		err = frames(land)
 	}
+	if err == io.EOF && functional && off != o.n {
+		err = fmt.Errorf("%w: chunked copy of %d values into object of %d", ErrShapeMismatch, off, o.n)
+	}
+	if err != io.EOF {
+		if o.stale {
+			o.data.Clear(off, o.n)
+			o.stale = false
+		}
+		return err
+	}
+	o.stale = false
 	return d.finishH2D(id, o, data, pay)
 }
 
@@ -209,6 +250,7 @@ func (d *Device) CopyDeviceToHost(id ObjID) (_ []int64, err error) {
 	if !d.cfg.Functional {
 		return nil, nil
 	}
+	o.zero()
 	out := make([]int64, o.n)
 	o.data.Load(out, 0)
 	return out, nil
@@ -239,7 +281,9 @@ func (d *Device) CopyDeviceToDevice(src, dst ObjID) (err error) {
 		return fmt.Errorf("%w: dst length %d not a multiple of src length %d", ErrShapeMismatch, t.n, s.n)
 	}
 	if d.cfg.Functional {
+		s.zero()
 		t.data.Tile(s.data)
+		t.stale = false
 	}
 	var cost perf.Cost
 	var volume int64
@@ -296,6 +340,8 @@ func (d *Device) CopyDeviceToDeviceRange(src ObjID, srcOff int64, dst ObjID, dst
 			ErrBadArgument, srcOff, srcOff+n, dstOff, dstOff+n, s.n, t.n)
 	}
 	if d.cfg.Functional {
+		s.zero()
+		t.zero()
 		t.data.CopyFrom(dstOff, s.data, srcOff, n)
 	}
 	bytes := n * int64(t.dt.Bytes())

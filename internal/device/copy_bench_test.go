@@ -13,11 +13,11 @@ import (
 // BenchmarkH2D times the out-of-core h2d path of stream replay for each
 // element type and both payload faces: one 256Ki-element payload read frame
 // by frame from a PIMB stream and written into a device object. "packed" is
-// the path replay takes (cmdstream.PackedSource frames landing in storage
-// through CopyHostToDevicePacked, one copy per frame); "chunks" is the
-// []int64 face (the decoder's Unpack to int64 carriers, then
-// CopyHostToDeviceFrom's narrowing Store), which a source wrapper without
-// the packed face still takes. Each iteration opens the encoded stream
+// the path serial replay takes (cmdstream.FrameReader frames read from the
+// stream straight into storage through CopyHostToDevicePacked, one copy per
+// frame); "chunks" is the []int64 face (the decoder's Unpack to int64
+// carriers, then CopyHostToDeviceFrom's narrowing Store), which a source
+// wrapper without the packed face still takes. Each iteration opens the encoded stream
 // afresh, so decoder setup is included.
 func BenchmarkH2D(b *testing.B) {
 	const n = 256 << 10
@@ -45,11 +45,10 @@ func BenchmarkH2D(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					ps := src.(cmdstream.PackedSource)
 					if face == "packed" {
-						err = d.CopyHostToDevicePacked(id, ps.NextPayloadFrame)
+						err = d.CopyHostToDevicePacked(id, src.(cmdstream.FrameReader).ReadPayloadFrame)
 					} else {
-						err = d.CopyHostToDeviceFrom(id, ps.NextPayloadChunk)
+						err = d.CopyHostToDeviceFrom(id, src.(cmdstream.ChunkedSource).NextPayloadChunk)
 					}
 					if err != nil {
 						b.Fatal(err)

@@ -51,7 +51,7 @@ func (d *Device) ExecBinary(op isa.Op, a, b, dst ObjID) (err error) {
 	}
 	k := kernels.On(ao.dt).Binary(op, do.dt)
 	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Inputs: 2, WritesResult: true}, do,
-		func(lo, hi int64) { k(do.data, ao.data, bo.data, lo, hi) })
+		func(lo, hi int64) { k(do.data, ao.data, bo.data, lo, hi) }, ao, bo)
 }
 
 // ExecScalar dispatches dst = a op scalar, with the scalar broadcast by the
@@ -81,7 +81,7 @@ func (d *Device) ExecScalar(op isa.Op, a ObjID, scalar int64, dst ObjID) (err er
 	}
 	k := kernels.On(ao.dt).Scalar(op, do.dt)
 	return d.elementwise(ev, isa.Command{Op: op, Type: ao.dt, N: do.n, Scalar: s, Inputs: 1, WritesResult: true}, do,
-		func(lo, hi int64) { k(do.data, ao.data, s, lo, hi) })
+		func(lo, hi int64) { k(do.data, ao.data, s, lo, hi) }, ao)
 }
 
 // ExecUnary dispatches dst = op a (not, abs, popcount, sbox).
@@ -112,7 +112,7 @@ func (d *Device) ExecUnary(op isa.Op, a, dst ObjID) (err error) {
 	}
 	k := kernels.On(do.dt).Unary(op)
 	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Inputs: 1, WritesResult: true}, do,
-		func(lo, hi int64) { k(do.data, ao.data, lo, hi) })
+		func(lo, hi int64) { k(do.data, ao.data, lo, hi) }, ao)
 }
 
 // ExecShift dispatches dst = a << amount or a >> amount. Right shifts are
@@ -144,7 +144,7 @@ func (d *Device) ExecShift(op isa.Op, a ObjID, amount int, dst ObjID) (err error
 	}
 	k := kernels.On(do.dt).Shift(op)
 	return d.elementwise(ev, isa.Command{Op: op, Type: do.dt, N: do.n, Scalar: int64(amount), Inputs: 1, WritesResult: true}, do,
-		func(lo, hi int64) { k(do.data, ao.data, amount, lo, hi) })
+		func(lo, hi int64) { k(do.data, ao.data, amount, lo, hi) }, ao)
 }
 
 // ExecSelect dispatches dst[i] = cond[i] != 0 ? a[i] : b[i].
@@ -176,7 +176,7 @@ func (d *Device) ExecSelect(cond, a, b, dst ObjID) (err error) {
 	}
 	k := kernels.On(do.dt).Select(co.dt)
 	return d.elementwise(ev, isa.Command{Op: isa.OpSelect, Type: do.dt, N: do.n, Inputs: 3, WritesResult: true}, do,
-		func(lo, hi int64) { k(do.data, co.data, ao.data, bo.data, lo, hi) })
+		func(lo, hi int64) { k(do.data, co.data, ao.data, bo.data, lo, hi) }, co, ao, bo)
 }
 
 // Broadcast fills dst with a scalar value.
@@ -206,16 +206,25 @@ func (d *Device) Broadcast(dst ObjID, val int64) (err error) {
 }
 
 // elementwise is the shared tail of every element-wise command. On a
-// functional device it runs body, the command's resolved kernel, over every
-// span of do; a canceled loop returns before anything is charged. Then the
-// fault stage covers the written range and the cost stage charges and fans
-// out the command. The cost is charged even when injection reports an error:
+// functional device it zeroes stale sources (srcs; nil entries are skipped),
+// then runs body, the command's resolved kernel, over every span of do. The
+// kernel writes every element of do and reads none, so do's own stale
+// bytes need no clearing unless do is also a source; a canceled loop
+// returns before anything is charged, and leaves do stale. Then the fault
+// stage covers the written range and the cost stage charges and fans out
+// the command. The cost is charged even when injection reports an error:
 // the command executed, and the error only says its result was corrupted.
-func (d *Device) elementwise(ev *Event, cmd isa.Command, do *Object, body func(lo, hi int64)) error {
+func (d *Device) elementwise(ev *Event, cmd isa.Command, do *Object, body func(lo, hi int64), srcs ...*Object) error {
 	if d.cfg.Functional {
+		for _, s := range srcs {
+			if s != nil {
+				s.zero()
+			}
+		}
 		if err := d.forSpans(do, body); err != nil {
 			return err
 		}
+		do.stale = false
 	}
 	ferr := d.injectWrite(do, 0, do.n)
 	d.finishExec(ev, cmd, do)
@@ -243,6 +252,7 @@ func (d *Device) RedSum(a ObjID) (_ int64, err error) {
 		// widens to its host value as it is summed (see kernels.On):
 		// sign-extension for signed types, and a uint64's raw bits wrap
 		// identically to uint64 addition modulo 2^64.
+		ao.zero()
 		k := kernels.On(ao.dt)
 		parts, err := spansCollect(d, ao, func(lo, hi int64) int64 {
 			return k.Sum(ao.data, lo, hi)
@@ -292,6 +302,7 @@ func (d *Device) RedSumSeg(a ObjID, segLen int64) (_ []int64, err error) {
 			seg0 int64
 			vals []int64
 		}
+		ao.zero()
 		k := kernels.On(ao.dt)
 		parts, err := spansCollect(d, ao, func(lo, hi int64) part {
 			seg0 := lo / segLen

@@ -35,6 +35,8 @@ func (d *Device) injectWrite(o *Object, lo, hi int64) error {
 // nil check. Counters go straight to the statistics collector (not through
 // the event fan-out) so the Event stays lean for the fault-free hot path.
 func (d *Device) injectWriteSlow(o *Object, lo, hi int64) error {
+	// The injector reads the stored bits it corrupts and checks.
+	o.zero()
 	delta, err := d.inj.InjectWrite(fault.Region{
 		Data:         o.data,
 		Type:         o.dt,

@@ -99,7 +99,7 @@ func (d *Device) ExecFused(f cmdstream.Fused) (err error) {
 			BinaryForm:   f.Form2 == cmdstream.FormBinary,
 			Stage1Scalar: f.Form1 == cmdstream.FormScalar,
 		},
-	}, do, fusedBody(f, ao, bo, do, s1, s2))
+	}, do, fusedBody(f, ao, bo, do, s1, s2), ao, bo)
 }
 
 // fusedBody resolves the command's fused kernel, one per command, and

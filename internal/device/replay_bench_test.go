@@ -1,21 +1,25 @@
 package device
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"testing"
 
+	"pimeval/internal/cmdstream"
 	"pimeval/internal/dram"
 	"pimeval/internal/isa"
 )
 
 // BenchmarkReplayPhase times the device side of one trace phase of the
 // pimperf replay workloads per element type, at their 256Ki-element
-// scale: four allocations, two chunked h2d copies fed by PIMB-style
-// Unpack of 64Ki-element frames, a broadcast, an add, a scalar multiply,
-// a scalar xor repeated four times, two reductions and four frees. The
-// last free leaves the device idle, which drops its spare storage, so each
-// phase allocates its objects fresh, as each phase of the trace does.
+// scale: four allocations, two h2d copies landing 64Ki-element packed
+// frames through CopyHostToDevicePacked (the path replay takes), a
+// broadcast, an add, a scalar multiply, a scalar xor repeated four times,
+// two reductions and four frees. The last free leaves the device idle; it
+// keeps the freed arrays as spares, so after the first iteration each
+// phase runs on recycled storage, as each phase of the trace after the
+// first does.
 func BenchmarkReplayPhase(b *testing.B) {
 	const n, frame = 256 << 10, 64 << 10
 	for _, dt := range []isa.DataType{isa.UInt8, isa.Int16, isa.Int32} {
@@ -34,17 +38,16 @@ func BenchmarkReplayPhase(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunk := make([]int64, frame)
+			var r bytes.Reader
 			h2d := func(id ObjID, src []byte) error {
-				off := 0
-				return d.CopyHostToDeviceFrom(id, func() ([]int64, error) {
-					if off == len(src) {
-						return nil, io.EOF
+				return d.CopyHostToDevicePacked(id, func(fn cmdstream.FrameFunc) error {
+					if len(src) == 0 {
+						return io.EOF
 					}
-					next := off + frame*dt.Bytes()
-					dt.Unpack(chunk, src[off:next])
-					off = next
-					return chunk, nil
+					size := frame * dt.Bytes()
+					r.Reset(src[:size])
+					src = src[size:]
+					return fn(dt, size, &r)
 				})
 			}
 			must := func(err error) {

@@ -16,6 +16,21 @@ type Object struct {
 	data         isa.Elems // n elements at dt's width; nil in model-only mode
 	elemsPerCore int64
 	activeCores  int
+	// stale marks storage recycled from a freed object and not yet
+	// zeroed: it still holds that object's bytes, which no command may
+	// read. A command that writes every element first (a full h2d or
+	// d2d, Broadcast, an element-wise op) clears the mark; any other
+	// first access zeroes the storage (zero).
+	stale bool
+}
+
+// zero zeroes stale storage before an access that reads it or writes only
+// part of it, so the object reads as the zeros of fresh storage.
+func (o *Object) zero() {
+	if o.stale {
+		o.data.Clear(0, o.n)
+		o.stale = false
+	}
 }
 
 // Len returns the element count.
@@ -41,10 +56,14 @@ type resourceManager struct {
 	freed    map[ObjID]bool
 	nextID   ObjID
 	usedBits int64
-	// spares holds the storage of freed objects for reuse by allocations of
-	// the same type and length (see storage). Spare plus live storage never
-	// exceeds the device's peak live storage, and an idle device holds none.
-	spares []isa.Elems
+	peakBits int64 // the most usedBits has been
+	// spares holds the storage of freed objects for reuse by later
+	// allocations of any type that fits (see storage); spareBytes is
+	// their total capacity. Spare capacity plus live bytes never exceeds
+	// the device's peak live bytes, and an idle device keeps its spares
+	// for the next phase.
+	spares     []isa.Elems
+	spareBytes int64
 	// spanBuf is the reusable span slice handed out by spans(). The
 	// dispatcher is single-threaded and every forSpans/spansCollect batch
 	// drains before the next dispatch, so one buffer per device suffices
@@ -66,11 +85,11 @@ func (rm *resourceManager) init(arch ArchModel, geo dram.Geometry, functional bo
 // across all PIM cores. Object IDs are assigned from a sequential counter,
 // which makes allocation deterministic — the property command-stream replay
 // relies on to resolve recorded object references. A functional device gives
-// the object zeroed storage.
+// the object storage that reads as zeros (see storage).
 func (rm *resourceManager) alloc(n int64, dt isa.DataType) (*Object, error) {
 	obj, err := rm.place(n, dt)
 	if err == nil && rm.functional {
-		obj.data = rm.storage(n, dt)
+		obj.data, obj.stale = rm.storage(n, dt)
 	}
 	return obj, err
 }
@@ -105,6 +124,7 @@ func (rm *resourceManager) place(n int64, dt isa.DataType) (*Object, error) {
 	rm.objs[obj.id] = obj
 	rm.nextID++
 	rm.usedBits += bits
+	rm.peakBits = max(rm.peakBits, rm.usedBits)
 	return obj, nil
 }
 
@@ -130,7 +150,7 @@ func (rm *resourceManager) allocAt(id ObjID, n int64, dt isa.DataType, withStora
 		return nil, err
 	}
 	if withStorage && rm.functional {
-		obj.data = rm.storage(n, dt)
+		obj.data, obj.stale = rm.storage(n, dt)
 	}
 	// Re-home the object from the sequential ID alloc assigned to the
 	// requested one.
@@ -143,7 +163,9 @@ func (rm *resourceManager) allocAt(id ObjID, n int64, dt isa.DataType, withStora
 	return obj, nil
 }
 
-// free releases an object and returns its capacity.
+// free releases an object and returns its capacity. Its storage becomes a
+// spare unless that would lift spare capacity plus live bytes above the
+// device's peak live bytes, which a spare serving a smaller object can.
 func (rm *resourceManager) free(id ObjID) error {
 	o, err := rm.lookup(id)
 	if err != nil {
@@ -153,38 +175,51 @@ func (rm *resourceManager) free(id ObjID) error {
 	delete(rm.objs, id)
 	rm.freed[id] = true
 	if o.data != nil {
-		rm.spares = append(rm.spares, o.data)
+		if c := o.data.Capacity(); (rm.spareBytes+c)*8+rm.usedBits <= rm.peakBits {
+			rm.spares = append(rm.spares, o.data)
+			rm.spareBytes += c
+		}
 		o.data = nil
-	}
-	if len(rm.objs) == 0 {
-		rm.dropSpares()
 	}
 	return nil
 }
 
-// storage returns zeroed storage for n elements of type dt, reusing a spare
-// of exactly that type and length when one exists. An allocation that finds
-// none drops every spare before allocating fresh, so spare plus live storage
-// stays equal to the live storage right after the last fresh allocation —
-// never above the device's peak.
-func (rm *resourceManager) storage(n int64, dt isa.DataType) isa.Elems {
-	for i := len(rm.spares) - 1; i >= 0; i-- {
-		if s := rm.spares[i]; s.Len() == n && s.Type() == dt {
+// storage returns storage for n elements of type dt, and whether it is
+// stale. It reuses the smallest spare that holds the elements and is at
+// most as large as n elements of the widest type, handed out uncleared and
+// stale (Object.stale); the trace-style cycle of phases over types of
+// several widths therefore runs on recycled arrays. An allocation that
+// finds none drops every spare and allocates fresh zeroed storage, so spare
+// capacity plus live bytes stays within the peak live bytes: a reuse moves
+// at least the allocated bytes from spare to live, and after a fresh
+// allocation no spares remain.
+func (rm *resourceManager) storage(n int64, dt isa.DataType) (isa.Elems, bool) {
+	need, most := n*int64(dt.Bytes()), n*int64(isa.Int64.Bytes())
+	best := -1
+	for i, s := range rm.spares {
+		if c := s.Capacity(); c >= need && c <= most && (best < 0 || c < rm.spares[best].Capacity()) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		s := rm.spares[best]
+		if e := s.Recast(dt, n); e != nil {
 			last := len(rm.spares) - 1
-			rm.spares[i], rm.spares[last] = rm.spares[last], nil
+			rm.spares[best], rm.spares[last] = rm.spares[last], nil
 			rm.spares = rm.spares[:last]
-			s.Clear()
-			return s
+			rm.spareBytes -= s.Capacity()
+			return e, true
 		}
 	}
 	rm.dropSpares()
-	return dt.MakeElems(n)
+	return dt.MakeElems(n), false
 }
 
 // dropSpares releases every spare to the garbage collector.
 func (rm *resourceManager) dropSpares() {
 	clear(rm.spares)
 	rm.spares = rm.spares[:0]
+	rm.spareBytes = 0
 }
 
 // lookup resolves an object ID, distinguishing never-allocated IDs

@@ -473,6 +473,7 @@ func (sw *snapWriter) object(o *Object) error {
 		return err
 	}
 	if o.data != nil {
+		o.zero()
 		if cap(sw.pack) < snapPackElems*width {
 			sw.pack = make([]byte, snapPackElems*width)
 		}

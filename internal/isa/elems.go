@@ -2,6 +2,7 @@ package isa
 
 import (
 	"encoding/binary"
+	"io"
 	"unsafe"
 )
 
@@ -25,8 +26,15 @@ type Elems interface {
 	Type() DataType
 	// Len returns the element count.
 	Len() int64
-	// Clear zeroes every element.
-	Clear()
+	// Capacity returns the bytes of the storage's backing array, which
+	// may hold more than Len elements (see Recast).
+	Capacity() int64
+	// Recast returns storage for n elements of type t over the same
+	// backing array, its bytes left as they are, or nil when the array
+	// holds fewer than n*t.Bytes() bytes or is not aligned for t.
+	Recast(t DataType, n int64) Elems
+	// Clear zeroes elements [lo, hi).
+	Clear(lo, hi int64)
 	// Load widens elements [lo, lo+len(dst)) into canonical carriers.
 	Load(dst []int64, lo int64)
 	// Store narrows src into elements [lo, lo+len(src)), keeping each
@@ -43,6 +51,11 @@ type Elems interface {
 	Pack(dst []byte, lo, hi int64)
 	// Unpack reads elements [lo, hi) from src, packed as Pack writes them.
 	Unpack(src []byte, lo, hi int64)
+	// UnpackFrom is Unpack with the packed bytes read from r, exactly
+	// (hi-lo)*Bytes() of them: on a little-endian host they are read
+	// straight into the storage, with no buffer in between. On an error
+	// the span holds whatever part of the bytes arrived.
+	UnpackFrom(r io.Reader, lo, hi int64) error
 	// Grow returns storage of n >= Len elements whose first Len elements
 	// are these.
 	Grow(n int64) Elems
@@ -103,7 +116,45 @@ func (s Slice[S]) Type() DataType { return laneType[S]() }
 
 func (s Slice[S]) Len() int64 { return int64(len(s)) }
 
-func (s Slice[S]) Clear() { clear(s) }
+func (s Slice[S]) Capacity() int64 { return int64(cap(s)) * int64(unsafe.Sizeof(S(0))) }
+
+func (s Slice[S]) Recast(t DataType, n int64) Elems {
+	switch t {
+	case Int8:
+		return recast[S, int8](s, n)
+	case Int16:
+		return recast[S, int16](s, n)
+	case Int32:
+		return recast[S, int32](s, n)
+	case Int64:
+		return recast[S, int64](s, n)
+	case UInt8:
+		return recast[S, uint8](s, n)
+	case UInt16:
+		return recast[S, uint16](s, n)
+	case UInt32:
+		return recast[S, uint32](s, n)
+	default:
+		return recast[S, uint64](s, n)
+	}
+}
+
+// recast views the whole backing array of s as elements of T, sliced to n
+// of them; see Elems.Recast. Like byteView it reinterprets memory, which
+// both element types allow: neither holds pointers, and every bit pattern
+// is a valid value of either.
+func recast[S, T Lane](s []S, n int64) Elems {
+	full := s[:cap(s)]
+	size := int64(unsafe.Sizeof(T(0)))
+	bytes := int64(len(full)) * int64(unsafe.Sizeof(S(0)))
+	p := unsafe.Pointer(unsafe.SliceData(full))
+	if n < 0 || n*size > bytes || uintptr(p)%unsafe.Alignof(T(0)) != 0 {
+		return nil
+	}
+	return Slice[T](unsafe.Slice((*T)(p), bytes/size)[:n])
+}
+
+func (s Slice[S]) Clear(lo, hi int64) { clear(s[lo:hi]) }
 
 func (s Slice[S]) Load(dst []int64, lo int64) {
 	src := s[lo : lo+int64(len(dst))]
@@ -159,15 +210,30 @@ func (s Slice[S]) Unpack(src []byte, lo, hi int64) {
 	unpack[S, S](vals, src)
 }
 
+func (s Slice[S]) UnpackFrom(r io.Reader, lo, hi int64) error {
+	vals := s[lo:hi]
+	if hostLittleEndian {
+		_, err := io.ReadFull(r, byteView(vals))
+		return err
+	}
+	buf := make([]byte, len(vals)*laneType[S]().Bytes())
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	unpack[S, S](vals, buf)
+	return nil
+}
+
 // hostLittleEndian reports whether the host stores integers little-endian,
 // the byte order of both wire formats.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // byteView returns the memory of vals as bytes, len(vals)*sizeof(S) of them,
-// sharing vals' backing array. It is the repository's one use of unsafe: the
-// only way to copy a whole storage span as bytes. Slice.Pack and
-// Slice.Unpack are its only callers, and only on a little-endian host, where
-// the view is exactly the span's packed wire form.
+// sharing vals' backing array. It and recast are the repository's only uses
+// of unsafe: the only way to copy a whole storage span as bytes, and to
+// reuse one type's storage for another's. Slice.Pack, Slice.Unpack and
+// Slice.UnpackFrom are its only callers, and only on a little-endian host,
+// where the view is exactly the span's packed wire form.
 func byteView[S Lane](vals []S) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(S(0))))
 }

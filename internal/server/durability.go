@@ -71,6 +71,18 @@ type durability struct {
 	mu       sync.Mutex
 	done     map[string]*doneRecord
 	inflight map[string]*inflightEntry
+
+	// testHookFS, when set, observes the file operations whose order
+	// durability depends on: "syncdir" with each directory synced after an
+	// atomic write's rename, and "remove" with each journal file unlinked.
+	testHookFS func(op, path string)
+}
+
+// fsEvent reports one ordered file operation to testHookFS.
+func (d *durability) fsEvent(op, path string) {
+	if d.testHookFS != nil {
+		d.testHookFS(op, path)
+	}
 }
 
 func newDurability(dir string, log *slog.Logger, met *metrics) *durability {
@@ -155,7 +167,7 @@ func (d *durability) storeDone(k string, rec *doneRecord) {
 	}
 	buf, err := json.Marshal(rec)
 	if err == nil {
-		err = atomicWrite(d.donePath(k), buf)
+		err = d.atomicWrite(d.donePath(k), buf)
 	}
 	if err != nil {
 		d.met.journalErrors.Add(1)
@@ -191,8 +203,11 @@ func (t *primaryToken) resolve(rec *doneRecord) {
 	close(t.e.ch)
 }
 
-// atomicWrite writes data to path via a temp file, fsync, and rename.
-func atomicWrite(path string, data []byte) error {
+// atomicWrite writes data to path via a temp file, fsync, and rename, then
+// fsyncs the directory so the rename itself survives power loss. Without
+// that sync a done record's rename could be lost while the journal unlinks
+// that follow it survive, and a retried key would run twice.
+func (d *durability) atomicWrite(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -208,7 +223,28 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir := filepath.Dir(path)
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	d.fsEvent("syncdir", dir)
+	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // journal spools one in-flight session to disk: the meta intent record, a
@@ -239,7 +275,7 @@ func (d *durability) beginJournal(fileBase string, meta sessionMeta) (*journal, 
 	if err != nil {
 		return nil, err
 	}
-	if err := atomicWrite(base+".meta.json", mb); err != nil {
+	if err := d.atomicWrite(base+".meta.json", mb); err != nil {
 		return nil, err
 	}
 	spool, err := os.Create(base + ".stream")
@@ -330,10 +366,10 @@ func (j *journal) discard() {
 		return
 	}
 	j.close()
-	os.Remove(j.base + ".meta.json")
-	os.Remove(j.base + ".stream")
-	os.Remove(j.base + ".snap")
-	os.Remove(j.base + ".snap.tmp")
+	for _, ext := range []string{".meta.json", ".stream", ".snap", ".snap.tmp"} {
+		os.Remove(j.base + ext)
+		j.dur.fsEvent("remove", j.base+ext)
+	}
 }
 
 // RecoveryStats summarizes one Recover pass.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,6 +92,44 @@ func TestIdempotencyDedup(t *testing.T) {
 	}
 	if snap.ActiveSessions != 0 {
 		t.Errorf("active_sessions = %d, want 0", snap.ActiveSessions)
+	}
+}
+
+// TestDoneRecordSyncedBeforeJournalUnlink: a journaled session makes its
+// done record durable, directory entry included, before it unlinks any of
+// its journal files. Were the unlinks to reach the disk without the done
+// record's rename, a power loss would leave no record of the key and no
+// journal to recover it from, and a retry would run the session twice.
+func TestDoneRecordSyncedBeforeJournalUnlink(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{Devices: 1, StateDir: dir})
+	var mu sync.Mutex
+	var events []string
+	srv.dur.testHookFS = func(op, path string) {
+		mu.Lock()
+		defer mu.Unlock()
+		events = append(events, op+" "+path)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	enc := encodeStream(t, recordStream(t, pim.Config{Target: pim.Fulcrum, Functional: true}), pim.StreamBinary)
+	if st, _, _ := submitKey(t, ts, enc, "tenant-a", "key-1"); st != http.StatusOK {
+		t.Fatalf("submit: status %d", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	doneSync, firstUnlink := -1, -1
+	for i, ev := range events {
+		switch {
+		case ev == "syncdir "+filepath.Join(dir, "done") && doneSync < 0:
+			doneSync = i
+		case strings.HasPrefix(ev, "remove "+filepath.Join(dir, "journal")) && firstUnlink < 0:
+			firstUnlink = i
+		}
+	}
+	if doneSync < 0 || firstUnlink < 0 || doneSync > firstUnlink {
+		t.Fatalf("done directory sync at event %d, first journal unlink at %d; events:\n%s",
+			doneSync, firstUnlink, strings.Join(events, "\n"))
 	}
 }
 
