@@ -371,7 +371,7 @@ type binWriter struct {
 	c        binCoder
 	objTypes map[int64]byte
 	began    bool
-	packbuf  []byte
+	scratch  []byte // one frame of payload packed at its type's width
 }
 
 // newBinaryWriter returns a Sink writing the binary stream encoding to w.
@@ -467,15 +467,15 @@ func (bw *binWriter) payload(data []int64) error {
 		dt = binTypes[bw.c.payType]
 	}
 	width := dt.Bytes()
-	if cap(bw.packbuf) < payloadFrameElems*width {
-		bw.packbuf = make([]byte, payloadFrameElems*width)
+	if cap(bw.scratch) < payloadFrameElems*width {
+		bw.scratch = make([]byte, payloadFrameElems*width)
 	}
 	for off := 0; off < len(data); off += payloadFrameElems {
 		n := min(len(data)-off, payloadFrameElems)
 		if err := bw.frameHead(n); err != nil {
 			return err
 		}
-		buf := bw.packbuf[:n*width]
+		buf := bw.scratch[:n*width]
 		dt.Pack(buf, data[off:off+n])
 		if _, err := bw.w.Write(buf); err != nil {
 			return err
@@ -528,10 +528,9 @@ func (bw *binWriter) Close() error {
 }
 
 // binSource streams records out of a binary-encoded stream. It implements
-// PackedSource and FrameReader: h2d payloads are surfaced frame by frame,
-// read into the consumer's memory (ReadPayloadFrame), as the packed bytes
-// the wire carries (NextPayloadFrame) or widened to int64 carriers
-// (NextPayloadChunk), never materialized unless the consumer asks
+// FrameReader and ChunkedSource: h2d payloads are surfaced frame by frame,
+// read into the consumer's memory (ReadPayloadFrame) or widened to int64
+// carriers (NextPayloadChunk), never materialized unless the consumer asks
 // (Materialize).
 type binSource struct {
 	c   binCoder
@@ -541,8 +540,7 @@ type binSource struct {
 	// Pending-payload state (the h2d record most recently returned).
 	pending  bool
 	pendType isa.DataType // packing of the pending payload
-	packbuf  []byte
-	body     frameBody // the frame ReadPayloadFrame is reading
+	body     frameBody    // the frame ReadPayloadFrame is reading
 	chunks   chunker
 	ended    bool // end-of-stream marker consumed
 }
@@ -667,52 +665,18 @@ func (b *frameBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// NextPayloadFrame returns the next payload frame of the pending h2d record
-// as the wire packs it, with its element type, or io.EOF after the
-// terminating zero-count frame. The returned bytes are reused by the next
-// call.
-func (s *binSource) NextPayloadFrame() (isa.DataType, []byte, error) {
-	var frame []byte
-	err := s.ReadPayloadFrame(func(dt isa.DataType, size int, r io.Reader) error {
-		// Any frame up to maxFrameElems is valid, though encoders only
-		// emit payloadFrameElems; the buffer holds a canonical frame at
-		// the widest packing, so frames of every type reuse it.
-		if cap(s.packbuf) < size {
-			s.packbuf = make([]byte, max(size, payloadFrameElems*8))
-		}
-		frame = s.packbuf[:size]
-		_, err := io.ReadFull(r, frame)
-		return err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.pendType, frame, nil
-}
-
 // NextPayloadChunk returns the next payload frame widened to int64
 // carriers; see chunker.
 func (s *binSource) NextPayloadChunk() ([]int64, error) {
-	return s.chunks.chunk(s.NextPayloadFrame())
-}
-
-// swapPayloadBuffer installs buf (which may be nil) as the buffer the next
-// payload frame is read into and returns the previous one — the buffer
-// backing the frame most recently returned by NextPayloadFrame. A
-// decode-ahead pipeline uses this to ship frames downstream without copying:
-// it trades a recycled buffer for the filled one each frame.
-func (s *binSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {
-	old := s.packbuf
-	s.packbuf = buf
-	return old, true
+	return s.chunks.chunk(s)
 }
 
 // discardPayload skips the rest of an unconsumed pending payload.
 func (s *binSource) discardPayload() error {
 	for {
-		// A FrameFunc that reads nothing leaves the whole frame to
+		// skipFrame reads nothing, leaving the whole frame to
 		// ReadPayloadFrame's discard.
-		err := s.ReadPayloadFrame(func(isa.DataType, int, io.Reader) error { return nil })
+		err := s.ReadPayloadFrame(skipFrame)
 		if err == io.EOF {
 			return nil
 		}

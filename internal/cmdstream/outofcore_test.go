@@ -28,8 +28,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// memSamplingSource wraps a PackedSource and samples heap usage on every
-// record and payload frame, tracking the peak.
+// memSamplingSource wraps a binary source, forwarding both payload faces,
+// and samples heap usage on every record and payload frame, tracking the
+// peak.
 type memSamplingSource struct {
 	src  cmdstream.Source
 	peak uint64
@@ -58,7 +59,7 @@ func (m *memSamplingSource) Next() (*cmdstream.Record, error) {
 	return rec, err
 }
 func (m *memSamplingSource) PendingPayload() bool {
-	return m.src.(cmdstream.ChunkedSource).PendingPayload()
+	return m.src.(cmdstream.FrameReader).PendingPayload()
 }
 func (m *memSamplingSource) NextPayloadChunk() ([]int64, error) {
 	chunk, err := m.src.(cmdstream.ChunkedSource).NextPayloadChunk()
@@ -67,16 +68,16 @@ func (m *memSamplingSource) NextPayloadChunk() ([]int64, error) {
 	}
 	return chunk, err
 }
-func (m *memSamplingSource) NextPayloadFrame() (isa.DataType, []byte, error) {
-	dt, frame, err := m.src.(cmdstream.PackedSource).NextPayloadFrame()
+func (m *memSamplingSource) ReadPayloadFrame(fn cmdstream.FrameFunc) error {
+	err := m.src.(cmdstream.FrameReader).ReadPayloadFrame(fn)
 	if err == nil {
 		m.sample()
 	}
-	return dt, frame, err
+	return err
 }
 
 // chunkFace offers only the []int64 payload face of the wrapped source,
-// hiding NextPayloadFrame, as a wrapper written before the packed face does
+// hiding ReadPayloadFrame, as a wrapper written before the packed face does
 // (the benchmark harness's timed source is one).
 type chunkFace struct{ cmdstream.Source }
 
@@ -207,7 +208,7 @@ func outOfCoreReplay(t *testing.T, packed, pipelined bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(cmdstream.PackedSource); !ok {
+	if _, ok := src.(cmdstream.FrameReader); !ok {
 		t.Fatal("binary source does not support packed payloads")
 	}
 	dev, err := device.NewFromHeader(header, 1)

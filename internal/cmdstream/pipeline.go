@@ -1,6 +1,7 @@
 package cmdstream
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -28,10 +29,14 @@ const (
 	// filled by the decoder, one being consumed by the executor, plus slack
 	// so the decoder can stay a full payload ahead while the executor is
 	// inside a long compute phase — that read-ahead is what hides source
-	// latency (disk, network) behind execution. Frames travel packed, at
-	// most 1 MiB each (a canonical frame of 8-byte elements), so the window
-	// is at most 4 MiB — bounded for out-of-core replay.
-	pipelineFrameTokens = 4
+	// latency (disk, network) behind execution. The producer borrows a
+	// buffer before every read, including the one that finds a payload's
+	// end, so the fifth buffer is what lets it pass that end, and send the
+	// records behind it, while four frames are in flight. Frames travel
+	// packed and each buffer grows to the frames it holds: a canonical
+	// frame is 128 KiB of uint8 elements, at most 1 MiB of 8-byte ones, so
+	// the window is at most 5 MiB — bounded for out-of-core replay.
+	pipelineFrameTokens = 5
 	// maxPipelineElems bounds the inline payload elements (Record.Data of
 	// JSON-decoded records, Record.Packed of materialized ones, plus
 	// segmented-reduction results; Record.PayloadLen) buffered between
@@ -56,10 +61,11 @@ type pipeMsg struct {
 
 // PipelineSource wraps a Source and runs it on a dedicated goroutine,
 // staying one bounded window of records ahead of the consumer. It
-// implements PackedSource regardless of the wrapped source: streamed h2d
-// payloads are forwarded frame by frame through a small recycled-buffer
-// pool, never materialized, and always as packed frames — a wrapped source
-// with only the []int64 face has each chunk packed as an isa.Int64 frame
+// implements FrameReader (and ChunkedSource) regardless of the wrapped
+// source: the producer reads each streamed h2d payload frame into a buffer
+// borrowed from a small recycled free list (ReadPayloadFrame) and forwards
+// it, never materialized, and always packed — a wrapped source with only
+// the []int64 face has each chunk packed as an isa.Int64 frame
 // (packedFace), so frames travel in one form only.
 //
 // Close shuts the decode goroutine down and releases the buffers, but does
@@ -87,18 +93,18 @@ type PipelineSource struct {
 	space chan struct{} // signaled when elems drops below the cap
 
 	// Consumer-side state.
-	cur      *Record
-	curW     int64
-	curFrame []byte
-	pending  bool
-	err      error
-	chunks   chunker
+	cur     *Record
+	curW    int64
+	frameR  bytes.Reader // reads a buffered frame for ReadPayloadFrame's fn
+	pending bool
+	err     error
+	chunks  chunker
 
 	closeOnce sync.Once
 }
 
 var _ Source = (*PipelineSource)(nil)
-var _ PackedSource = (*PipelineSource)(nil)
+var _ FrameReader = (*PipelineSource)(nil)
 
 // NewPipelineSource returns src wrapped in a decode-ahead pipeline stage
 // holding at most depth records (<= 0 selects the default). The wrapped
@@ -129,16 +135,9 @@ func (p *PipelineSource) Header() Header { return p.h }
 
 // produce is the decode stage: it pulls records (and payload frames) from
 // the wrapped source and forwards them, in order, through the bounded
-// queue. The first error — io.EOF included — terminates the stream.
-// payloadBufferSwapper is an optional PackedSource extension (implemented
-// by the binary decoder and forwarded by CountingSource) that lets the
-// pipeline trade a recycled frame buffer for the decoder's filled one
-// instead of copying up to 1 MiB per frame. It reports false when the
-// source cannot swap (a forwarder over a source without the extension).
-type payloadBufferSwapper interface {
-	swapPayloadBuffer(buf []byte) ([]byte, bool)
-}
-
+// queue. The first error — io.EOF included — terminates the stream. Each
+// payload frame is read into a buffer borrowed before the read, so a
+// closing pipeline never starts an input read it would have to wait out.
 func (p *PipelineSource) produce() {
 	defer close(p.done)
 	// A panic in the wrapped source would otherwise kill the process from
@@ -149,8 +148,7 @@ func (p *PipelineSource) produce() {
 			p.send(pipeMsg{err: fmt.Errorf("cmdstream: pipeline source panicked: %v", r)})
 		}
 	}()
-	ps := packedFace(p.src)
-	sw, _ := p.src.(payloadBufferSwapper)
+	fr := packedFace(p.src)
 	for {
 		rec, err := p.src.Next()
 		if err != nil {
@@ -166,7 +164,7 @@ func (p *PipelineSource) produce() {
 		// Shallow copy: the Source contract guarantees slice fields are
 		// fresh per record, so only the backing struct needs its own copy.
 		*cp = *rec
-		chunked := ps != nil && rec.Kind == KindCopyH2D && ps.PendingPayload()
+		chunked := fr != nil && rec.Kind == KindCopyH2D && fr.PendingPayload()
 		w := cp.PayloadLen() + int64(len(cp.Results))
 		if w > 0 {
 			p.elems.Add(w)
@@ -177,38 +175,31 @@ func (p *PipelineSource) produce() {
 		if w > 0 && !p.throttle() {
 			return
 		}
-		if !chunked {
-			continue
-		}
-		for {
-			dt, frame, cerr := ps.NextPayloadFrame()
-			if cerr == io.EOF {
-				if !p.send(pipeMsg{end: true}) {
-					return
-				}
-				break
-			}
-			if cerr != nil {
-				p.send(pipeMsg{err: cerr})
-				return
-			}
+		for chunked {
 			buf, ok := p.frame()
 			if !ok {
 				return
 			}
-			// Zero-copy where the source can swap: re-arm the decoder with
-			// the recycled buffer and ship the one it just filled (frame's
-			// backing array).
-			swapped := false
-			if sw != nil {
-				_, swapped = sw.swapPayloadBuffer(buf)
-			}
-			if swapped {
-				buf = frame
-			} else {
-				buf = append(buf[:0], frame...)
-			}
-			if !p.send(pipeMsg{dt: dt, frame: buf}) {
+			var dt isa.DataType
+			err := fr.ReadPayloadFrame(func(t isa.DataType, size int, r io.Reader) error {
+				if cap(buf) < size {
+					buf = make([]byte, size)
+				}
+				dt, buf = t, buf[:size]
+				_, err := io.ReadFull(r, buf)
+				return err
+			})
+			switch {
+			case err == io.EOF:
+				p.free <- buf // the token just borrowed: its slot is free
+				chunked = false
+				if !p.send(pipeMsg{end: true}) {
+					return
+				}
+			case err != nil:
+				p.send(pipeMsg{err: err})
+				return
+			case !p.send(pipeMsg{dt: dt, frame: buf}):
 				return
 			}
 		}
@@ -278,32 +269,20 @@ func (p *PipelineSource) recycle() {
 	p.cur, p.curW = nil, 0
 }
 
-// releaseFrame hands the consumed frame buffer back to the free list.
-func (p *PipelineSource) releaseFrame() {
-	if p.curFrame != nil {
-		select {
-		case p.free <- p.curFrame:
-		default:
-		}
-		p.curFrame = nil
-	}
-}
-
 // Next returns the next record. An undrained pending payload is discarded
-// first, mirroring the chunked-decoder contract.
+// first, mirroring the binary decoder's contract.
 func (p *PipelineSource) Next() (*Record, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
 	for p.pending {
-		if _, _, err := p.NextPayloadFrame(); err != nil {
+		if err := p.ReadPayloadFrame(skipFrame); err != nil {
 			if err == io.EOF {
 				break
 			}
 			return nil, err
 		}
 	}
-	p.releaseFrame()
 	p.recycle()
 	msg := <-p.msgs
 	if msg.err != nil {
@@ -318,36 +297,37 @@ func (p *PipelineSource) Next() (*Record, error) {
 // streamed h2d payload still to be drained.
 func (p *PipelineSource) PendingPayload() bool { return p.pending }
 
-// NextPayloadFrame returns the next packed payload frame of the pending
-// h2d record, or io.EOF after the last one. The returned bytes are recycled
-// after the next NextPayloadFrame, NextPayloadChunk or Next call.
-func (p *PipelineSource) NextPayloadFrame() (isa.DataType, []byte, error) {
+// ReadPayloadFrame reads the next buffered payload frame of the pending h2d
+// record through fn, or returns io.EOF after the last one. The frame's
+// buffer goes back to the producer as soon as fn returns.
+func (p *PipelineSource) ReadPayloadFrame(fn FrameFunc) error {
 	if p.err != nil {
-		return 0, nil, p.err
+		return p.err
 	}
 	if !p.pending {
-		return 0, nil, io.EOF
+		return io.EOF
 	}
-	p.releaseFrame()
 	msg := <-p.msgs
 	switch {
 	case msg.err != nil:
 		p.pending = false
 		p.err = msg.err
-		return 0, nil, p.err
+		return p.err
 	case msg.end:
 		p.pending = false
-		return 0, nil, io.EOF
-	default:
-		p.curFrame = msg.frame
-		return msg.dt, msg.frame, nil
+		return io.EOF
 	}
+	p.frameR.Reset(msg.frame)
+	err := fn(msg.dt, len(msg.frame), &p.frameR)
+	p.frameR.Reset(nil)
+	p.free <- msg.frame // the frame's token: its slot is free
+	return err
 }
 
 // NextPayloadChunk returns the next payload frame widened to int64
 // carriers; see chunker.
 func (p *PipelineSource) NextPayloadChunk() ([]int64, error) {
-	return p.chunks.chunk(p.NextPayloadFrame())
+	return p.chunks.chunk(p)
 }
 
 // Close stops the decode goroutine and waits for it to exit. The wrapped
@@ -360,7 +340,7 @@ func (p *PipelineSource) Close() error {
 	for {
 		select {
 		case <-p.done:
-			p.cur, p.curFrame = nil, nil
+			p.cur = nil
 			return nil
 		case <-p.msgs:
 		}

@@ -2,10 +2,12 @@ package cmdstream_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,8 +23,9 @@ import (
 // pipeline must produce exactly the records the wrapped source produces, in
 // order, for both encodings — including chunked h2d payloads, which
 // Materialize reassembles from the forwarded frames. Binary streams are
-// also read through every payload face (packed frames, or []int64 chunks
-// behind chunkFace) serially and pipelined, and include a stream whose
+// also read through both payload faces (packed frames through
+// ReadPayloadFrame, or []int64 chunks behind chunkFace) serially and
+// pipelined, and include a stream whose
 // payload type differs from its object's (a hostile stream); fullStream
 // itself carries raw int64 fallback payloads.
 func TestPipelineSourceEquivalence(t *testing.T) {
@@ -321,6 +324,181 @@ func TestPipelineSourceCloseMidStream(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatalf("wrapped source unusable after pipeline Close: %v", err)
 	}
+}
+
+// uint8Upload encodes a stream that allocates an n-element uint8 object
+// and uploads a payload to it, packed in canonical frames of 128 KiB.
+func uint8Upload(t *testing.T, n int) []byte {
+	data := make([]int64, n)
+	for i := range data {
+		data[i] = int64(uint8(i * 31))
+	}
+	s := &cmdstream.Stream{Header: fullStream().Header, Records: []cmdstream.Record{
+		{Seq: 1, Kind: cmdstream.KindAlloc, Obj: 1, Type: "uint8", N: int64(n)},
+		{Seq: 2, Kind: cmdstream.KindCopyH2D, Obj: 1, Data: data},
+	}}
+	var buf bytes.Buffer
+	if err := s.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPipelineSourceFrameBuffersFitFrames: the producer reads each payload
+// frame straight into a pipeline frame buffer that grows to the frame's
+// size, so pipelining a 2 Mi-element uint8 payload (16 frames of 128 KiB)
+// allocates one 128 KiB buffer per token, well under 1 MiB — not a 1 MiB
+// buffer per token plus a decoder buffer to copy from.
+func TestPipelineSourceFrameBuffersFitFrames(t *testing.T) {
+	const n, frameSize = 2 << 20, 128 << 10
+	src, err := cmdstream.OpenSource(bytes.NewReader(uint8Upload(t, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, frameSize)
+	frames := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ps := cmdstream.NewPipelineSource(src, 0)
+	for {
+		rec, err := ps.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rec.Kind == cmdstream.KindCopyH2D {
+			err := ps.ReadPayloadFrame(func(dt isa.DataType, size int, r io.Reader) error {
+				if dt != isa.UInt8 || size != frameSize {
+					return fmt.Errorf("frame of %d bytes as %v", size, dt)
+				}
+				_, err := io.ReadFull(r, frame)
+				return err
+			})
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, b := range frame {
+				if want := uint8((frames*frameSize + j) * 31); b != want {
+					t.Fatalf("frame %d byte %d = %d, want %d", frames, j, b, want)
+				}
+			}
+			frames++
+		}
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if frames != n/frameSize {
+		t.Fatalf("drained %d frames, want %d", frames, n/frameSize)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d frames of %d bytes: %.2f MiB allocated", frames, frameSize, float64(got)/(1<<20))
+	if got >= 1<<20 {
+		t.Errorf("pipelining %d frames of %d bytes allocated %d bytes, want under 1 MiB", frames, frameSize, got)
+	}
+}
+
+// frameCounter is a nextCounter that forwards the packed payload face, so
+// the pipeline streams the wrapped source's payloads frame by frame.
+type frameCounter struct{ nextCounter }
+
+func (c *frameCounter) PendingPayload() bool {
+	return c.Source.(cmdstream.FrameReader).PendingPayload()
+}
+
+func (c *frameCounter) ReadPayloadFrame(fn cmdstream.FrameFunc) error {
+	return c.Source.(cmdstream.FrameReader).ReadPayloadFrame(fn)
+}
+
+// TestPipelineSourceReadsPastPayloadEnd: with a four-frame payload queued
+// and unread, the producer still finds the payload's end and pulls the next
+// record, so a consumer that lands the frames finds what follows them
+// already decoded. Four frames is what one phase of the benchmark's replay
+// trace uploads (two operands of two frames); if seeing the end had to wait
+// for the consumer to free a frame buffer, the consumer would stall on the
+// decoder once per phase.
+func TestPipelineSourceReadsPastPayloadEnd(t *testing.T) {
+	const frameElems = 1 << 17 // the encoder's frame size
+	src, err := cmdstream.OpenSource(bytes.NewReader(uint8Upload(t, 4*frameElems)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &frameCounter{nextCounter{Source: src}}
+	ps := cmdstream.NewPipelineSource(counted, 0)
+	defer ps.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := ps.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The producer's third Next follows the payload's end (it returns
+	// io.EOF: the stream holds the alloc and the h2d only). The consumer
+	// reads no frame, so none of the four frame buffers comes back.
+	for deadline := time.Now().Add(5 * time.Second); counted.n.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("producer stopped before the payload's end with four frames in flight")
+		}
+	}
+}
+
+// TestPipelineSourceCloseWithFramesInFlight: when every frame buffer holds
+// a frame the consumer has not read and the input stalls mid-payload, Close
+// still returns. The producer borrows a buffer before it reads a frame, so
+// it waits on the free list, where Close reaches it, not on the input.
+func TestPipelineSourceCloseWithFramesInFlight(t *testing.T) {
+	const frameElems = 1 << 17 // the encoder's frame size
+	const inFlight = cmdstream.PipelineFrameTokens
+	enc := uint8Upload(t, 2*inFlight*frameElems)
+	// The payload ends with its frames (a uvarint count, then that many
+	// bytes), the payload terminator and the end-of-stream marker; deliver
+	// one frame per buffer and stop at the next frame's head.
+	head := binary.AppendUvarint(nil, frameElems)
+	cut := len(enc) - 2 - inFlight*(len(head)+frameElems)
+	if !bytes.Equal(enc[len(enc)-2:], []byte{0, 0}) || !bytes.Equal(enc[cut:cut+len(head)], head) {
+		t.Fatal("unexpected payload framing")
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		pw.Write(enc[:cut])
+	}()
+	src, err := cmdstream.OpenSource(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := cmdstream.NewPipelineSource(src, 0)
+	for i := 0; i < 2; i++ {
+		if _, err := ps.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ps.PendingPayload() {
+		t.Fatal("h2d record has no pending payload")
+	}
+	// The producer has read every delivered frame once the writer returns;
+	// give it time to queue the last one and reach its next step.
+	<-written
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		ps.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Error("Close blocked with every frame buffer in flight and the input stalled")
+	}
+	pw.CloseWithError(errors.New("input stalled"))
+	<-closed
 }
 
 // TestReplayPipelinedMatchesSerial replays the same recorded program

@@ -9,8 +9,8 @@ import (
 )
 
 // Executor is the device surface a stream replays against. *device.Device
-// satisfies it directly; the interface lives here so the IR layer has no
-// dependency on the simulator core.
+// satisfies it directly (a wrapper embeds one); the interface lives here so
+// the IR layer has no dependency on the simulator core.
 type Executor interface {
 	Alloc(n int64, dt isa.DataType) (ObjID, error)
 	// AllocAs allocates an object under an explicit, caller-chosen ID.
@@ -21,6 +21,15 @@ type Executor interface {
 	AllocAs(id ObjID, n int64, dt isa.DataType) error
 	Free(id ObjID) error
 	CopyHostToDevice(id ObjID, values []int64) error
+	// CopyHostToDevicePacked lands a payload of packed frames in object
+	// storage: each call of frames passes one frame to a FrameFunc, and
+	// io.EOF ends the payload (FrameReader.ReadPayloadFrame's shape).
+	CopyHostToDevicePacked(id ObjID, frames func(FrameFunc) error) error
+	// CopyHostToDeviceFrom lands a payload of []int64 chunks: next returns
+	// successive chunks and io.EOF at end, and each chunk is copied out
+	// before the next is requested (ChunkedSource.NextPayloadChunk's
+	// shape).
+	CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error
 	CopyDeviceToHost(id ObjID) ([]int64, error)
 	CopyDeviceToDevice(src, dst ObjID) error
 	CopyDeviceToDeviceRange(src ObjID, srcOff int64, dst ObjID, dstOff, n int64) error
@@ -122,11 +131,10 @@ func Replay(x Executor, s *Stream) error {
 // opts.Checkpoint at unit boundaries every opts.CheckpointEvery records.
 // Only the current record (or the current repeat-scope body) is resident,
 // and every h2d payload lands through copyIn: a streamed one in bounded
-// frames when both the source and the executor support it, packed frames
-// into object storage (PackedSource and PackedExecutor; read straight from
-// the input when the source is a FrameReader) or else []int64 chunks
-// (ChunkedSource and ChunkedExecutor); a materialized one,
-// such as a scope body's or an optimizer window's, as its packed frames.
+// frames, packed frames into object storage from a FrameReader (read
+// straight from the input by the binary decoder) or []int64 chunks from a
+// source with only the ChunkedSource face; a materialized one, such as a
+// scope body's or an optimizer window's, as its packed frames.
 // Structure is checked incrementally (ScopeCheck), so a malformed suffix is
 // only detected after the preceding records have executed. Repeat-scope
 // bodies replay through x.WithRepeat, so the executor applies the same
@@ -271,40 +279,21 @@ func replayOne(x Executor, src Source, rec *Record, verify, optimized bool) erro
 }
 
 // copyIn is the replay walker's one h2d landing, for a payload in any
-// form: still streaming from src, materialized at element width (Packed),
-// or as int64 carriers (Data). Packed frames land through PackedExecutor,
-// one copy each: a FrameReader source's frames are read from its input
-// straight into storage, other frames are copied from the bytes they are
-// held in. An executor without that face takes a streaming payload
-// as []int64 chunks (ChunkedExecutor) or, like a materialized one, widened
-// once at its exact length.
+// form: still streaming from src as packed frames (FrameReader) or []int64
+// chunks (ChunkedSource), materialized at element width (Packed), or as
+// int64 carriers (Data).
 func copyIn(x Executor, src Source, rec *Record) error {
 	id := ObjID(rec.Obj)
-	pe, _ := x.(PackedExecutor)
+	if fr, ok := src.(FrameReader); ok && fr.PendingPayload() {
+		return x.CopyHostToDevicePacked(id, fr.ReadPayloadFrame)
+	}
 	if cs, ok := src.(ChunkedSource); ok && cs.PendingPayload() {
-		ps, packed := src.(PackedSource)
-		ce, chunked := x.(ChunkedExecutor)
-		switch {
-		case packed && pe != nil:
-			return pe.CopyHostToDevicePacked(id, func(fn FrameFunc) error { return readFrame(ps, fn) })
-		case chunked:
-			return ce.CopyHostToDeviceFrom(id, cs.NextPayloadChunk)
-		}
-		if err := Materialize(src, rec); err != nil {
-			return err
-		}
+		return x.CopyHostToDeviceFrom(id, cs.NextPayloadChunk)
 	}
-	if rec.Packed == nil {
-		return x.CopyHostToDevice(id, rec.Data)
+	if rec.Packed != nil {
+		return x.CopyHostToDevicePacked(id, rec.Packed.frames())
 	}
-	if pe != nil {
-		return pe.CopyHostToDevicePacked(id, rec.Packed.frames())
-	}
-	data, err := rec.Packed.Int64s()
-	if err != nil {
-		return err
-	}
-	return x.CopyHostToDevice(id, data)
+	return x.CopyHostToDevice(id, rec.Data)
 }
 
 // replayExec dispatches an exec record through the form-specific entry point.

@@ -19,7 +19,8 @@ import (
 // may reuse one backing struct across calls, but its slice and pointer
 // fields (Data, Packed, Results) are freshly allocated per record — a
 // consumer that retains a record may copy the struct shallowly. Sources that
-// stream h2d payloads out-of-core additionally implement ChunkedSource.
+// stream h2d payloads out-of-core additionally implement FrameReader (the
+// packed face) or ChunkedSource (the []int64 one).
 type Source interface {
 	// Header identifies the device the stream was recorded on. It is valid
 	// immediately (before the first Next call).
@@ -53,35 +54,18 @@ type ChunkedSource interface {
 	NextPayloadChunk() ([]int64, error)
 }
 
-// PackedSource is a ChunkedSource that can also surface each frame of a
-// pending h2d payload as the PIMB wire packs it: little-endian elements at
-// the width of the returned element type, the object's own type or, for a
-// payload whose values do not fit it, isa.Int64. NextPayloadFrame and
-// NextPayloadChunk read the same frame sequence, so one payload may be
-// drained through either face; the frame's bytes are reused by the next
-// call on either. The binary decoder and PipelineSource implement it.
-type PackedSource interface {
-	ChunkedSource
-	NextPayloadFrame() (isa.DataType, []byte, error)
-}
-
-// ChunkedExecutor is implemented by executors that can consume an h2d
-// payload in bounded chunks (the out-of-core replay path). next returns
-// successive chunks and io.EOF at end; the executor copies each chunk out
-// before requesting the next.
-type ChunkedExecutor interface {
-	CopyHostToDeviceFrom(id ObjID, next func() ([]int64, error)) error
-}
-
-// FrameReader is implemented by packed sources that can read a payload
-// frame into memory the consumer supplies instead of their own buffer:
-// ReadPayloadFrame reads the next frame of the pending h2d payload through
-// fn, or returns io.EOF after the last. It reads the same frame sequence as
-// NextPayloadFrame, so one payload may be drained through either. The
-// binary decoder reads the frame straight from its input, so a consumer
-// that lands it in object storage moves each byte once; CountingSource
-// forwards the face.
+// FrameReader is the packed payload face: a source that streams the h2d
+// payload of the record most recently returned by Next frame by frame, as
+// the PIMB wire packs it — little-endian elements at the width of the
+// frame's element type, the object's own type or, for a payload whose
+// values do not fit it, isa.Int64. After Next returns a KindCopyH2D record
+// whose PendingPayload reports true, ReadPayloadFrame reads the next frame
+// through fn, or returns io.EOF after the last. The binary decoder reads
+// the frame straight from its input, so a consumer that lands it in object
+// storage moves each byte once; PipelineSource and CountingSource implement
+// it too. Calling Next with an undrained payload discards the remainder.
 type FrameReader interface {
+	PendingPayload() bool
 	ReadPayloadFrame(fn FrameFunc) error
 }
 
@@ -91,58 +75,47 @@ type FrameReader interface {
 // error, or the source's own read error, is the result.
 type FrameFunc func(dt isa.DataType, size int, r io.Reader) error
 
-// PackedExecutor is implemented by executors that land packed payload
-// frames in object storage directly, with no int64 carrier in between: each
-// call of frames passes one frame to a FrameFunc and io.EOF ends the
-// payload (FrameReader.ReadPayloadFrame's shape). Replay takes this path
-// when both sides offer it.
-type PackedExecutor interface {
-	CopyHostToDevicePacked(id ObjID, frames func(FrameFunc) error) error
+// skipFrame is the FrameFunc that reads nothing: the frame is discarded.
+func skipFrame(isa.DataType, int, io.Reader) error { return nil }
+
+// chunker is the []int64 face over a FrameReader: chunk reads the next
+// frame into a byte scratch buffer and widens it into a carrier buffer,
+// both reused across calls.
+type chunker struct {
+	frame []byte
+	buf   []int64
 }
 
-// readFrame reads ps's next payload frame through fn: straight from the
-// input when ps is a FrameReader, else from the bytes NextPayloadFrame
-// returns.
-func readFrame(ps PackedSource, fn FrameFunc) error {
-	if fr, ok := ps.(FrameReader); ok {
-		return fr.ReadPayloadFrame(fn)
-	}
-	dt, frame, err := ps.NextPayloadFrame()
-	if err != nil {
-		return err
-	}
-	return fn(dt, len(frame), bytes.NewReader(frame))
-}
-
-// chunker is the []int64 face over a packed frame reader: chunk widens one
-// frame (NextPayloadFrame's results) into a buffer reused across calls.
-type chunker struct{ buf []int64 }
-
-func (c *chunker) chunk(dt isa.DataType, frame []byte, err error) ([]int64, error) {
-	if err != nil {
-		return nil, err
-	}
-	n := len(frame) / dt.Bytes()
-	if cap(c.buf) < n {
-		c.buf = make([]int64, max(n, payloadFrameElems))
-	}
-	vals := c.buf[:n]
-	dt.Unpack(vals, frame)
-	return vals, nil
+func (c *chunker) chunk(fr FrameReader) ([]int64, error) {
+	var vals []int64
+	err := fr.ReadPayloadFrame(func(dt isa.DataType, size int, r io.Reader) error {
+		c.frame = slices.Grow(c.frame[:0], size)[:size]
+		if _, err := io.ReadFull(r, c.frame); err != nil {
+			return err
+		}
+		n := size / dt.Bytes()
+		c.buf = slices.Grow(c.buf[:0], n)[:n]
+		dt.Unpack(c.buf, c.frame)
+		vals = c.buf
+		return nil
+	})
+	return vals, err
 }
 
 // Materialize completes rec in place: if src has a pending streamed payload
-// for rec (a ChunkedSource h2d record), it is drained into rec.Packed, each
-// frame read once into an exact-size buffer the payload owns (from a
-// FrameReader, straight from its input; from a source with only the
-// []int64 face, through packedFace). No frame is widened and no buffer
-// grows by doubling. For every other record this is a no-op.
+// for rec, it is drained into rec.Packed, each frame read once into an
+// exact-size buffer the payload owns (from a FrameReader, straight from its
+// input; from a source with only the []int64 face, through packedFace). No
+// frame is widened and no buffer grows by doubling. For every other record
+// this is a no-op.
 func Materialize(src Source, rec *Record) error {
-	cs, ok := src.(ChunkedSource)
-	if !ok || !cs.PendingPayload() || rec.Kind != KindCopyH2D {
+	if rec.Kind != KindCopyH2D {
 		return nil
 	}
-	ps := packedFace(src)
+	fr := packedFace(src)
+	if fr == nil || !fr.PendingPayload() {
+		return nil
+	}
 	var p *Payload
 	keep := func(dt isa.DataType, size int, r io.Reader) error {
 		switch {
@@ -159,7 +132,7 @@ func Materialize(src Source, rec *Record) error {
 		return nil
 	}
 	for {
-		err := readFrame(ps, keep)
+		err := fr.ReadPayloadFrame(keep)
 		if err == io.EOF {
 			rec.Packed = p
 			return nil
@@ -171,7 +144,7 @@ func Materialize(src Source, rec *Record) error {
 }
 
 // Payload is a materialized h2d payload at element width: the frames a
-// PackedSource produced, each little-endian elements of Type. Frames are
+// FrameReader produced, each little-endian elements of Type. Frames are
 // owned by the payload and never modified once it is built.
 type Payload struct {
 	Type   isa.DataType
@@ -222,7 +195,7 @@ func (p *Payload) Int64s() ([]int64, error) {
 }
 
 // frames returns a reader over the payload's frames in the shape of
-// FrameReader.ReadPayloadFrame, for PackedExecutor.
+// FrameReader.ReadPayloadFrame, for Executor.CopyHostToDevicePacked.
 func (p *Payload) frames() func(FrameFunc) error {
 	i := 0
 	var r bytes.Reader
@@ -266,25 +239,27 @@ func (r *Record) Widened() (Record, error) {
 type int64Frames struct {
 	ChunkedSource
 	buf []byte
+	r   bytes.Reader
 }
 
-func (f *int64Frames) NextPayloadFrame() (isa.DataType, []byte, error) {
+func (f *int64Frames) ReadPayloadFrame(fn FrameFunc) error {
 	chunk, err := f.NextPayloadChunk()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	size := len(chunk) * isa.Int64.Bytes()
 	f.buf = slices.Grow(f.buf[:0], size)[:size]
 	isa.Int64.Pack(f.buf, chunk)
-	return isa.Int64, f.buf, nil
+	f.r.Reset(f.buf)
+	return fn(isa.Int64, size, &f.r)
 }
 
 // packedFace returns src's packed payload face: src itself, src's chunks
 // through int64Frames when it has only the []int64 face, or nil when it
 // streams no payloads.
-func packedFace(src Source) PackedSource {
+func packedFace(src Source) FrameReader {
 	switch s := src.(type) {
-	case PackedSource:
+	case FrameReader:
 		return s
 	case ChunkedSource:
 		return &int64Frames{ChunkedSource: s}
@@ -292,15 +267,13 @@ func packedFace(src Source) PackedSource {
 	return nil
 }
 
-// CountingSource counts the records pulled through it (N) and forwards
-// every payload face of the wrapped source: chunks, packed frames (through
-// packedFace), reads into consumer memory (FrameReader) and the
-// decode-ahead pipeline's buffer swap. Counting a replay therefore never
-// changes which h2d path it takes.
+// CountingSource counts the records pulled through it (N) and forwards the
+// wrapped source's payloads through the packed face (packedFace), so
+// counting a replay never changes how its payloads land.
 type CountingSource struct {
 	Source
 	N      int64
-	frames PackedSource // packedFace(Source), resolved on first use
+	frames FrameReader // packedFace(Source), resolved on first use
 }
 
 func (c *CountingSource) Next() (*Record, error) {
@@ -312,46 +285,22 @@ func (c *CountingSource) Next() (*Record, error) {
 }
 
 func (c *CountingSource) PendingPayload() bool {
-	cs, ok := c.Source.(ChunkedSource)
-	return ok && cs.PendingPayload()
-}
-
-func (c *CountingSource) NextPayloadChunk() ([]int64, error) {
-	cs, ok := c.Source.(ChunkedSource)
-	if !ok {
-		return nil, io.EOF
-	}
-	return cs.NextPayloadChunk()
-}
-
-func (c *CountingSource) NextPayloadFrame() (isa.DataType, []byte, error) {
-	if c.face() == nil {
-		return 0, nil, io.EOF
-	}
-	return c.frames.NextPayloadFrame()
+	return c.face() != nil && c.frames.PendingPayload()
 }
 
 func (c *CountingSource) ReadPayloadFrame(fn FrameFunc) error {
 	if c.face() == nil {
 		return io.EOF
 	}
-	return readFrame(c.frames, fn)
+	return c.frames.ReadPayloadFrame(fn)
 }
 
 // face resolves the wrapped source's packed face on first use.
-func (c *CountingSource) face() PackedSource {
+func (c *CountingSource) face() FrameReader {
 	if c.frames == nil {
 		c.frames = packedFace(c.Source)
 	}
 	return c.frames
-}
-
-func (c *CountingSource) swapPayloadBuffer(buf []byte) ([]byte, bool) {
-	sw, ok := c.Source.(payloadBufferSwapper)
-	if !ok {
-		return nil, false
-	}
-	return sw.swapPayloadBuffer(buf)
 }
 
 // sliceSource iterates a materialized record slice.

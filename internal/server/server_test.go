@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"pimeval/internal/cmdstream"
-	"pimeval/internal/isa"
 	"pimeval/pim"
 )
 
@@ -395,20 +394,20 @@ type payloadSpy struct {
 }
 
 func (s payloadSpy) PendingPayload() bool {
-	return s.Source.(cmdstream.PackedSource).PendingPayload()
+	return s.Source.(cmdstream.FrameReader).PendingPayload()
 }
 
 func (s payloadSpy) NextPayloadChunk() ([]int64, error) {
 	s.chunks.Add(1)
-	return s.Source.(cmdstream.PackedSource).NextPayloadChunk()
+	return s.Source.(cmdstream.ChunkedSource).NextPayloadChunk()
 }
 
-func (s payloadSpy) NextPayloadFrame() (isa.DataType, []byte, error) {
-	dt, frame, err := s.Source.(cmdstream.PackedSource).NextPayloadFrame()
+func (s payloadSpy) ReadPayloadFrame(fn cmdstream.FrameFunc) error {
+	err := s.Source.(cmdstream.FrameReader).ReadPayloadFrame(fn)
 	if err == nil {
 		s.frames.Add(1)
 	}
-	return dt, frame, err
+	return err
 }
 
 // TestServedPayloadTakesPackedPath: a served binary session, serial or

@@ -208,14 +208,3 @@ func ResumeReplaySource(snapshot io.Reader, src StreamSource, rc ReplayConfig) (
 	}
 	return replayOpts(d, src, rc, cursor)
 }
-
-// PipelineStreamSource wraps a StreamSource in a decode-ahead pipeline
-// stage: the wrapped source runs on its own goroutine and stays a bounded
-// window (depth records, <= 0 selects the default) ahead of the consumer.
-// Records, payload frames, and errors arrive in exactly the wrapped
-// source's order. Close the returned source when done — the wrapped source
-// stays open and owned by the caller, so a pipeline can be layered around
-// any stage (a decoder, an optimizer window, …).
-func PipelineStreamSource(src StreamSource, depth int) *cmdstream.PipelineSource {
-	return cmdstream.NewPipelineSource(src, depth)
-}

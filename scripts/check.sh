@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh
 #
-# Runs go vet over the whole module, then staticcheck when the binary is
+# Runs go vet over the whole module, checks that only internal/isa imports
+# unsafe (scripts/unsafe.sh), then runs staticcheck when the binary is
 # available (CI installs it; offline development environments may not have
 # it, so its absence is a warning rather than a failure).
 set -eu
@@ -12,6 +13,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> unsafe stays in internal/isa"
+sh scripts/unsafe.sh
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "==> staticcheck ./..."
