@@ -9,10 +9,11 @@ import (
 )
 
 // BenchmarkExecKernels quantifies what the specialized element kernels buy
-// over a per-element loop: the resolved kernel (micro/*/kernel) against the
-// same element loop through the golden oracle, kernels.RefBinary
-// (micro/*/reference), on representative (op, type) shapes at 64K
-// elements. BENCH_kernels.json archives an earlier run, which also had
+// over a per-element loop: the resolved storage kernel (micro/*/kernel,
+// kernels.On) against the same element loop over int64 carriers through
+// the golden oracle, kernels.RefBinary (micro/*/reference), on
+// representative (op, type) shapes at 64K elements. SetBytes counts the
+// bytes each loop touches: element width for storage, 8 for carriers. BENCH_kernels.json archives an earlier run, which also had
 // whole-device rows for the since-removed per-element device path.
 func BenchmarkExecKernels(b *testing.B) {
 	const n = 1 << 16
@@ -38,13 +39,14 @@ func BenchmarkExecKernels(b *testing.B) {
 		dst := make([]int64, n)
 		name := fmt.Sprintf("micro/%v.%v", op, dt)
 		b.Run(name+"/kernel", func(b *testing.B) {
-			k := kernels.Binary(op, dt)
+			k := kernels.On(dt).Binary(op, dt)
 			if k == nil {
 				b.Fatalf("no kernel for %v.%v", op, dt)
 			}
-			b.SetBytes(3 * n * 8)
+			ea, ec, out := stored(dt, a), stored(dt, c), dt.MakeElems(n)
+			b.SetBytes(int64(3 * n * dt.Bytes()))
 			for i := 0; i < b.N; i++ {
-				k(dst, a, c, 0, n)
+				k(out, ea, ec, 0, n)
 			}
 		})
 		b.Run(name+"/reference", func(b *testing.B) {

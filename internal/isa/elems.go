@@ -229,13 +229,53 @@ func (s Slice[S]) UnpackFrom(r io.Reader, lo, hi int64) error {
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // byteView returns the memory of vals as bytes, len(vals)*sizeof(S) of them,
-// sharing vals' backing array. It and recast are the repository's only uses
-// of unsafe: the only way to copy a whole storage span as bytes, and to
-// reuse one type's storage for another's. Slice.Pack, Slice.Unpack and
-// Slice.UnpackFrom are its only callers, and only on a little-endian host,
-// where the view is exactly the span's packed wire form.
+// sharing vals' backing array. It, recast and sameWidth are the
+// repository's only uses of unsafe: the only way to copy a whole storage
+// span as bytes, to reuse one type's storage for another's, and to run one
+// bit-moving kernel over both signednesses of a width. Slice.Pack,
+// Slice.Unpack and Slice.UnpackFrom are its only callers, and only on a
+// little-endian host, where the view is exactly the span's packed wire
+// form.
 func byteView[S Lane](vals []S) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(S(0))))
+}
+
+// Unsigned returns the storage of e as its width's unsigned machine type U:
+// an int8 or uint8 object as []uint8, an int32 or uint32 object as []uint32,
+// and so on, sharing e's backing array, Len() elements long. It panics when
+// e's element width is not U's. The view is for ops that move bits without
+// reading their type: a 0/1 compare mask, a select's condition and data.
+// Like byteView it reinterprets memory, which same-width integer types
+// allow. It returns a typed slice, so a kernel holding Elems operands
+// reaches their machine slices without boxing anything.
+func Unsigned[U uint8 | uint16 | uint32 | uint64](e Elems) []U {
+	switch s := e.(type) {
+	case Slice[int8]:
+		return sameWidth[U](s)
+	case Slice[int16]:
+		return sameWidth[U](s)
+	case Slice[int32]:
+		return sameWidth[U](s)
+	case Slice[int64]:
+		return sameWidth[U](s)
+	case Slice[uint8]:
+		return sameWidth[U](s)
+	case Slice[uint16]:
+		return sameWidth[U](s)
+	case Slice[uint32]:
+		return sameWidth[U](s)
+	case Slice[uint64]:
+		return sameWidth[U](s)
+	}
+	panic("isa: Unsigned of foreign storage")
+}
+
+// sameWidth views vals as U elements; see Unsigned.
+func sameWidth[U, S Lane](vals []S) []U {
+	if unsafe.Sizeof(U(0)) != unsafe.Sizeof(S(0)) {
+		panic("isa: Unsigned of storage of another width")
+	}
+	return unsafe.Slice((*U)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
 }
 
 func (s Slice[S]) Grow(n int64) Elems {

@@ -172,14 +172,20 @@ func TestCommandName(t *testing.T) {
 // Pack and Unpack, which copy through a byte view on a little-endian host,
 // are also compared with the generic loops called directly (loopsOf), so the
 // big-endian path stays tested here, and an interior-span Unpack must leave
-// every element outside its span as it was. The value count is len(data)/8
-// rounded up, so odd counts are covered.
+// every element outside its span as it was. The storage's same-width
+// unsigned view (Unsigned) must alias it: the same length, the same bits,
+// a write through it read back through Bits, and a view of another width
+// refused. The value count is len(data)/8 rounded up, so odd counts are
+// covered.
 func FuzzElementConversions(f *testing.F) {
 	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
 	f.Add(uint8(Int32), []byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80})
 	f.Add(uint8(UInt64), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add(uint8(Int64), []byte{})
+	f.Add(uint8(UInt8), []byte{0xff, 0x80, 0x7f, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(Int16), []byte{0x00, 0x80, 0xff, 0x7f, 0, 0, 0, 0, 0xff, 0xff})
+	f.Add(uint8(UInt32), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
 		dt := DataType(int(typ) % NumTypes)
 		vals := make([]int64, (len(data)+7)/8)
@@ -251,6 +257,17 @@ func FuzzElementConversions(f *testing.F) {
 			t.Fatalf("%v: storage Unpack = %v, want %v", dt, got[:n], want)
 		}
 
+		switch w {
+		case 1:
+			checkUnsignedView[uint8](t, store)
+		case 2:
+			checkUnsignedView[uint16](t, store)
+		case 4:
+			checkUnsignedView[uint32](t, store)
+		default:
+			checkUnsignedView[uint64](t, store)
+		}
+
 		loopPack, loopUnpack := loops(store)
 		looped := make([]byte, len(buf))
 		copy(looped, buf)
@@ -278,6 +295,45 @@ func FuzzElementConversions(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkUnsignedView checks that Unsigned[U] aliases e, whose width is U's,
+// leaving e as it found it, and that a view of any other width panics.
+func checkUnsignedView[U uint8 | uint16 | uint32 | uint64](t *testing.T, e Elems) {
+	t.Helper()
+	dt := e.Type()
+	v := Unsigned[U](e)
+	if int64(len(v)) != e.Len() {
+		t.Fatalf("%v: view holds %d elements, storage %d", dt, len(v), e.Len())
+	}
+	for i := range v {
+		if uint64(v[i]) != e.Bits(int64(i)) {
+			t.Fatalf("%v: view element %d = %#x, stored bits %#x", dt, i, v[i], e.Bits(int64(i)))
+		}
+		v[i] = ^v[i]
+		if got := e.Bits(int64(i)); got != uint64(v[i]) {
+			t.Fatalf("%v: wrote %#x through the view, element %d reads back %#x", dt, v[i], i, got)
+		}
+		v[i] = ^v[i]
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, other := range []struct {
+		bytes int
+		view  func()
+	}{
+		{1, func() { Unsigned[uint8](e) }},
+		{2, func() { Unsigned[uint16](e) }},
+		{4, func() { Unsigned[uint32](e) }},
+		{8, func() { Unsigned[uint64](e) }},
+	} {
+		if other.bytes != dt.Bytes() && !panics(other.view) {
+			t.Fatalf("%v: a %d-byte view of %d-byte storage did not panic", dt, other.bytes, dt.Bytes())
+		}
+	}
 }
 
 // loops returns the generic pack and unpack loops over e's own machine

@@ -1,75 +1,74 @@
 package kernels
 
 // Element-wise binary kernels and their scalar-broadcast twins. Each body is
-// the whole semantics of one (op, type) pair: the S → T conversion
-// truncates to the element width, T arithmetic wraps natively, and the
-// T → S conversion stores the result (re-extending it into the canonical
-// carrier when S is int64). Comparison ops write 0/1 masks into a
-// destination of any element type D.
+// the whole semantics of one (op, type) pair over storage of machine type T:
+// T arithmetic wraps natively at the element width. Comparison ops write
+// 0/1 masks into a destination of width class D, which holds the same bits
+// for either signedness of that width.
 
-func addK[S, T lane](dst, a, b []S, lo, hi int64) {
+func addK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) + T(b[i]))
+		dst[i] = a[i] + b[i]
 	}
 }
 
-func subK[S, T lane](dst, a, b []S, lo, hi int64) {
+func subK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) - T(b[i]))
+		dst[i] = a[i] - b[i]
 	}
 }
 
-func mulK[S, T lane](dst, a, b []S, lo, hi int64) {
+func mulK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) * T(b[i]))
+		dst[i] = a[i] * b[i]
 	}
 }
 
-func andK[S, T lane](dst, a, b []S, lo, hi int64) {
+func andK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) & T(b[i]))
+		dst[i] = a[i] & b[i]
 	}
 }
 
-func orK[S, T lane](dst, a, b []S, lo, hi int64) {
+func orK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) | T(b[i]))
+		dst[i] = a[i] | b[i]
 	}
 }
 
-func xorK[S, T lane](dst, a, b []S, lo, hi int64) {
+func xorK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) ^ T(b[i]))
+		dst[i] = a[i] ^ b[i]
 	}
 }
 
-func xnorK[S, T lane](dst, a, b []S, lo, hi int64) {
+func xnorK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		dst[i] = S(^(T(a[i]) ^ T(b[i])))
+		dst[i] = ^(a[i] ^ b[i])
 	}
 }
 
-// minK/maxK store the original operand (identical to its round trip
-// through T), matching the reference's Compare-and-pick.
-func minK[S, T lane](dst, a, b []S, lo, hi int64) {
+// minK/maxK store the operand they pick, matching the reference's
+// Compare-and-pick.
+func minK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if T(a[i]) <= T(b[i]) {
+		if a[i] <= b[i] {
 			dst[i] = a[i]
 		} else {
 			dst[i] = b[i]
@@ -77,11 +76,11 @@ func minK[S, T lane](dst, a, b []S, lo, hi int64) {
 	}
 }
 
-func maxK[S, T lane](dst, a, b []S, lo, hi int64) {
+func maxK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if T(a[i]) >= T(b[i]) {
+		if a[i] >= b[i] {
 			dst[i] = a[i]
 		} else {
 			dst[i] = b[i]
@@ -89,11 +88,11 @@ func maxK[S, T lane](dst, a, b []S, lo, hi int64) {
 	}
 }
 
-func ltK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
+func ltK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if T(a[i]) < T(b[i]) {
+		if a[i] < b[i] {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -101,11 +100,11 @@ func ltK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 	}
 }
 
-func gtK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
+func gtK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if T(a[i]) > T(b[i]) {
+		if a[i] > b[i] {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -113,11 +112,11 @@ func gtK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 	}
 }
 
-func eqK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
+func eqK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if T(a[i]) == T(b[i]) {
+		if a[i] == b[i] {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -129,14 +128,14 @@ func eqK[D, S, T lane](dst []D, a, b []S, lo, hi int64) {
 // division by zero yields the all-ones magnitude quotient sign-adjusted by
 // the dividend (canonically -1 for non-negative, +1 for negative dividends),
 // and MinInt / -1 wraps back to MinInt — which Go's native division provides.
-func divSK[S, T signedLane](dst, a, b []S, lo, hi int64) {
+func divSK[T signedLane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		x, y := T(a[i]), T(b[i])
+		x, y := a[i], b[i]
 		switch {
 		case y != 0:
-			dst[i] = S(x / y)
+			dst[i] = x / y
 		case x < 0:
 			dst[i] = 1
 		default:
@@ -146,115 +145,115 @@ func divSK[S, T signedLane](dst, a, b []S, lo, hi int64) {
 }
 
 // divUK: unsigned division by zero yields the all-ones quotient.
-func divUK[S lane, T unsignedLane](dst, a, b []S, lo, hi int64) {
+func divUK[T unsignedLane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if y := T(b[i]); y != 0 {
-			dst[i] = S(T(a[i]) / y)
+		if y := b[i]; y != 0 {
+			dst[i] = a[i] / y
 		} else {
-			dst[i] = S(^T(0))
+			dst[i] = ^T(0)
 		}
 	}
 }
 
 // Scalar-broadcast forms: the scalar converts to T once, outside the loop.
 
-func addSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func addSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) + y)
+		dst[i] = a[i] + y
 	}
 }
 
-func subSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func subSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) - y)
+		dst[i] = a[i] - y
 	}
 }
 
-func mulSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func mulSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) * y)
+		dst[i] = a[i] * y
 	}
 }
 
-func andSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func andSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) & y)
+		dst[i] = a[i] & y
 	}
 }
 
-func orSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func orSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) | y)
+		dst[i] = a[i] | y
 	}
 }
 
-func xorSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func xorSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(T(a[i]) ^ y)
+		dst[i] = a[i] ^ y
 	}
 }
 
-func xnorSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func xnorSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		dst[i] = S(^(T(a[i]) ^ y))
+		dst[i] = ^(a[i] ^ y)
 	}
 }
 
-func minSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func minSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
-	y, ys := T(s), S(s)
+	y := T(s)
 	for i := range dst {
-		if T(a[i]) <= y {
+		if a[i] <= y {
 			dst[i] = a[i]
 		} else {
-			dst[i] = ys
+			dst[i] = y
 		}
 	}
 }
 
-func maxSK[S, T lane](dst, a []S, s int64, lo, hi int64) {
+func maxSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
-	y, ys := T(s), S(s)
+	y := T(s)
 	for i := range dst {
-		if T(a[i]) >= y {
+		if a[i] >= y {
 			dst[i] = a[i]
 		} else {
-			dst[i] = ys
+			dst[i] = y
 		}
 	}
 }
 
-func ltSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
+func ltSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if T(a[i]) < y {
+		if a[i] < y {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -262,12 +261,12 @@ func ltSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	}
 }
 
-func gtSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
+func gtSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if T(a[i]) > y {
+		if a[i] > y {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -275,12 +274,12 @@ func gtSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	}
 }
 
-func eqSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
+func eqSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if T(a[i]) == y {
+		if a[i] == y {
 			dst[i] = 1
 		} else {
 			dst[i] = 0
@@ -288,13 +287,13 @@ func eqSK[D, S, T lane](dst []D, a []S, s int64, lo, hi int64) {
 	}
 }
 
-func divSSK[S, T signedLane](dst, a []S, s int64, lo, hi int64) {
+func divSSK[T signedLane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	if y == 0 {
 		for i := range dst {
-			if T(a[i]) < 0 {
+			if a[i] < 0 {
 				dst[i] = 1
 			} else {
 				dst[i] = -1
@@ -303,22 +302,22 @@ func divSSK[S, T signedLane](dst, a []S, s int64, lo, hi int64) {
 		return
 	}
 	for i := range dst {
-		dst[i] = S(T(a[i]) / y)
+		dst[i] = a[i] / y
 	}
 }
 
-func divUSK[S lane, T unsignedLane](dst, a []S, s int64, lo, hi int64) {
+func divUSK[T unsignedLane](dst, a []T, s int64, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	if y == 0 {
-		allOnes := S(^T(0))
+		allOnes := ^T(0)
 		for i := range dst {
 			dst[i] = allOnes
 		}
 		return
 	}
 	for i := range dst {
-		dst[i] = S(T(a[i]) / y)
+		dst[i] = a[i] / y
 	}
 }

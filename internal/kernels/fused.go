@@ -7,10 +7,9 @@
 // two stage kernels sequentially through a materialized intermediate. The
 // generic composed kernels below get this for free by actually running the
 // registered stage kernels block-by-block through a stack buffer of the
-// slice type; the hand-specialized single-pass kernels rely on the round
-// trip through T being lossless, so keeping the intermediate in T instead
-// of the slice type cannot change the result (FuzzFusedKernels proves it
-// over edge values). Aliasing (dst overlapping an input) is safe for the
+// storage type; the hand-specialized single-pass kernels keep the
+// intermediate in a T variable, which holds exactly what the buffer would
+// (FuzzFusedKernels proves it over edge values). Aliasing (dst overlapping an input) is safe for the
 // same reason it is in the sequential pair: lanes are index-aligned and
 // each dst[i] is written after every read of index i.
 package kernels
@@ -21,196 +20,158 @@ import "pimeval/internal/isa"
 // to stay on the stack, large enough to amortize the two kernel calls.
 const fusedBlock = 512
 
-// FusedBinaryUnary returns a kernel computing dst[i] = op2(a[i] op1 b[i]),
-// or nil if either stage lacks a registered kernel.
-func FusedBinaryUnary(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
-	if !dt.Valid() {
-		return nil
-	}
-	return BinaryKernel(canonical[dt].fusedBinaryUnary(op1, op2))
-}
+// The fused constructors: a registered single-pass kernel when the stage
+// pair has one, else the two stage kernels composed through a stack buffer
+// of fusedBlock elements, or nil if either stage lacks a kernel.
+// FusedBinaryUnary computes dst[i] = op2(a[i] op1 b[i]), FusedBinaryScalar
+// (a[i] op1 b[i]) op2 s2, FusedScalarBinary (a[i] op1 s1) op2 b[i] — the
+// AXPY shape when op1 = mul and op2 = add — FusedScalarScalar
+// (a[i] op1 s1) op2 s2, and FusedScalarUnary op2(a[i] op1 s1).
 
-// FusedBinaryScalar returns a kernel computing dst[i] = (a[i] op1 b[i]) op2 s2.
-func FusedBinaryScalar(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
-	if !dt.Valid() {
-		return nil
-	}
-	return BinaryKernel(canonical[dt].fusedBinaryScalar(op1, op2, s2))
-}
-
-// FusedScalarBinary returns a kernel computing dst[i] = (a[i] op1 s1) op2 b[i]
-// — the AXPY shape when op1 = mul and op2 = add.
-func FusedScalarBinary(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
-	if !dt.Valid() {
-		return nil
-	}
-	return BinaryKernel(canonical[dt].fusedScalarBinary(op1, op2, s1))
-}
-
-// FusedScalarScalar returns a kernel computing dst[i] = (a[i] op1 s1) op2 s2.
-func FusedScalarScalar(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
-	if !dt.Valid() {
-		return nil
-	}
-	return UnaryKernel(canonical[dt].fusedScalarScalar(op1, op2, s1, s2))
-}
-
-// FusedScalarUnary returns a kernel computing dst[i] = op2(a[i] op1 s1).
-func FusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
-	if !dt.Valid() {
-		return nil
-	}
-	return UnaryKernel(canonical[dt].fusedScalarUnary(op1, op2, s1))
-}
-
-// The fused constructors over slice type S: a registered single-pass
-// kernel when the stage pair has one, else the two stage kernels composed
-// through a stack buffer of fusedBlock elements.
-
-func (k *kernelSet[S]) fusedBinaryUnary(op1, op2 isa.Op) binaryFn[S] {
+func (t *typed[T]) FusedBinaryUnary(op1, op2 isa.Op) ElemsBinary {
 	if !op1.Valid() || !op2.Valid() {
 		return nil
 	}
-	if op1 == isa.OpSub && op2 == isa.OpAbs && k.absDiff != nil {
-		return k.absDiff
+	if op1 == isa.OpSub && op2 == isa.OpAbs && t.absDiff != nil {
+		return onBinary(t.absDiff)
 	}
-	k1, k2 := k.binary[op1], k.unary[op2]
+	k1, k2 := t.binary[op1], t.unary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []S, lo, hi int64) {
-		var buf [fusedBlock]S
+	return onBinary(func(dst, a, b []T, lo, hi int64) {
+		var buf [fusedBlock]T
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
-			t := buf[:bhi-blo]
-			k1(t, a[blo:bhi], b[blo:bhi], 0, bhi-blo)
-			k2(dst[blo:bhi], t, 0, bhi-blo)
+			mid := buf[:bhi-blo]
+			k1(mid, a[blo:bhi], b[blo:bhi], 0, bhi-blo)
+			k2(dst[blo:bhi], mid, 0, bhi-blo)
 		}
-	}
+	})
 }
 
-func (k *kernelSet[S]) fusedBinaryScalar(op1, op2 isa.Op, s2 int64) binaryFn[S] {
+func (t *typed[T]) FusedBinaryScalar(op1, op2 isa.Op, s2 int64) ElemsBinary {
 	if !op1.Valid() || !op2.Valid() {
 		return nil
 	}
 	if op1 == isa.OpAdd && op2 == isa.OpMax {
-		return k.addMax(s2)
+		return onBinary(t.addMax(s2))
 	}
-	k1, k2 := k.binary[op1], k.scalar[op2]
+	k1, k2 := t.binary[op1], t.scalar[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []S, lo, hi int64) {
-		var buf [fusedBlock]S
+	return onBinary(func(dst, a, b []T, lo, hi int64) {
+		var buf [fusedBlock]T
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
-			t := buf[:bhi-blo]
-			k1(t, a[blo:bhi], b[blo:bhi], 0, bhi-blo)
-			k2(dst[blo:bhi], t, s2, 0, bhi-blo)
+			mid := buf[:bhi-blo]
+			k1(mid, a[blo:bhi], b[blo:bhi], 0, bhi-blo)
+			k2(dst[blo:bhi], mid, s2, 0, bhi-blo)
 		}
-	}
+	})
 }
 
-func (k *kernelSet[S]) fusedScalarBinary(op1, op2 isa.Op, s1 int64) binaryFn[S] {
+func (t *typed[T]) FusedScalarBinary(op1, op2 isa.Op, s1 int64) ElemsBinary {
 	if !op1.Valid() || !op2.Valid() {
 		return nil
 	}
 	if op1 == isa.OpMul && op2 == isa.OpAdd {
-		return k.scaledAdd(s1)
+		return onBinary(t.scaledAdd(s1))
 	}
-	k1, k2 := k.scalar[op1], k.binary[op2]
+	k1, k2 := t.scalar[op1], t.binary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a, b []S, lo, hi int64) {
-		var buf [fusedBlock]S
+	return onBinary(func(dst, a, b []T, lo, hi int64) {
+		var buf [fusedBlock]T
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
-			t := buf[:bhi-blo]
-			k1(t, a[blo:bhi], s1, 0, bhi-blo)
-			k2(dst[blo:bhi], t, b[blo:bhi], 0, bhi-blo)
+			mid := buf[:bhi-blo]
+			k1(mid, a[blo:bhi], s1, 0, bhi-blo)
+			k2(dst[blo:bhi], mid, b[blo:bhi], 0, bhi-blo)
 		}
-	}
+	})
 }
 
-func (k *kernelSet[S]) fusedScalarScalar(op1, op2 isa.Op, s1, s2 int64) unaryFn[S] {
+func (t *typed[T]) FusedScalarScalar(op1, op2 isa.Op, s1, s2 int64) ElemsUnary {
 	if !op1.Valid() || !op2.Valid() {
 		return nil
 	}
-	k1, k2 := k.scalar[op1], k.scalar[op2]
+	k1, k2 := t.scalar[op1], t.scalar[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a []S, lo, hi int64) {
-		var buf [fusedBlock]S
+	return onUnary(func(dst, a []T, lo, hi int64) {
+		var buf [fusedBlock]T
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
-			t := buf[:bhi-blo]
-			k1(t, a[blo:bhi], s1, 0, bhi-blo)
-			k2(dst[blo:bhi], t, s2, 0, bhi-blo)
+			mid := buf[:bhi-blo]
+			k1(mid, a[blo:bhi], s1, 0, bhi-blo)
+			k2(dst[blo:bhi], mid, s2, 0, bhi-blo)
 		}
-	}
+	})
 }
 
-func (k *kernelSet[S]) fusedScalarUnary(op1, op2 isa.Op, s1 int64) unaryFn[S] {
+func (t *typed[T]) FusedScalarUnary(op1, op2 isa.Op, s1 int64) ElemsUnary {
 	if !op1.Valid() || !op2.Valid() {
 		return nil
 	}
-	k1, k2 := k.scalar[op1], k.unary[op2]
+	k1, k2 := t.scalar[op1], t.unary[op2]
 	if k1 == nil || k2 == nil {
 		return nil
 	}
-	return func(dst, a []S, lo, hi int64) {
-		var buf [fusedBlock]S
+	return onUnary(func(dst, a []T, lo, hi int64) {
+		var buf [fusedBlock]T
 		for blo := lo; blo < hi; blo += fusedBlock {
 			bhi := min(blo+fusedBlock, hi)
-			t := buf[:bhi-blo]
-			k1(t, a[blo:bhi], s1, 0, bhi-blo)
-			k2(dst[blo:bhi], t, 0, bhi-blo)
+			mid := buf[:bhi-blo]
+			k1(mid, a[blo:bhi], s1, 0, bhi-blo)
+			k2(dst[blo:bhi], mid, 0, bhi-blo)
 		}
-	}
+	})
 }
 
 // scaledAddK is the single-pass AXPY kernel dst[i] = a[i]*s + b[i]. The
-// intermediate stays in T; the lossless round trip makes this bit-identical
-// to mulSK followed by addK.
-func scaledAddK[S, T lane](s int64) binaryFn[S] {
+// intermediate stays in T, as mulSK would store it, so this is
+// bit-identical to mulSK followed by addK.
+func scaledAddK[T lane](s int64) binaryFn[T] {
 	y := T(s)
-	return func(dst, a, b []S, lo, hi int64) {
+	return func(dst, a, b []T, lo, hi int64) {
 		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 		a, b = a[:len(dst)], b[:len(dst)]
 		for i := range dst {
-			dst[i] = S(T(a[i])*y + T(b[i]))
+			dst[i] = a[i]*y + b[i]
 		}
 	}
 }
 
 // absDiffK is the single-pass dst[i] = |a[i] - b[i]| for signed types
 // (unsigned abs is the identity, so the composed fallback covers it).
-func absDiffK[S, T signedLane](dst, a, b []S, lo, hi int64) {
+func absDiffK[T signedLane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		v := T(a[i]) - T(b[i])
+		v := a[i] - b[i]
 		if v < 0 {
 			v = -v
 		}
-		dst[i] = S(v)
+		dst[i] = v
 	}
 }
 
 // addMaxSK is the single-pass ReLU-style dst[i] = max(a[i]+b[i], s),
 // replicating maxSK's write-the-original-operand semantics.
-func addMaxSK[S, T lane](s int64) binaryFn[S] {
-	y, ys := T(s), S(s)
-	return func(dst, a, b []S, lo, hi int64) {
+func addMaxSK[T lane](s int64) binaryFn[T] {
+	y := T(s)
+	return func(dst, a, b []T, lo, hi int64) {
 		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 		a, b = a[:len(dst)], b[:len(dst)]
 		for i := range dst {
-			if v := T(a[i]) + T(b[i]); v >= y {
-				dst[i] = S(v)
+			if v := a[i] + b[i]; v >= y {
+				dst[i] = v
 			} else {
-				dst[i] = ys
+				dst[i] = y
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 		b := edgeVec(dt, n, 23)
 		for _, op1 := range fusedBinaryOps {
 			for _, op2 := range fusedUnaryStageOps {
-				if k := FusedBinaryUnary(op1, op2, dt); k != nil {
+				if k := fusedBinaryUnary(op1, op2, dt); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
 					want := sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
@@ -86,7 +86,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 						t.Errorf("FusedBinaryUnary(%v,%v,%v) diverges", op1, op2, dt)
 					}
 				}
-				if k := FusedScalarUnary(op1, op2, dt, s1); k != nil {
+				if k := fusedScalarUnary(op1, op2, dt, s1); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, 0, n)
 					want := sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
@@ -96,7 +96,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 				}
 			}
 			for _, op2 := range fusedBinaryOps {
-				if k := FusedBinaryScalar(op1, op2, dt, s2); k != nil {
+				if k := fusedBinaryScalar(op1, op2, dt, s2); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
 					want := sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
@@ -104,7 +104,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 						t.Errorf("FusedBinaryScalar(%v,%v,%v) diverges", op1, op2, dt)
 					}
 				}
-				if k := FusedScalarBinary(op1, op2, dt, s1); k != nil {
+				if k := fusedScalarBinary(op1, op2, dt, s1); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, b, 0, n)
 					want := sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
@@ -112,7 +112,7 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 						t.Errorf("FusedScalarBinary(%v,%v,%v) diverges", op1, op2, dt)
 					}
 				}
-				if k := FusedScalarScalar(op1, op2, dt, s1, s2); k != nil {
+				if k := fusedScalarScalar(op1, op2, dt, s1, s2); k != nil {
 					dst := make([]int64, n)
 					k(dst, a, 0, n)
 					want := sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
@@ -126,32 +126,29 @@ func TestFusedMatchesSequentialComposition(t *testing.T) {
 }
 
 // TestFusedSpecializedRegistered pins that the hand-specialized single-pass
-// kernels are registered in both instantiations (a missing entry would
-// silently fall back to the composed form and hide a perf regression).
+// kernels are registered (a missing entry would silently fall back to the
+// composed form and hide a perf regression).
 func TestFusedSpecializedRegistered(t *testing.T) {
-	storage := map[isa.DataType]bool{
-		isa.Int8:   specialized(&native[isa.Int8].(*typed[int8]).set, true),
-		isa.Int16:  specialized(&native[isa.Int16].(*typed[int16]).set, true),
-		isa.Int32:  specialized(&native[isa.Int32].(*typed[int32]).set, true),
-		isa.Int64:  specialized(&native[isa.Int64].(*typed[int64]).set, true),
-		isa.UInt8:  specialized(&native[isa.UInt8].(*typed[uint8]).set, false),
-		isa.UInt16: specialized(&native[isa.UInt16].(*typed[uint16]).set, false),
-		isa.UInt32: specialized(&native[isa.UInt32].(*typed[uint32]).set, false),
-		isa.UInt64: specialized(&native[isa.UInt64].(*typed[uint64]).set, false),
+	registered := map[isa.DataType]bool{
+		isa.Int8:   specialized(native[isa.Int8].(*typed[int8]), true),
+		isa.Int16:  specialized(native[isa.Int16].(*typed[int16]), true),
+		isa.Int32:  specialized(native[isa.Int32].(*typed[int32]), true),
+		isa.Int64:  specialized(native[isa.Int64].(*typed[int64]), true),
+		isa.UInt8:  specialized(native[isa.UInt8].(*typed[uint8]), false),
+		isa.UInt16: specialized(native[isa.UInt16].(*typed[uint16]), false),
+		isa.UInt32: specialized(native[isa.UInt32].(*typed[uint32]), false),
+		isa.UInt64: specialized(native[isa.UInt64].(*typed[uint64]), false),
 	}
 	for _, dt := range allTypes {
-		if !specialized(&canonical[dt], dt.Signed()) {
-			t.Errorf("canonical %v: specialized fused kernels not registered", dt)
-		}
-		if !storage[dt] {
-			t.Errorf("storage %v: specialized fused kernels not registered", dt)
+		if !registered[dt] {
+			t.Errorf("%v: specialized fused kernels not registered", dt)
 		}
 	}
 }
 
 // specialized reports whether k holds scaled-add and add-max, and abs-diff
 // exactly for signed types.
-func specialized[S lane](k *kernelSet[S], signed bool) bool {
+func specialized[T lane](k *typed[T], signed bool) bool {
 	return k.scaledAdd != nil && k.addMax != nil && (k.absDiff != nil) == signed
 }
 
@@ -159,21 +156,20 @@ func specialized[S lane](k *kernelSet[S], signed bool) bool {
 // a kernel. The device's validation rejects such pairs before it resolves a
 // fused kernel, so a nil never reaches dispatch.
 func TestFusedNilForUnregisteredStage(t *testing.T) {
-	if FusedBinaryUnary(isa.OpAdd, isa.OpSbox, isa.Int32) != nil {
+	if On(isa.Int32).FusedBinaryUnary(isa.OpAdd, isa.OpSbox) != nil {
 		t.Error("sbox fused for a non-8-bit type")
 	}
-	if FusedBinaryUnary(isa.OpNot, isa.OpAbs, isa.Int32) != nil {
+	if On(isa.Int32).FusedBinaryUnary(isa.OpNot, isa.OpAbs) != nil {
 		t.Error("unary op accepted as fused stage 1")
 	}
-	if FusedScalarScalar(isa.OpAdd, isa.OpAbs, isa.Int32, 0, 0) != nil {
+	if On(isa.Int32).FusedScalarScalar(isa.OpAdd, isa.OpAbs, 0, 0) != nil {
 		t.Error("unary op accepted as fused scalar stage 2")
 	}
 }
 
 // FuzzFusedKernels drives random (op pair, type, shape, immediates, lanes)
-// tuples through the fused constructors of both instantiations and
-// cross-checks the sequential oracle composition — the executable form of
-// the bit-identity contract.
+// tuples through the fused constructors and cross-checks the sequential
+// oracle composition — the executable form of the bit-identity contract.
 func FuzzFusedKernels(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), int64(3), int64(-5), int64(7), int64(-1))
 	f.Add(uint8(2), uint8(0), uint8(0), uint8(2), int64(127), int64(1), int64(-128), int64(255))
@@ -186,55 +182,53 @@ func FuzzFusedKernels(f *testing.F) {
 		b := edgeVec(dt, 40, v2)
 		a[0], b[0] = dt.Truncate(v1), dt.Truncate(v2)
 		n := int64(len(a))
-		for _, r := range registries {
-			dst := make([]int64, n)
-			var want []int64
-			switch shape % 5 {
-			case 0:
-				op2 := fusedUnaryStageOps[int(op2b)%len(fusedUnaryStageOps)]
-				k := r.fusedBinaryUnary(op1, op2, dt)
-				if k == nil {
-					t.Skip()
-				}
-				k(dst, a, b, 0, n)
-				want = sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
-			case 1:
-				op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
-				k := r.fusedBinaryScalar(op1, op2, dt, s2)
-				if k == nil {
-					t.Skip()
-				}
-				k(dst, a, b, 0, n)
-				want = sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
-			case 2:
-				op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
-				k := r.fusedScalarBinary(op1, op2, dt, s1)
-				if k == nil {
-					t.Skip()
-				}
-				k(dst, a, b, 0, n)
-				want = sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
-			case 3:
-				op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
-				k := r.fusedScalarScalar(op1, op2, dt, s1, s2)
-				if k == nil {
-					t.Skip()
-				}
-				k(dst, a, 0, n)
-				want = sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
-			default:
-				op2 := fusedUnaryStageOps[int(op2b)%len(fusedUnaryStageOps)]
-				k := r.fusedScalarUnary(op1, op2, dt, s1)
-				if k == nil {
-					t.Skip()
-				}
-				k(dst, a, 0, n)
-				want = sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
+		dst := make([]int64, n)
+		var want []int64
+		switch shape % 5 {
+		case 0:
+			op2 := fusedUnaryStageOps[int(op2b)%len(fusedUnaryStageOps)]
+			k := fusedBinaryUnary(op1, op2, dt)
+			if k == nil {
+				t.Skip()
 			}
-			if !reflect.DeepEqual(dst, want) {
-				t.Fatalf("%s fused diverges from sequential pair (op1=%v dt=%v shape=%d)\n got %v\nwant %v",
-					r.name, op1, dt, shape%5, dst, want)
+			k(dst, a, b, 0, n)
+			want = sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
+		case 1:
+			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
+			k := fusedBinaryScalar(op1, op2, dt, s2)
+			if k == nil {
+				t.Skip()
 			}
+			k(dst, a, b, 0, n)
+			want = sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
+		case 2:
+			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
+			k := fusedScalarBinary(op1, op2, dt, s1)
+			if k == nil {
+				t.Skip()
+			}
+			k(dst, a, b, 0, n)
+			want = sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
+		case 3:
+			op2 := fusedBinaryOps[int(op2b)%len(fusedBinaryOps)]
+			k := fusedScalarScalar(op1, op2, dt, s1, s2)
+			if k == nil {
+				t.Skip()
+			}
+			k(dst, a, 0, n)
+			want = sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
+		default:
+			op2 := fusedUnaryStageOps[int(op2b)%len(fusedUnaryStageOps)]
+			k := fusedScalarUnary(op1, op2, dt, s1)
+			if k == nil {
+				t.Skip()
+			}
+			k(dst, a, 0, n)
+			want = sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
+		}
+		if !reflect.DeepEqual(dst, want) {
+			t.Fatalf("fused diverges from sequential pair (op1=%v dt=%v shape=%d)\n got %v\nwant %v",
+				op1, dt, shape%5, dst, want)
 		}
 	})
 }

@@ -10,37 +10,44 @@
 // the width's machine type.
 //
 // Value representation contract (shared with internal/device): an element
-// travels in one of two forms. In object storage (isa.Elems) it is its
-// type's machine integer, exactly Bits() wide. At the host boundary and in
-// the exported []int64 kernels below it is the canonical int64 carrier —
+// has one form in the kernels, its type's machine integer, exactly Bits()
+// wide, as object storage (isa.Elems) holds it. Each kernel body is generic
+// over that machine type T alone and is instantiated once per element type,
+// behind On(dt). Ops that only move bits — the 0/1 mask a compare writes,
+// and select's condition and data — are instantiated per width class
+// instead: they reach storage through its same-width unsigned view
+// (isa.Unsigned), so a compare into a destination, or a select on a
+// condition, of any type costs one instantiation per width, not per type.
+//
+// At the host boundary an element is the canonical int64 carrier:
 // truncated to the element width, sign-extended for signed types,
 // zero-extended for unsigned types (uint64 carries its raw bits, so the
-// int64 may be negative). Each kernel body is generic over the slice type S
-// it reads and writes and the element type T whose semantics it applies:
-// S(T(x)) truncates and re-extends, so one body serves both forms. The
-// exported kernels instantiate it at S = int64 and the storage kernels
-// (On) at S = T; the round trip int64 → T → int64 preserves exactly the
-// canonical form, which is what makes the loops mask-free in both.
+// int64 may be negative). Binary, Unary and Shift adapt the storage kernels
+// to carriers (store the operands at the element type, run the kernel, load
+// the result back), and Select is a plain carrier loop; they serve callers
+// that hold carriers, such as the microprogram interpreter's checks, and
+// store per call what a caller holding storage would store once.
 //
 // The registry is total over the command set the device dispatches
-// functionally: Binary/Scalar cover the 13 element-wise binary ops, Unary
-// covers not/abs/popcount/sbox (sbox only at 8-bit widths), Shift covers
-// both shifts (TestRegistryComplete pins this). The kernels are the only
-// functional execution path. The golden semantics they must reproduce are
-// written once, per element, in ref.go (RefBinary/RefUnary/RefShift); the
-// differential tests and fuzz targets here, in internal/device and its
-// paralleltest, and in the microprogram packages compare against them.
+// functionally: Binary covers the 13 element-wise binary ops in plain and
+// scalar-broadcast form, Unary covers not/abs/popcount/sbox (sbox only at
+// 8-bit widths), Shift covers both shifts (TestRegistryComplete pins this).
+// The kernels are the only functional execution path. The golden semantics
+// they must reproduce are written once, per element, in ref.go
+// (RefBinary/RefUnary/RefShift); the differential tests and fuzz targets
+// here, in internal/device and its paralleltest, and in the microprogram
+// packages compare against them.
 package kernels
 
-import "pimeval/internal/isa"
+import (
+	"math/bits"
 
-// BinaryKernel computes dst[i] = op(a[i], b[i]) for i in [lo, hi).
-// All slices carry canonical values; dst may alias a or b.
+	"pimeval/internal/isa"
+)
+
+// BinaryKernel computes dst[i] = op(a[i], b[i]) for i in [lo, hi) over
+// canonical carriers.
 type BinaryKernel func(dst, a, b []int64, lo, hi int64)
-
-// ScalarKernel computes dst[i] = op(a[i], s) for i in [lo, hi), with the
-// scalar s already truncated to the operand type (the dispatcher's contract).
-type ScalarKernel func(dst, a []int64, s int64, lo, hi int64)
 
 // UnaryKernel computes dst[i] = op(a[i]) for i in [lo, hi).
 type UnaryKernel func(dst, a []int64, lo, hi int64)
@@ -52,13 +59,13 @@ type UnaryKernel func(dst, a []int64, lo, hi int64)
 type ShiftKernel func(dst, a []int64, amount int, lo, hi int64)
 
 // lane is the set of element machine types kernels specialize over — the
-// 8 PIM element types of isa.DataType — both as slice type S and as
-// semantic type T.
+// 8 PIM element types of isa.DataType.
 type lane = isa.Lane
 
 // signedLane and unsignedLane split the lanes for the ops whose semantics
 // depend on signedness in ways the machine type alone does not express
-// (division's all-ones quotient, abs).
+// (division's all-ones quotient, abs). The unsigned lanes are also the
+// width classes of the bit-moving kernels.
 type signedLane interface {
 	int8 | int16 | int32 | int64
 }
@@ -67,152 +74,173 @@ type unsignedLane interface {
 	uint8 | uint16 | uint32 | uint64
 }
 
-// The kernel shapes over slice type S; at S = int64 they are the exported
-// BinaryKernel, ScalarKernel, UnaryKernel and ShiftKernel.
+// The kernel shapes over machine type T.
 type (
-	binaryFn[S lane] func(dst, a, b []S, lo, hi int64)
-	scalarFn[S lane] func(dst, a []S, s int64, lo, hi int64)
-	unaryFn[S lane]  func(dst, a []S, lo, hi int64)
-	shiftFn[S lane]  func(dst, a []S, amount int, lo, hi int64)
+	binaryFn[T lane] func(dst, a, b []T, lo, hi int64)
+	scalarFn[T lane] func(dst, a []T, s int64, lo, hi int64)
+	unaryFn[T lane]  func(dst, a []T, lo, hi int64)
+	shiftFn[T lane]  func(dst, a []T, amount int, lo, hi int64)
 )
 
-// kernelSet is one element type's kernels over slice type S. A nil entry
-// means the (op, type) pair is not a command the device dispatches; every
-// pair it does dispatch has a kernel (TestRegistryComplete). The fused
-// fields are the single-pass two-stage kernels (fused.go).
-type kernelSet[S lane] struct {
-	binary [isa.NumOps]binaryFn[S]
-	scalar [isa.NumOps]scalarFn[S]
-	unary  [isa.NumOps]unaryFn[S]
-	shift  [isa.NumOps]shiftFn[S]
-
-	scaledAdd func(s1 int64) binaryFn[S] // mul then add, scalar-binary
-	addMax    func(s2 int64) binaryFn[S] // add then max, binary-scalar
-	absDiff   binaryFn[S]                // sub then abs, signed types only
-}
-
-// canonical holds every element type's kernels over int64 carriers: the
-// exported kernels. native (typed.go) holds the same bodies over storage.
-var canonical [isa.NumTypes]kernelSet[int64]
-
-// Binary returns the specialized kernel for an element-wise binary op, or
-// nil if none is registered.
+// Binary returns the carrier adapter of dt's storage kernel for an
+// element-wise binary op, or nil if none is registered. Like Unary and
+// Shift, it stores the span's operands at dt, runs the kernel on the
+// stored a in place, and loads the result into dst[lo:hi]; dst may alias
+// a or b.
 func Binary(op isa.Op, dt isa.DataType) BinaryKernel {
-	if !op.Valid() || !dt.Valid() {
+	if !dt.Valid() {
 		return nil
 	}
-	return BinaryKernel(canonical[dt].binary[op])
-}
-
-// Scalar returns the scalar-broadcast kernel for a binary op, or nil.
-func Scalar(op isa.Op, dt isa.DataType) ScalarKernel {
-	if !op.Valid() || !dt.Valid() {
+	k := On(dt).Binary(op, dt)
+	if k == nil {
 		return nil
 	}
-	return ScalarKernel(canonical[dt].scalar[op])
+	return func(dst, a, b []int64, lo, hi int64) {
+		ea, eb := stored(dt, a[lo:hi]), stored(dt, b[lo:hi])
+		k(ea, ea, eb, 0, hi-lo)
+		ea.Load(dst[lo:hi], 0)
+	}
 }
 
-// Unary returns the kernel for a unary op, or nil.
+// Unary returns the carrier adapter of the kernel for a unary op, or nil.
 func Unary(op isa.Op, dt isa.DataType) UnaryKernel {
-	if !op.Valid() || !dt.Valid() {
+	if !dt.Valid() {
 		return nil
 	}
-	return UnaryKernel(canonical[dt].unary[op])
+	k := On(dt).Unary(op)
+	if k == nil {
+		return nil
+	}
+	return func(dst, a []int64, lo, hi int64) {
+		ea := stored(dt, a[lo:hi])
+		k(ea, ea, 0, hi-lo)
+		ea.Load(dst[lo:hi], 0)
+	}
 }
 
-// Shift returns the kernel for a shift op, or nil.
+// Shift returns the carrier adapter of the kernel for a shift op, or nil.
 func Shift(op isa.Op, dt isa.DataType) ShiftKernel {
-	if !op.Valid() || !dt.Valid() {
+	if !dt.Valid() {
 		return nil
 	}
-	return ShiftKernel(canonical[dt].shift[op])
+	k := On(dt).Shift(op)
+	if k == nil {
+		return nil
+	}
+	return func(dst, a []int64, amount int, lo, hi int64) {
+		ea := stored(dt, a[lo:hi])
+		k(ea, ea, amount, 0, hi-lo)
+		ea.Load(dst[lo:hi], 0)
+	}
 }
 
-// registerLane fills every signedness-neutral entry of k for element type
-// T over slice type S: T carries the width, wraparound, and comparison
-// semantics, so one generic body serves all 8 types in both forms.
-func registerLane[S, T lane](k *kernelSet[S], dt isa.DataType) {
-	k.binary[isa.OpAdd] = addK[S, T]
-	k.binary[isa.OpSub] = subK[S, T]
-	k.binary[isa.OpMul] = mulK[S, T]
-	k.binary[isa.OpAnd] = andK[S, T]
-	k.binary[isa.OpOr] = orK[S, T]
-	k.binary[isa.OpXor] = xorK[S, T]
-	k.binary[isa.OpXnor] = xnorK[S, T]
-	k.binary[isa.OpMin] = minK[S, T]
-	k.binary[isa.OpMax] = maxK[S, T]
-	k.binary[isa.OpLt] = ltK[S, S, T]
-	k.binary[isa.OpGt] = gtK[S, S, T]
-	k.binary[isa.OpEq] = eqK[S, S, T]
+// Select computes dst[i] = cond[i] != 0 ? a[i] : b[i] for i in [lo, hi)
+// over carriers.
+func Select(dst, cond, a, b []int64, lo, hi int64) {
+	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
+	a, b = a[:len(dst)], b[:len(dst)]
+	cond = cond[lo:hi][:len(dst)]
+	for i, c := range cond {
+		if c != 0 {
+			dst[i] = a[i]
+		} else {
+			dst[i] = b[i]
+		}
+	}
+}
 
-	k.scalar[isa.OpAdd] = addSK[S, T]
-	k.scalar[isa.OpSub] = subSK[S, T]
-	k.scalar[isa.OpMul] = mulSK[S, T]
-	k.scalar[isa.OpAnd] = andSK[S, T]
-	k.scalar[isa.OpOr] = orSK[S, T]
-	k.scalar[isa.OpXor] = xorSK[S, T]
-	k.scalar[isa.OpXnor] = xnorSK[S, T]
-	k.scalar[isa.OpMin] = minSK[S, T]
-	k.scalar[isa.OpMax] = maxSK[S, T]
-	k.scalar[isa.OpLt] = ltSK[S, S, T]
-	k.scalar[isa.OpGt] = gtSK[S, S, T]
-	k.scalar[isa.OpEq] = eqSK[S, S, T]
+// stored returns fresh dt storage holding v.
+func stored(dt isa.DataType, v []int64) isa.Elems {
+	e := dt.MakeElems(int64(len(v)))
+	e.Store(0, v)
+	return e
+}
 
-	k.unary[isa.OpNot] = notK[S, T]
-	k.unary[isa.OpPopCount] = popcountK[S](dt.Bits())
+// numWidths is the number of width classes: 1, 2, 4 and 8 bytes.
+const numWidths = 4
+
+// widthClass returns dt's width class, log2 of its bytes.
+func widthClass(dt isa.DataType) int { return bits.TrailingZeros(uint(dt.Bytes())) }
+
+// registerLane fills every signedness-neutral kernel of t for element type
+// T, whose width class is U: T carries the width, wraparound, and
+// comparison semantics, so one generic body serves all 8 types. The
+// compares here write T-typed elements for the fused kernels' stages; the
+// device's compares resolve through into.
+func registerLane[T lane, U unsignedLane](t *typed[T], dt isa.DataType) {
+	t.dt = dt
+	t.binary[isa.OpAdd] = addK[T]
+	t.binary[isa.OpSub] = subK[T]
+	t.binary[isa.OpMul] = mulK[T]
+	t.binary[isa.OpAnd] = andK[T]
+	t.binary[isa.OpOr] = orK[T]
+	t.binary[isa.OpXor] = xorK[T]
+	t.binary[isa.OpXnor] = xnorK[T]
+	t.binary[isa.OpMin] = minK[T]
+	t.binary[isa.OpMax] = maxK[T]
+	t.binary[isa.OpLt] = maskBinary(ltK[U, T])
+	t.binary[isa.OpGt] = maskBinary(gtK[U, T])
+	t.binary[isa.OpEq] = maskBinary(eqK[U, T])
+
+	t.scalar[isa.OpAdd] = addSK[T]
+	t.scalar[isa.OpSub] = subSK[T]
+	t.scalar[isa.OpMul] = mulSK[T]
+	t.scalar[isa.OpAnd] = andSK[T]
+	t.scalar[isa.OpOr] = orSK[T]
+	t.scalar[isa.OpXor] = xorSK[T]
+	t.scalar[isa.OpXnor] = xnorSK[T]
+	t.scalar[isa.OpMin] = minSK[T]
+	t.scalar[isa.OpMax] = maxSK[T]
+	t.scalar[isa.OpLt] = maskScalar(ltSK[U, T])
+	t.scalar[isa.OpGt] = maskScalar(gtSK[U, T])
+	t.scalar[isa.OpEq] = maskScalar(eqSK[U, T])
+
+	t.unary[isa.OpNot] = notK[T]
+	t.unary[isa.OpPopCount] = popcountK[T](dt.Bits())
 	if dt.Bits() == 8 {
-		k.unary[isa.OpSbox] = sboxK[S, T](&AESSbox)
-		k.unary[isa.OpSboxInv] = sboxK[S, T](&AESSboxInv)
+		t.unary[isa.OpSbox] = sboxK[T](&AESSbox)
+		t.unary[isa.OpSboxInv] = sboxK[T](&AESSboxInv)
 	}
 
-	k.shift[isa.OpShiftL] = shlK[S, T]
-	k.shift[isa.OpShiftR] = shrK[S, T]
+	t.shift[isa.OpShiftL] = shlK[T]
+	t.shift[isa.OpShiftR] = shrK[T]
 
-	k.scaledAdd = scaledAddK[S, T]
-	k.addMax = addMaxSK[S, T]
+	t.scaledAdd = scaledAddK[T]
+	t.addMax = addMaxSK[T]
+
+	into[uint8, U](t, isa.UInt8)
+	into[uint16, U](t, isa.UInt16)
+	into[uint32, U](t, isa.UInt32)
+	into[uint64, U](t, isa.UInt64)
+	native[dt] = t
 }
 
-// registerSignedOps fills the signedness-dependent entries for a signed T.
-func registerSignedOps[S, T signedLane](k *kernelSet[S]) {
-	k.binary[isa.OpDiv] = divSK[S, T]
-	k.scalar[isa.OpDiv] = divSSK[S, T]
-	k.unary[isa.OpAbs] = absSK[S, T]
-	k.absDiff = absDiffK[S, T]
-}
-
-// registerUnsignedOps fills the signedness-dependent entries for an
-// unsigned T.
-func registerUnsignedOps[S lane, T unsignedLane](k *kernelSet[S]) {
-	k.binary[isa.OpDiv] = divUK[S, T]
-	k.scalar[isa.OpDiv] = divUSK[S, T]
-	k.unary[isa.OpAbs] = copyK[S]
-}
-
-// registerSigned and registerUnsigned instantiate element type T's bodies
-// in both forms: over int64 carriers into canonical, over T into native.
-func registerSigned[T signedLane](dt isa.DataType) {
-	registerLane[int64, T](&canonical[dt], dt)
-	registerSignedOps[int64, T](&canonical[dt])
+// registerSigned fills signed element type T's kernels; U is its width
+// class.
+func registerSigned[T signedLane, U unsignedLane](dt isa.DataType) {
 	t := new(typed[T])
-	registerLane[T, T](&t.set, dt)
-	registerSignedOps[T, T](&t.set)
-	t.register(dt)
+	registerLane[T, U](t, dt)
+	t.binary[isa.OpDiv] = divSK[T]
+	t.scalar[isa.OpDiv] = divSSK[T]
+	t.unary[isa.OpAbs] = absSK[T]
+	t.absDiff = absDiffK[T]
 }
 
+// registerUnsigned fills unsigned element type T's kernels; T is its own
+// width class.
 func registerUnsigned[T unsignedLane](dt isa.DataType) {
-	registerLane[int64, T](&canonical[dt], dt)
-	registerUnsignedOps[int64, T](&canonical[dt])
 	t := new(typed[T])
-	registerLane[T, T](&t.set, dt)
-	registerUnsignedOps[T, T](&t.set)
-	t.register(dt)
+	registerLane[T, T](t, dt)
+	t.binary[isa.OpDiv] = divUK[T]
+	t.scalar[isa.OpDiv] = divUSK[T]
+	t.unary[isa.OpAbs] = copyK[T]
 }
 
 func init() {
-	registerSigned[int8](isa.Int8)
-	registerSigned[int16](isa.Int16)
-	registerSigned[int32](isa.Int32)
-	registerSigned[int64](isa.Int64)
+	registerSigned[int8, uint8](isa.Int8)
+	registerSigned[int16, uint16](isa.Int16)
+	registerSigned[int32, uint32](isa.Int32)
+	registerSigned[int64, uint64](isa.Int64)
 	registerUnsigned[uint8](isa.UInt8)
 	registerUnsigned[uint16](isa.UInt16)
 	registerUnsigned[uint32](isa.UInt32)

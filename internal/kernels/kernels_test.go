@@ -14,24 +14,15 @@ var allTypes = []isa.DataType{
 	isa.UInt8, isa.UInt16, isa.UInt32, isa.UInt64,
 }
 
-// stored returns fresh dt storage holding v.
-func stored(dt isa.DataType, v []int64) isa.Elems {
-	e := dt.MakeElems(int64(len(v)))
-	e.Store(0, v)
-	return e
-}
-
-// sameSlice reports whether a and b start at the same element.
-func sameSlice(a, b []int64) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
-// The as* adapters run a storage-typed kernel under the canonical
-// signature, so one test drives both instantiations of a body: operands are
-// stored at their element types, the kernel runs on the storage, and dst is
-// loaded back. A dst that aliases a in the canonical call aliases it in
-// storage too. dstType is the destination's element type (compares may
-// narrow); a nil kernel adapts to nil.
+// The span harness runs a storage kernel on carriers: each operand is
+// stored whole at its element type, the kernel runs on [lo, hi), and dst
+// is loaded back whole, so a write outside the span shows as a changed
+// element (truncated to the destination type, since it round-trips
+// through storage). dstType is the destination's element type (compares
+// may write another); a dst aliasing a aliases it in storage too. A nil
+// kernel adapts to nil. Unlike the exported carrier adapters, which run a
+// kernel on [0, hi-lo) of fresh storage, it hands the kernel the caller's
+// span, so the tests see every kernel at an interior span.
 
 func asBinary(k ElemsBinary, dt, dstType isa.DataType) BinaryKernel {
 	if k == nil {
@@ -48,7 +39,7 @@ func asBinary(k ElemsBinary, dt, dstType isa.DataType) BinaryKernel {
 	}
 }
 
-func asScalar(k ElemsScalar, dt, dstType isa.DataType) ScalarKernel {
+func asScalar(k ElemsScalar, dt, dstType isa.DataType) func(dst, a []int64, s int64, lo, hi int64) {
 	if k == nil {
 		return nil
 	}
@@ -106,92 +97,84 @@ func asSelect(k ElemsSelect, condType, dt isa.DataType) func(dst, cond, a, b []i
 	}
 }
 
-// registry is one instantiation's lookup face: the exported canonical
-// kernels, or dt's storage-typed kernels (stored) adapted by the as*
-// functions.
-type registry struct {
-	name   string
-	stored bool
-	binary func(op isa.Op, dt isa.DataType) BinaryKernel
-	scalar func(op isa.Op, dt isa.DataType) ScalarKernel
-	unary  func(op isa.Op, dt isa.DataType) UnaryKernel
-	shift  func(op isa.Op, dt isa.DataType) ShiftKernel
-
-	fusedBinaryUnary  func(op1, op2 isa.Op, dt isa.DataType) BinaryKernel
-	fusedBinaryScalar func(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel
-	fusedScalarBinary func(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel
-	fusedScalarScalar func(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel
-	fusedScalarUnary  func(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel
+// sameSlice reports whether a and b start at the same element.
+func sameSlice(a, b []int64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-var registries = []registry{
-	{
-		name: "canonical", binary: Binary, scalar: Scalar, unary: Unary, shift: Shift,
-		fusedBinaryUnary: FusedBinaryUnary, fusedBinaryScalar: FusedBinaryScalar,
-		fusedScalarBinary: FusedScalarBinary, fusedScalarScalar: FusedScalarScalar,
-		fusedScalarUnary: FusedScalarUnary,
-	},
-	{
-		name: "storage", stored: true,
-		binary: func(op isa.Op, dt isa.DataType) BinaryKernel { return asBinary(On(dt).Binary(op, dt), dt, dt) },
-		scalar: func(op isa.Op, dt isa.DataType) ScalarKernel { return asScalar(On(dt).Scalar(op, dt), dt, dt) },
-		unary:  func(op isa.Op, dt isa.DataType) UnaryKernel { return asUnary(On(dt).Unary(op), dt) },
-		shift:  func(op isa.Op, dt isa.DataType) ShiftKernel { return asShift(On(dt).Shift(op), dt) },
-		fusedBinaryUnary: func(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
-			return asBinary(On(dt).FusedBinaryUnary(op1, op2), dt, dt)
-		},
-		fusedBinaryScalar: func(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
-			return asBinary(On(dt).FusedBinaryScalar(op1, op2, s2), dt, dt)
-		},
-		fusedScalarBinary: func(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
-			return asBinary(On(dt).FusedScalarBinary(op1, op2, s1), dt, dt)
-		},
-		fusedScalarScalar: func(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
-			return asUnary(On(dt).FusedScalarScalar(op1, op2, s1, s2), dt)
-		},
-		fusedScalarUnary: func(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
-			return asUnary(On(dt).FusedScalarUnary(op1, op2, s1), dt)
-		},
-	},
+// dt's storage kernels under the span harness.
+
+func binary(op isa.Op, dt isa.DataType) BinaryKernel {
+	return asBinary(On(dt).Binary(op, dt), dt, dt)
+}
+
+func scalar(op isa.Op, dt isa.DataType) func(dst, a []int64, s int64, lo, hi int64) {
+	return asScalar(On(dt).Scalar(op, dt), dt, dt)
+}
+
+func unary(op isa.Op, dt isa.DataType) UnaryKernel {
+	return asUnary(On(dt).Unary(op), dt)
+}
+
+func shift(op isa.Op, dt isa.DataType) ShiftKernel {
+	return asShift(On(dt).Shift(op), dt)
+}
+
+func fusedBinaryUnary(op1, op2 isa.Op, dt isa.DataType) BinaryKernel {
+	return asBinary(On(dt).FusedBinaryUnary(op1, op2), dt, dt)
+}
+
+func fusedBinaryScalar(op1, op2 isa.Op, dt isa.DataType, s2 int64) BinaryKernel {
+	return asBinary(On(dt).FusedBinaryScalar(op1, op2, s2), dt, dt)
+}
+
+func fusedScalarBinary(op1, op2 isa.Op, dt isa.DataType, s1 int64) BinaryKernel {
+	return asBinary(On(dt).FusedScalarBinary(op1, op2, s1), dt, dt)
+}
+
+func fusedScalarScalar(op1, op2 isa.Op, dt isa.DataType, s1, s2 int64) UnaryKernel {
+	return asUnary(On(dt).FusedScalarScalar(op1, op2, s1, s2), dt)
+}
+
+func fusedScalarUnary(op1, op2 isa.Op, dt isa.DataType, s1 int64) UnaryKernel {
+	return asUnary(On(dt).FusedScalarUnary(op1, op2, s1), dt)
 }
 
 // TestRegistryComplete pins the dispatch contract: every op the device
 // dispatches functionally resolves to a non-nil kernel for every element
-// type, in both instantiations, so the resolve-once path — the device's
-// only functional path — never resolves a nil kernel. Storage-typed
-// compares resolve for every destination type and select for every
-// condition type; no other op resolves for a destination of another type.
+// type, so the resolve-once path — the device's only functional path —
+// never resolves a nil kernel. Compares resolve for every destination
+// type and select for every condition type; no other op resolves for a
+// destination of another type.
 func TestRegistryComplete(t *testing.T) {
 	binary := []isa.Op{
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
 		isa.OpXor, isa.OpXnor, isa.OpMin, isa.OpMax, isa.OpLt, isa.OpGt, isa.OpEq,
 	}
 	unary := []isa.Op{isa.OpNot, isa.OpAbs, isa.OpPopCount}
-	for _, r := range registries {
-		for _, dt := range allTypes {
-			for _, op := range binary {
-				if r.binary(op, dt) == nil {
-					t.Errorf("%s Binary(%v, %v) = nil", r.name, op, dt)
-				}
-				if r.scalar(op, dt) == nil {
-					t.Errorf("%s Scalar(%v, %v) = nil", r.name, op, dt)
-				}
+	for _, dt := range allTypes {
+		for _, op := range binary {
+			if Binary(op, dt) == nil {
+				t.Errorf("Binary(%v, %v) = nil", op, dt)
 			}
-			for _, op := range unary {
-				if r.unary(op, dt) == nil {
-					t.Errorf("%s Unary(%v, %v) = nil", r.name, op, dt)
-				}
+			if scalar(op, dt) == nil {
+				t.Errorf("Scalar(%v, %v) = nil", op, dt)
 			}
-			for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
-				if r.shift(op, dt) == nil {
-					t.Errorf("%s Shift(%v, %v) = nil", r.name, op, dt)
-				}
+		}
+		for _, op := range unary {
+			if Unary(op, dt) == nil {
+				t.Errorf("Unary(%v, %v) = nil", op, dt)
 			}
-			wantSbox := dt.Bits() == 8
-			for _, op := range []isa.Op{isa.OpSbox, isa.OpSboxInv} {
-				if got := r.unary(op, dt) != nil; got != wantSbox {
-					t.Errorf("%s Unary(%v, %v) registered = %v, want %v", r.name, op, dt, got, wantSbox)
-				}
+		}
+		for _, op := range []isa.Op{isa.OpShiftL, isa.OpShiftR} {
+			if Shift(op, dt) == nil {
+				t.Errorf("Shift(%v, %v) = nil", op, dt)
+			}
+		}
+		wantSbox := dt.Bits() == 8
+		for _, op := range []isa.Op{isa.OpSbox, isa.OpSboxInv} {
+			if got := Unary(op, dt) != nil; got != wantSbox {
+				t.Errorf("Unary(%v, %v) registered = %v, want %v", op, dt, got, wantSbox)
 			}
 		}
 	}

@@ -3,16 +3,12 @@ package kernels
 // Structural and reduction kernels. These are type-independent: select and
 // fill move stored elements, and the sums widen each element to its
 // canonical int64 value, where wrapping accumulation is exact for every
-// element type. The device reaches them through On; Select is also
-// exported at the int64 carrier.
+// element type. The device reaches them through On.
 
-// Select computes dst[i] = cond[i] != 0 ? a[i] : b[i] for i in [lo, hi).
-func Select(dst, cond, a, b []int64, lo, hi int64) {
-	selectK(dst, cond, a, b, lo, hi)
-}
-
-// selectK is Select with a condition of any element type C.
-func selectK[C, S lane](dst []S, cond []C, a, b []S, lo, hi int64) {
+// selectK computes dst[i] = cond[i] != 0 ? a[i] : b[i] for i in [lo, hi)
+// over the unsigned views of data of width class D and a condition of
+// width class C: select moves bits, so one body serves every signedness.
+func selectK[C, D unsignedLane](dst []D, cond []C, a, b []D, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	cond = cond[lo:hi][:len(dst)]
@@ -26,9 +22,9 @@ func selectK[C, S lane](dst []S, cond []C, a, b []S, lo, hi int64) {
 }
 
 // fillK broadcasts the (pre-truncated) value v into dst[lo:hi].
-func fillK[S lane](dst []S, v int64, lo, hi int64) {
+func fillK[T lane](dst []T, v int64, lo, hi int64) {
 	dst = dst[lo:hi]
-	x := S(v)
+	x := T(v)
 	for i := range dst {
 		dst[i] = x
 	}
@@ -44,7 +40,7 @@ func fillK[S lane](dst []S, v int64, lo, hi int64) {
 // accumulation bit-for-bit. Being also commutative, it lets the loop keep
 // four independent partial sums, so it is not one chain of dependent adds
 // bound by add latency.
-func sumK[S lane](a []S, lo, hi int64) int64 {
+func sumK[T lane](a []T, lo, hi int64) int64 {
 	a = a[lo:hi]
 	var s0, s1, s2, s3 int64
 	for len(a) >= 4 {
@@ -66,7 +62,7 @@ func sumK[S lane](a []S, lo, hi int64) int64 {
 // spans mid-segment; partials merge in span order, see sumK). Each
 // segment's run within the span is summed as one contiguous sumK, so the
 // loop divides once per segment rather than once per element.
-func sumSegK[S lane](a []S, lo, hi, segLen, seg0 int64, vals []int64) {
+func sumSegK[T lane](a []T, lo, hi, segLen, seg0 int64, vals []int64) {
 	for i := lo; i < hi; {
 		seg := i / segLen
 		end := min((seg+1)*segLen, hi)

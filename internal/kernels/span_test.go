@@ -26,9 +26,9 @@ const (
 
 // spanCase is one kernel under test: run applies it to [lo, hi) and want
 // gives the oracle's value for element i of the original operands. A
-// storage-typed kernel runs through the as* adapters with its destination
+// storage kernel runs through the span harness with its destination
 // stored as out, so elements outside the span read back truncated to out;
-// canonical kernels leave out invalid. noAlias skips the in-place run for
+// the carrier faces leave out invalid. noAlias skips the in-place run for
 // a destination whose type differs from a's.
 type spanCase struct {
 	name    string
@@ -77,84 +77,77 @@ func checkSpan(t *testing.T, c spanCase, a, b []int64) {
 
 // TestKernelsSpanBoundaries checks every registered Binary, Scalar, Unary
 // and Shift kernel, every fused constructor over the optimizer's stage ops,
-// Select and the storage-typed Fill, over all 8 types, in both instantiations: the
-// exported canonical kernels and the storage-typed kernels of On. The
-// storage-typed compares also write every other destination type, and the
-// storage-typed select also reads a condition of every other type. The
-// storage-typed sums must match per-element accumulation over the span.
+// Select and Fill, over all 8 types, through the span harness. The
+// compares also write every other destination type, and select also reads
+// a condition of every other type. The carrier faces (Binary, Unary,
+// Shift, Select) must leave the carriers outside the span untouched. The
+// sums must match per-element accumulation over the span.
 func TestKernelsSpanBoundaries(t *testing.T) {
 	for _, dt := range allTypes {
 		a := edgeVec(dt, spanN, 5)
 		b := edgeVec(dt, spanN, 7)
 		s1, s2 := dt.Truncate(3), dt.Truncate(-5)
 		var cases []spanCase
-		// out is the current registry's destination storage type.
-		out := isa.DataType(-1)
+		// out is the destination storage type of the cases add appends.
+		out := dt
 		add := func(name string, run func(dst, a, b []int64, lo, hi int64), want func(i int) int64) {
 			cases = append(cases, spanCase{name: name + "." + dt.String(), run: run, want: want, out: out})
 		}
-		for _, r := range registries {
-			form := func(name string) string { return r.name + " " + name }
-			out = isa.DataType(-1)
-			if r.stored {
-				out = dt
+		for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+			if k := binary(op, dt); k != nil {
+				add(op.String(), k, func(i int) int64 { return RefBinary(op, dt, a[i], b[i]) })
 			}
-			for op := isa.Op(0); int(op) < isa.NumOps; op++ {
-				if k := r.binary(op, dt); k != nil {
-					add(form(op.String()), k, func(i int) int64 { return RefBinary(op, dt, a[i], b[i]) })
+			if k := scalar(op, dt); k != nil {
+				for _, s := range []int64{s1, s2, 0} {
+					add(fmt.Sprintf("%v scalar %d", op, s),
+						func(dst, a, _ []int64, lo, hi int64) { k(dst, a, s, lo, hi) },
+						func(i int) int64 { return RefBinary(op, dt, a[i], s) })
 				}
-				if k := r.scalar(op, dt); k != nil {
-					for _, s := range []int64{s1, s2, 0} {
-						add(form(fmt.Sprintf("%v scalar %d", op, s)),
-							func(dst, a, _ []int64, lo, hi int64) { k(dst, a, s, lo, hi) },
-							func(i int) int64 { return RefBinary(op, dt, a[i], s) })
-					}
+			}
+			if k := unary(op, dt); k != nil {
+				add(op.String(),
+					func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
+					func(i int) int64 { return RefUnary(op, dt, a[i]) })
+			}
+			if k := shift(op, dt); k != nil {
+				w := dt.Bits()
+				for _, amount := range []int{0, 1, w - 1, w, w + 3} {
+					add(fmt.Sprintf("%v by %d", op, amount),
+						func(dst, a, _ []int64, lo, hi int64) { k(dst, a, amount, lo, hi) },
+						func(i int) int64 { return RefShift(op, dt, a[i], amount) })
 				}
-				if k := r.unary(op, dt); k != nil {
-					add(form(op.String()),
+			}
+		}
+		for _, op1 := range fusedBinaryOps {
+			for _, op2 := range fusedUnaryStageOps {
+				if k := fusedBinaryUnary(op1, op2, dt); k != nil {
+					want := sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
+					add(fmt.Sprintf("fused %v+%v binary-unary", op1, op2), k,
+						func(i int) int64 { return want[i] })
+				}
+				if k := fusedScalarUnary(op1, op2, dt, s1); k != nil {
+					want := sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
+					add(fmt.Sprintf("fused %v+%v scalar-unary", op1, op2),
 						func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
-						func(i int) int64 { return RefUnary(op, dt, a[i]) })
-				}
-				if k := r.shift(op, dt); k != nil {
-					w := dt.Bits()
-					for _, amount := range []int{0, 1, w - 1, w, w + 3} {
-						add(form(fmt.Sprintf("%v by %d", op, amount)),
-							func(dst, a, _ []int64, lo, hi int64) { k(dst, a, amount, lo, hi) },
-							func(i int) int64 { return RefShift(op, dt, a[i], amount) })
-					}
+						func(i int) int64 { return want[i] })
 				}
 			}
-			for _, op1 := range fusedBinaryOps {
-				for _, op2 := range fusedUnaryStageOps {
-					if k := r.fusedBinaryUnary(op1, op2, dt); k != nil {
-						want := sequentialGolden(op1, op2, dt, true, 0, a, b, s1, s2)
-						add(form(fmt.Sprintf("fused %v+%v binary-unary", op1, op2)), k,
-							func(i int) int64 { return want[i] })
-					}
-					if k := r.fusedScalarUnary(op1, op2, dt, s1); k != nil {
-						want := sequentialGolden(op1, op2, dt, false, 0, a, b, s1, s2)
-						add(form(fmt.Sprintf("fused %v+%v scalar-unary", op1, op2)),
-							func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
-							func(i int) int64 { return want[i] })
-					}
+			for _, op2 := range fusedBinaryOps {
+				if k := fusedBinaryScalar(op1, op2, dt, s2); k != nil {
+					want := sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
+					add(fmt.Sprintf("fused %v+%v binary-scalar", op1, op2), k,
+						func(i int) int64 { return want[i] })
 				}
-				for _, op2 := range fusedBinaryOps {
-					if k := r.fusedBinaryScalar(op1, op2, dt, s2); k != nil {
-						want := sequentialGolden(op1, op2, dt, true, 1, a, b, s1, s2)
-						add(form(fmt.Sprintf("fused %v+%v binary-scalar", op1, op2)), k,
-							func(i int) int64 { return want[i] })
-					}
-					if k := r.fusedScalarBinary(op1, op2, dt, s1); k != nil {
-						want := sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
-						add(form(fmt.Sprintf("fused %v+%v scalar-binary", op1, op2)), k,
-							func(i int) int64 { return want[i] })
-					}
-					if k := r.fusedScalarScalar(op1, op2, dt, s1, s2); k != nil {
-						want := sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
-						add(form(fmt.Sprintf("fused %v+%v scalar-scalar", op1, op2)),
-							func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
-							func(i int) int64 { return want[i] })
-					}
+				if k := fusedScalarBinary(op1, op2, dt, s1); k != nil {
+					want := sequentialGolden(op1, op2, dt, false, 2, a, b, s1, s2)
+					add(fmt.Sprintf("fused %v+%v scalar-binary", op1, op2), k,
+						func(i int) int64 { return want[i] })
+				}
+				if k := fusedScalarScalar(op1, op2, dt, s1, s2); k != nil {
+					want := sequentialGolden(op1, op2, dt, false, 1, a, b, s1, s2)
+					add(fmt.Sprintf("fused %v+%v scalar-scalar", op1, op2),
+						func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
+						func(i int) int64 { return want[i] })
 				}
 			}
 		}
@@ -172,30 +165,47 @@ func TestKernelsSpanBoundaries(t *testing.T) {
 				return s2
 			}
 		}
+		// The carrier faces write dst[lo:hi] of the carriers themselves.
 		out = isa.DataType(-1)
-		add("canonical select",
+		add("select",
 			func(dst, a, b []int64, lo, hi int64) { Select(dst, a, b, sel, lo, hi) },
 			selWant(dt))
+		for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+			if k := Binary(op, dt); k != nil {
+				add("carrier "+op.String(), k, func(i int) int64 { return RefBinary(op, dt, a[i], b[i]) })
+			}
+			if k := Unary(op, dt); k != nil {
+				add("carrier "+op.String(),
+					func(dst, a, _ []int64, lo, hi int64) { k(dst, a, lo, hi) },
+					func(i int) int64 { return RefUnary(op, dt, a[i]) })
+			}
+			if k := Shift(op, dt); k != nil {
+				amount := dt.Bits() - 1
+				add(fmt.Sprintf("carrier %v by %d", op, amount),
+					func(dst, a, _ []int64, lo, hi int64) { k(dst, a, amount, lo, hi) },
+					func(i int) int64 { return RefShift(op, dt, a[i], amount) })
+			}
+		}
 		out = dt
-		add("storage fill",
+		add("fill",
 			func(dst, _, _ []int64, lo, hi int64) {
 				ed := stored(dt, dst)
 				On(dt).Fill(ed, s1, lo, hi)
 				ed.Load(dst, 0)
 			},
 			func(int) int64 { return s1 })
-		// Storage-typed compares into, and selects on, every other type.
+		// Compares into, and selects on, every other type.
 		for _, other := range allTypes {
 			for _, op := range []isa.Op{isa.OpLt, isa.OpGt, isa.OpEq} {
 				k := asBinary(On(dt).Binary(op, other), dt, other)
 				cases = append(cases, spanCase{
-					name: fmt.Sprintf("storage %v.%v into %v", op, dt, other), run: k,
+					name: fmt.Sprintf("%v.%v into %v", op, dt, other), run: k,
 					want: func(i int) int64 { return RefBinary(op, dt, a[i], b[i]) },
 					out:  other, noAlias: other != dt,
 				})
 				ks := asScalar(On(dt).Scalar(op, other), dt, other)
 				cases = append(cases, spanCase{
-					name: fmt.Sprintf("storage %v.%v scalar into %v", op, dt, other),
+					name: fmt.Sprintf("%v.%v scalar into %v", op, dt, other),
 					run:  func(dst, a, _ []int64, lo, hi int64) { ks(dst, a, s2, lo, hi) },
 					want: func(i int) int64 { return RefBinary(op, dt, a[i], s2) },
 					out:  other, noAlias: other != dt,
@@ -203,7 +213,7 @@ func TestKernelsSpanBoundaries(t *testing.T) {
 			}
 			k := asSelect(On(dt).Select(other), other, dt)
 			cases = append(cases, spanCase{
-				name: fmt.Sprintf("storage select.%v on %v", dt, other),
+				name: fmt.Sprintf("select.%v on %v", dt, other),
 				run:  func(dst, a, b []int64, lo, hi int64) { k(dst, a, b, sel, lo, hi) },
 				want: selWant(other), out: dt, noAlias: other != dt,
 			})
@@ -223,12 +233,12 @@ func TestKernelsSpanBoundaries(t *testing.T) {
 			sum += v
 		}
 		if got := On(dt).Sum(ea, spanLo, spanHi); got != sum {
-			t.Errorf("storage sum.%v = %d, per-element %d", dt, got, sum)
+			t.Errorf("sum.%v = %d, per-element %d", dt, got, sum)
 		}
 		got := make([]int64, len(segs))
 		On(dt).SumSeg(ea, spanLo, spanHi, segLen, seg0, got)
 		if !slices.Equal(got, segs) {
-			t.Errorf("storage sum.seg.%v = %v, per-element %v", dt, got, segs)
+			t.Errorf("sum.seg.%v = %v, per-element %v", dt, got, segs)
 		}
 	}
 }

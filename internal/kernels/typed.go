@@ -3,10 +3,12 @@ package kernels
 import "pimeval/internal/isa"
 
 // The storage-typed kernels: the device's entry points. Each is a body of
-// this package instantiated at S = T, the element type's machine type, and
+// this package instantiated at the element type's machine type T, or for a
+// compare's destination and a select's operands at a width class, and
 // wrapped to take objects' isa.Elems storage. The wrapper asserts each
-// operand's concrete Slice type once per call — once per span — and the
-// loop inside runs on the machine slices.
+// operand's concrete Slice type, or takes its same-width unsigned view,
+// once per call — once per span — and the loop inside runs on the machine
+// slices.
 
 // ElemsBinary computes dst = a op b over elements [lo, hi) of storage.
 type ElemsBinary func(dst, a, b isa.Elems, lo, hi int64)
@@ -26,7 +28,7 @@ type ElemsSelect func(dst, cond, a, b isa.Elems, lo, hi int64)
 // Typed is one element type's kernels over its objects' storage. Operands
 // are that type's storage, except the destination of a compare and the
 // condition of a select, whose type is the method's argument. A nil kernel
-// means the op has none at this type, as for the exported kernels.
+// means the op has none at this type.
 type Typed interface {
 	// Binary returns the kernel for op writing a dst-typed destination;
 	// only compares admit a dst other than the operand type.
@@ -58,109 +60,134 @@ func On(dt isa.DataType) Typed {
 	return native[dt]
 }
 
-// typed is Typed for machine type T, element type dt. set holds the bodies
-// at S = T; into holds, per element type, the kernels whose destination
-// (compares) or condition (select) has that type, each instantiated at
-// that type so no loop converts through a buffer. Lookups wrap set's
-// kernels for storage in a closure made per call, that is per command, so
-// the registry keeps few closures for the garbage collector to mark on
-// every cycle.
+// typed is Typed for machine type T, element type dt. A nil entry means
+// the (op, type) pair is not a command the device dispatches; every pair
+// it does dispatch has a kernel (TestRegistryComplete). The fused fields
+// are the single-pass two-stage kernels (fused.go). into holds, per width
+// class, the compares writing a destination of that width and the select
+// taking a condition of that width. Lookups wrap the kernels for storage
+// in a closure made per call, that is per command, so the registry keeps
+// few closures for the garbage collector to mark on every cycle.
 type typed[T lane] struct {
-	dt   isa.DataType
-	set  kernelSet[T]
-	into [isa.NumTypes]struct {
+	dt     isa.DataType
+	binary [isa.NumOps]binaryFn[T]
+	scalar [isa.NumOps]scalarFn[T]
+	unary  [isa.NumOps]unaryFn[T]
+	shift  [isa.NumOps]shiftFn[T]
+
+	scaledAdd func(s1 int64) binaryFn[T] // mul then add, scalar-binary
+	addMax    func(s2 int64) binaryFn[T] // add then max, binary-scalar
+	absDiff   binaryFn[T]                // sub then abs, signed types only
+
+	into [numWidths]struct {
 		binary func(op isa.Op) ElemsBinary
 		scalar func(op isa.Op) ElemsScalar
 		sel    ElemsSelect
 	}
 }
 
-// register fills into for every element type and makes t dt's
-// storage-typed kernels.
-func (t *typed[T]) register(dt isa.DataType) {
-	t.dt = dt
-	into[int8, T](t, isa.Int8)
-	into[int16, T](t, isa.Int16)
-	into[int32, T](t, isa.Int32)
-	into[int64, T](t, isa.Int64)
-	into[uint8, T](t, isa.UInt8)
-	into[uint16, T](t, isa.UInt16)
-	into[uint32, T](t, isa.UInt32)
-	into[uint64, T](t, isa.UInt64)
-	native[dt] = t
+// into registers the compares of element type T writing a destination of
+// width class D, and the select over data of T's width class U taking a
+// condition of width class D; odt is an element type of D's width.
+func into[D, U unsignedLane, T lane](t *typed[T], odt isa.DataType) {
+	e := &t.into[widthClass(odt)]
+	e.binary, e.scalar, e.sel = compareInto[D, T], compareScalarInto[D, T], selectOn[D, U]
 }
 
-// into registers the kernels of element type T whose destination or
-// condition has machine type D, element type odt.
-func into[D, T lane](t *typed[T], odt isa.DataType) {
-	e := &t.into[odt]
-	e.binary, e.scalar, e.sel = compareInto[D, T], compareScalarInto[D, T], selectOn[D, T]
-}
-
-// compareInto returns compare op over T operands writing a D-typed
-// destination, or nil if op is not a compare.
-func compareInto[D, T lane](op isa.Op) ElemsBinary {
+// compareInto returns compare op over T operands writing a mask of width
+// class D, or nil if op is not a compare.
+func compareInto[D unsignedLane, T lane](op isa.Op) ElemsBinary {
 	switch op {
 	case isa.OpLt:
-		return onBinary(ltK[D, T, T])
+		return onMask(ltK[D, T])
 	case isa.OpGt:
-		return onBinary(gtK[D, T, T])
+		return onMask(gtK[D, T])
 	case isa.OpEq:
-		return onBinary(eqK[D, T, T])
+		return onMask(eqK[D, T])
 	}
 	return nil
 }
 
-func compareScalarInto[D, T lane](op isa.Op) ElemsScalar {
+func compareScalarInto[D unsignedLane, T lane](op isa.Op) ElemsScalar {
 	switch op {
 	case isa.OpLt:
-		return onScalar(ltSK[D, T, T])
+		return onMaskScalar(ltSK[D, T])
 	case isa.OpGt:
-		return onScalar(gtSK[D, T, T])
+		return onMaskScalar(gtSK[D, T])
 	case isa.OpEq:
-		return onScalar(eqSK[D, T, T])
+		return onMaskScalar(eqSK[D, T])
 	}
 	return nil
 }
 
-// selectOn is select over S operands with a C-typed condition.
-func selectOn[C, S lane](dst, cond, a, b isa.Elems, lo, hi int64) {
-	selectK(dst.(isa.Slice[S]), cond.(isa.Slice[C]), a.(isa.Slice[S]), b.(isa.Slice[S]), lo, hi)
+// selectOn is select over data of width class D with a condition of width
+// class C.
+func selectOn[C, D unsignedLane](dst, cond, a, b isa.Elems, lo, hi int64) {
+	selectK(isa.Unsigned[D](dst), isa.Unsigned[C](cond), isa.Unsigned[D](a), isa.Unsigned[D](b), lo, hi)
 }
 
-func onBinary[D, S lane](k func(dst []D, a, b []S, lo, hi int64)) ElemsBinary {
+// onMask and onMaskScalar wrap a compare writing a D mask for storage: the
+// destination, of any type of D's width, is reached through its unsigned
+// view.
+func onMask[D unsignedLane, T lane](k func(dst []D, a, b []T, lo, hi int64)) ElemsBinary {
+	return func(dst, a, b isa.Elems, lo, hi int64) {
+		k(isa.Unsigned[D](dst), a.(isa.Slice[T]), b.(isa.Slice[T]), lo, hi)
+	}
+}
+
+func onMaskScalar[D unsignedLane, T lane](k func(dst []D, a []T, s int64, lo, hi int64)) ElemsScalar {
+	return func(dst, a isa.Elems, s int64, lo, hi int64) {
+		k(isa.Unsigned[D](dst), a.(isa.Slice[T]), s, lo, hi)
+	}
+}
+
+// maskBinary and maskScalar adapt a compare writing a mask of width class
+// U to write T elements of the same width, for the fused kernels' stages.
+func maskBinary[U unsignedLane, T lane](k func(dst []U, a, b []T, lo, hi int64)) binaryFn[T] {
+	return func(dst, a, b []T, lo, hi int64) {
+		k(isa.Unsigned[U](isa.Slice[T](dst)), a, b, lo, hi)
+	}
+}
+
+func maskScalar[U unsignedLane, T lane](k func(dst []U, a []T, s int64, lo, hi int64)) scalarFn[T] {
+	return func(dst, a []T, s int64, lo, hi int64) {
+		k(isa.Unsigned[U](isa.Slice[T](dst)), a, s, lo, hi)
+	}
+}
+
+func onBinary[T lane](k binaryFn[T]) ElemsBinary {
 	if k == nil {
 		return nil
 	}
 	return func(dst, a, b isa.Elems, lo, hi int64) {
-		k(dst.(isa.Slice[D]), a.(isa.Slice[S]), b.(isa.Slice[S]), lo, hi)
+		k(dst.(isa.Slice[T]), a.(isa.Slice[T]), b.(isa.Slice[T]), lo, hi)
 	}
 }
 
-func onScalar[D, S lane](k func(dst []D, a []S, s int64, lo, hi int64)) ElemsScalar {
+func onScalar[T lane](k scalarFn[T]) ElemsScalar {
 	if k == nil {
 		return nil
 	}
 	return func(dst, a isa.Elems, s int64, lo, hi int64) {
-		k(dst.(isa.Slice[D]), a.(isa.Slice[S]), s, lo, hi)
+		k(dst.(isa.Slice[T]), a.(isa.Slice[T]), s, lo, hi)
 	}
 }
 
-func onUnary[S lane](k unaryFn[S]) ElemsUnary {
+func onUnary[T lane](k unaryFn[T]) ElemsUnary {
 	if k == nil {
 		return nil
 	}
 	return func(dst, a isa.Elems, lo, hi int64) {
-		k(dst.(isa.Slice[S]), a.(isa.Slice[S]), lo, hi)
+		k(dst.(isa.Slice[T]), a.(isa.Slice[T]), lo, hi)
 	}
 }
 
-func onShift[S lane](k shiftFn[S]) ElemsShift {
+func onShift[T lane](k shiftFn[T]) ElemsShift {
 	if k == nil {
 		return nil
 	}
 	return func(dst, a isa.Elems, amount int, lo, hi int64) {
-		k(dst.(isa.Slice[S]), a.(isa.Slice[S]), amount, lo, hi)
+		k(dst.(isa.Slice[T]), a.(isa.Slice[T]), amount, lo, hi)
 	}
 }
 
@@ -171,11 +198,11 @@ func (t *typed[T]) Binary(op isa.Op, dst isa.DataType) ElemsBinary {
 	case !op.Valid() || !dst.Valid():
 		return nil
 	case isCompare(op):
-		return t.into[dst].binary(op)
+		return t.into[widthClass(dst)].binary(op)
 	case dst != t.dt:
 		return nil
 	}
-	return onBinary[T, T](t.set.binary[op])
+	return onBinary(t.binary[op])
 }
 
 func (t *typed[T]) Scalar(op isa.Op, dst isa.DataType) ElemsScalar {
@@ -183,32 +210,32 @@ func (t *typed[T]) Scalar(op isa.Op, dst isa.DataType) ElemsScalar {
 	case !op.Valid() || !dst.Valid():
 		return nil
 	case isCompare(op):
-		return t.into[dst].scalar(op)
+		return t.into[widthClass(dst)].scalar(op)
 	case dst != t.dt:
 		return nil
 	}
-	return onScalar[T, T](t.set.scalar[op])
+	return onScalar(t.scalar[op])
 }
 
 func (t *typed[T]) Unary(op isa.Op) ElemsUnary {
 	if !op.Valid() {
 		return nil
 	}
-	return onUnary[T](t.set.unary[op])
+	return onUnary(t.unary[op])
 }
 
 func (t *typed[T]) Shift(op isa.Op) ElemsShift {
 	if !op.Valid() {
 		return nil
 	}
-	return onShift[T](t.set.shift[op])
+	return onShift(t.shift[op])
 }
 
 func (t *typed[T]) Select(cond isa.DataType) ElemsSelect {
 	if !cond.Valid() {
 		return nil
 	}
-	return t.into[cond].sel
+	return t.into[widthClass(cond)].sel
 }
 
 // isCompare reports whether op writes a 0/1 mask, the one result a
@@ -227,24 +254,4 @@ func (t *typed[T]) Sum(a isa.Elems, lo, hi int64) int64 {
 
 func (t *typed[T]) SumSeg(a isa.Elems, lo, hi, segLen, seg0 int64, vals []int64) {
 	sumSegK(a.(isa.Slice[T]), lo, hi, segLen, seg0, vals)
-}
-
-func (t *typed[T]) FusedBinaryUnary(op1, op2 isa.Op) ElemsBinary {
-	return onBinary[T, T](t.set.fusedBinaryUnary(op1, op2))
-}
-
-func (t *typed[T]) FusedBinaryScalar(op1, op2 isa.Op, s2 int64) ElemsBinary {
-	return onBinary[T, T](t.set.fusedBinaryScalar(op1, op2, s2))
-}
-
-func (t *typed[T]) FusedScalarBinary(op1, op2 isa.Op, s1 int64) ElemsBinary {
-	return onBinary[T, T](t.set.fusedScalarBinary(op1, op2, s1))
-}
-
-func (t *typed[T]) FusedScalarScalar(op1, op2 isa.Op, s1, s2 int64) ElemsUnary {
-	return onUnary[T](t.set.fusedScalarScalar(op1, op2, s1, s2))
-}
-
-func (t *typed[T]) FusedScalarUnary(op1, op2 isa.Op, s1 int64) ElemsUnary {
-	return onUnary[T](t.set.fusedScalarUnary(op1, op2, s1))
 }

@@ -4,58 +4,58 @@ import "math/bits"
 
 // Unary and shift kernels.
 
-func notK[S, T lane](dst, a []S, lo, hi int64) {
+func notK[T lane](dst, a []T, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = S(^T(a[i]))
+		dst[i] = ^a[i]
 	}
 }
 
 // absSK negates negative values; -MinInt wraps back to MinInt, matching the
 // reference's truncated negation.
-func absSK[S, T signedLane](dst, a []S, lo, hi int64) {
+func absSK[T signedLane](dst, a []T, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		x := T(a[i])
+		x := a[i]
 		if x < 0 {
 			x = -x
 		}
-		dst[i] = S(x)
+		dst[i] = x
 	}
 }
 
 // copyK is abs for unsigned types: the identity.
-func copyK[S lane](dst, a []S, lo, hi int64) {
+func copyK[T lane](dst, a []T, lo, hi int64) {
 	copy(dst[lo:hi], a[lo:hi])
 }
 
 // popcountK counts set bits within the element width; the width mask is
 // hoisted into the closure (it only matters for signed negative values,
 // whose sign extension would otherwise inflate the count).
-func popcountK[S lane](width int) unaryFn[S] {
+func popcountK[T lane](width int) unaryFn[T] {
 	mask := ^uint64(0)
 	if width < 64 {
 		mask = uint64(1)<<uint(width) - 1
 	}
-	return func(dst, a []S, lo, hi int64) {
+	return func(dst, a []T, lo, hi int64) {
 		dst, a = dst[lo:hi], a[lo:hi]
 		a = a[:len(dst)]
 		for i := range dst {
-			dst[i] = S(bits.OnesCount64(uint64(a[i]) & mask))
+			dst[i] = T(bits.OnesCount64(uint64(a[i]) & mask))
 		}
 	}
 }
 
 // sboxK is the table-lookup kernel for the AES S-box commands, registered
-// for the 8-bit element types only; T re-extends the substituted byte.
-func sboxK[S, T lane](tab *[256]byte) unaryFn[S] {
-	return func(dst, a []S, lo, hi int64) {
+// for the 8-bit element types only.
+func sboxK[T lane](tab *[256]byte) unaryFn[T] {
+	return func(dst, a []T, lo, hi int64) {
 		dst, a = dst[lo:hi], a[lo:hi]
 		a = a[:len(dst)]
 		for i := range dst {
-			dst[i] = S(T(tab[byte(a[i])]))
+			dst[i] = T(tab[byte(a[i])])
 		}
 	}
 }
@@ -64,19 +64,19 @@ func sboxK[S, T lane](tab *[256]byte) unaryFn[S] {
 // every amount: shifts at or past the element width produce zero, except
 // arithmetic right shifts of negative values, which saturate to all ones.
 // Right shifts are arithmetic for signed T and logical for unsigned T.
-func shlK[S, T lane](dst, a []S, amount int, lo, hi int64) {
+func shlK[T lane](dst, a []T, amount int, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) << uint(amount))
+		dst[i] = a[i] << uint(amount)
 	}
 }
 
-func shrK[S, T lane](dst, a []S, amount int, lo, hi int64) {
+func shrK[T lane](dst, a []T, amount int, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
-		dst[i] = S(T(a[i]) >> uint(amount))
+		dst[i] = a[i] >> uint(amount)
 	}
 }
 

@@ -45,14 +45,23 @@ func (s *Server) active() int { return len(s.slots) }
 // quotas is the per-tenant token-bucket table. Buckets refill continuously
 // at rate tokens/second up to burst; one session costs one token. The clock
 // is injected so tests drive refill deterministically.
+//
+// A bucket that would be full now behaves exactly like an absent one, which
+// admit creates full, so the table forgets such buckets (sweep): its size
+// follows the tenants seen within the last burst/rate seconds, not every
+// tenant name a client ever sent.
 type quotas struct {
 	rate  float64
 	burst float64
 	now   func() time.Time
 
-	mu sync.Mutex
-	m  map[string]*bucket
+	mu      sync.Mutex
+	m       map[string]*bucket
+	sweepAt int // table size at which a new tenant triggers a sweep
 }
+
+// minQuotaSweep is the smallest table size that triggers a sweep.
+const minQuotaSweep = 64
 
 type bucket struct {
 	tokens float64
@@ -64,7 +73,7 @@ func newQuotas(rate float64, burst int, now func() time.Time) *quotas {
 	if burst <= 0 {
 		b = math.Max(1, math.Ceil(rate))
 	}
-	return &quotas{rate: rate, burst: b, now: now, m: make(map[string]*bucket)}
+	return &quotas{rate: rate, burst: b, now: now, m: make(map[string]*bucket), sweepAt: minQuotaSweep}
 }
 
 // admit spends one token from the tenant's bucket. When the bucket is
@@ -79,6 +88,9 @@ func (q *quotas) admit(tenant string) (ok bool, retryAfter time.Duration) {
 	n := q.now()
 	b := q.m[tenant]
 	if b == nil {
+		if len(q.m) >= q.sweepAt {
+			q.sweep(n)
+		}
 		b = &bucket{tokens: q.burst, last: n}
 		q.m[tenant] = b
 	} else {
@@ -90,6 +102,19 @@ func (q *quotas) admit(tenant string) (ok bool, retryAfter time.Duration) {
 		return true, 0
 	}
 	return false, time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
+}
+
+// sweep drops every bucket that would be full at n: the refill in admit
+// caps it at burst, which is the fresh bucket an absent tenant gets, so no
+// decision changes. The next sweep waits until the table has doubled, so
+// sweeping costs amortised O(1) per new tenant.
+func (q *quotas) sweep(n time.Time) {
+	for tenant, b := range q.m {
+		if b.tokens+n.Sub(b.last).Seconds()*q.rate >= q.burst {
+			delete(q.m, tenant)
+		}
+	}
+	q.sweepAt = max(minQuotaSweep, 2*len(q.m))
 }
 
 // retryAfterSeconds renders a Retry-After duration as whole seconds,

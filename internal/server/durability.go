@@ -478,7 +478,10 @@ func (s *Server) recoverOne(metaPath string) recoverOutcome {
 	if snapF, err := os.Open(base + ".snap"); err == nil {
 		d2, cursor, rerr := device.RestoreSnapshot(snapF, s.cfg.workers())
 		snapF.Close()
-		if rerr == nil && d2.CheckResume(cs) == nil {
+		if rerr == nil {
+			rerr = d2.CheckResume(cs)
+		}
+		if rerr == nil {
 			dev, skip = d2, cursor
 		} else {
 			log.Warn("checkpoint unusable; replaying from scratch", "err", rerr)

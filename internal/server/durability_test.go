@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -376,6 +377,68 @@ func TestRecoverCorruptSnapshot(t *testing.T) {
 		t.Fatalf("retry: status %d dedup %v", st, dedup)
 	}
 	checkMatches(t, decodeResult(t, body), localExpected(t, enc, 1))
+}
+
+// TestRecoverForeignSnapshot: a checkpoint that restores cleanly but was
+// taken from a device with another header (here, another fault
+// configuration) fails CheckResume. Recovery replays the spool from
+// scratch, bit-identically to a local replay, and logs why it refused the
+// checkpoint.
+func TestRecoverForeignSnapshot(t *testing.T) {
+	enc := encodeStream(t, recordStream(t, pim.Config{Target: pim.Fulcrum, Functional: true}), pim.StreamBinary)
+	foreign := encodeStream(t, recordStream(t, pim.Config{
+		Target: pim.Fulcrum, Functional: true,
+		Faults: &pim.FaultConfig{Seed: 7, TransientBitRate: 1e-7, ECC: true},
+	}), pim.StreamBinary)
+	dir := t.TempDir()
+	srv1 := New(Config{Devices: 1, StateDir: dir})
+	crashJournal(t, srv1, srv1.instance+"-s-000001",
+		sessionMeta{Session: "s-000001", Tenant: "default", Key: "foreign-key"}, enc, 0)
+	crashJournal(t, srv1, srv1.instance+"-s-000002",
+		sessionMeta{Session: "s-000002", Tenant: "default", Key: "donor-key"}, foreign, 8)
+
+	// Plant the donor's checkpoint as the first session's, and drop the
+	// donor so only the planted journal is recovered.
+	journal := filepath.Join(dir, "journal", srv1.instance)
+	if err := os.Rename(journal+"-s-000002.snap", journal+"-s-000001.snap"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".meta.json", ".stream"} {
+		if err := os.Remove(journal + "-s-000002" + ext); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logBuf bytes.Buffer
+	srv2 := New(Config{Devices: 1, StateDir: dir, Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	rs, err := srv2.Recover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Recovered != 1 || rs.Discarded != 0 {
+		t.Fatalf("recovery stats %+v, want 1 recovered (scratch fallback)", rs)
+	}
+	var refused string
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, "checkpoint unusable") {
+			refused = line
+		}
+	}
+	if refused == "" || strings.Contains(refused, "err=<nil>") || !strings.Contains(refused, "does not match snapshot") {
+		t.Errorf("refused checkpoint logged as %q, want the header mismatch error\n%s", refused, logBuf.String())
+	}
+	if !strings.Contains(logBuf.String(), "resumed_at=0") {
+		t.Errorf("recovery did not replay from scratch:\n%s", logBuf.String())
+	}
+
+	ts := httptest.NewServer(srv2)
+	defer ts.Close()
+	st, body, dedup := submitKey(t, ts, enc, "default", "foreign-key")
+	if st != http.StatusOK || !dedup {
+		t.Fatalf("retry: status %d dedup %v", st, dedup)
+	}
+	checkMatches(t, decodeResult(t, body), localExpected(t, enc, 1))
+	assertJournalEmpty(t, dir)
 }
 
 // TestJournalCleanupAfterSuccess: a completed session leaves no journal

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -67,22 +68,21 @@ func (m *metrics) latencies() ([]float64, int64) {
 	return append([]float64(nil), m.lat...), m.n
 }
 
-// Percentile returns the p-th percentile (0..100) of samples by
-// nearest-rank on a sorted copy; 0 when empty.
+// Percentile returns the p-th percentile (0..100) of samples by nearest
+// rank on a sorted copy: the smallest sample with at least p% of the
+// samples at or below it, the ceil(p/100*n)-th; p at or below 0 gives the
+// minimum, and an empty input 0.
 func Percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
+	// p*n is exact for integral p and any realistic n; p/100 first would
+	// round 0.07*100 up past 7.
+	rank := int(math.Ceil(p * float64(len(s)) / 100))
+	rank = min(max(rank, 1), len(s))
+	return s[rank-1]
 }
 
 // CommandStat is one aggregated per-command counter row of a snapshot.

@@ -47,4 +47,7 @@ go test -race -run 'TestObjectStorage|TestFaultGolden' ./internal/device/ ./inte
 echo "==> core package size (informational, see ROADMAP.md)"
 sh scripts/loc.sh
 
+echo "==> kernel code size (informational, see ROADMAP.md)"
+sh scripts/textsize.sh
+
 echo "OK"
