@@ -229,13 +229,13 @@ func (s Slice[S]) UnpackFrom(r io.Reader, lo, hi int64) error {
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // byteView returns the memory of vals as bytes, len(vals)*sizeof(S) of them,
-// sharing vals' backing array. It, recast and sameWidth are the
+// sharing vals' backing array. It, recast, sameWidth and Words are the
 // repository's only uses of unsafe: the only way to copy a whole storage
-// span as bytes, to reuse one type's storage for another's, and to run one
-// bit-moving kernel over both signednesses of a width. Slice.Pack,
-// Slice.Unpack and Slice.UnpackFrom are its only callers, and only on a
-// little-endian host, where the view is exactly the span's packed wire
-// form.
+// span as bytes, to reuse one type's storage for another's, to run one
+// bit-moving kernel over both signednesses of a width, and to run a kernel
+// over a machine word of lanes at a time. Slice.Pack, Slice.Unpack and
+// Slice.UnpackFrom are its only callers, and only on a little-endian host,
+// where the view is exactly the span's packed wire form.
 func byteView[S Lane](vals []S) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(S(0))))
 }
@@ -276,6 +276,27 @@ func sameWidth[U, S Lane](vals []S) []U {
 		panic("isa: Unsigned of storage of another width")
 	}
 	return unsafe.Slice((*U)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
+}
+
+// Words splits s at 8-byte-aligned addresses for the word-at-a-time
+// kernels: head is the elements before the first aligned address, w the
+// whole aligned 64-bit words after them, and tail the elements left over,
+// so head, w and tail cover s's memory exactly once, in order. w shares s's
+// backing array, each word holding 8/sizeof(T) consecutive elements as
+// lanes in the host's byte order; lane-wise arithmetic does not depend on
+// that order. Like byteView it reinterprets memory, which integer lanes
+// allow, and the words are aligned, so the view is sound under checkptr.
+// Two slices of equal length split alike exactly when their heads are
+// equally long: their addresses then agree mod 8.
+func Words[T Lane](s []T) (head []T, w []uint64, tail []T) {
+	size := int(unsafe.Sizeof(T(0)))
+	off := int(-uintptr(unsafe.Pointer(unsafe.SliceData(s)))%8) / size
+	head, s = s[:min(off, len(s))], s[min(off, len(s)):]
+	n := len(s) * size / 8
+	if n > 0 {
+		w = unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), n)
+	}
+	return head, w, s[n*8/size:]
 }
 
 func (s Slice[S]) Grow(n int64) Elems {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpNames(t *testing.T) {
@@ -175,8 +176,10 @@ func TestCommandName(t *testing.T) {
 // every element outside its span as it was. The storage's same-width
 // unsigned view (Unsigned) must alias it: the same length, the same bits,
 // a write through it read back through Bits, and a view of another width
-// refused. The value count is len(data)/8 rounded up, so odd counts are
-// covered.
+// refused. The word view (Words) of the storage and of each of its
+// suffixes up to a word in must partition it exactly, with its words
+// aligned and aliasing it. The value count is len(data)/8 rounded up, so
+// odd counts are covered.
 func FuzzElementConversions(f *testing.F) {
 	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
@@ -268,6 +271,25 @@ func FuzzElementConversions(f *testing.F) {
 			checkUnsignedView[uint64](t, store)
 		}
 
+		switch s := store.(type) {
+		case Slice[int8]:
+			checkWords(t, s)
+		case Slice[int16]:
+			checkWords(t, s)
+		case Slice[int32]:
+			checkWords(t, s)
+		case Slice[int64]:
+			checkWords(t, s)
+		case Slice[uint8]:
+			checkWords(t, s)
+		case Slice[uint16]:
+			checkWords(t, s)
+		case Slice[uint32]:
+			checkWords(t, s)
+		case Slice[uint64]:
+			checkWords(t, s)
+		}
+
 		loopPack, loopUnpack := loops(store)
 		looped := make([]byte, len(buf))
 		copy(looped, buf)
@@ -332,6 +354,54 @@ func checkUnsignedView[U uint8 | uint16 | uint32 | uint64](t *testing.T, e Elems
 	} {
 		if other.bytes != dt.Bytes() && !panics(other.view) {
 			t.Fatalf("%v: a %d-byte view of %d-byte storage did not panic", dt, other.bytes, dt.Bytes())
+		}
+	}
+}
+
+// checkWords checks Words on s and on each suffix s[k:], k < 8: head, the
+// words and tail must cover the suffix's elements exactly once, in order,
+// head and tail each shorter than a word and head empty when the suffix
+// starts aligned; the words must be 8-byte aligned and alias the storage,
+// so that a write through them reads back through Bits. It leaves s as it
+// found it.
+func checkWords[T Lane](t *testing.T, s Slice[T]) {
+	t.Helper()
+	dt, size := s.Type(), int(unsafe.Sizeof(T(0)))
+	addr := func(v []T) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(v))) }
+	for k := 0; k < 8 && k <= len(s); k++ {
+		v := s[k:]
+		head, w, tail := Words(v)
+		nw := len(w) * 8 / size
+		if len(head)+nw+len(tail) != len(v) || len(head)*size >= 8 || len(tail)*size >= 8 {
+			t.Fatalf("%v: Words of %d elements split %d + %d words + %d", dt, len(v), len(head), len(w), len(tail))
+		}
+		if addr(v)%8 == 0 && len(head) != 0 {
+			t.Fatalf("%v: Words of an aligned span has a %d-element head", dt, len(head))
+		}
+		if len(head) > 0 && addr(head) != addr(v) || len(tail) > 0 && addr(tail) != addr(v[len(v)-len(tail):]) {
+			t.Fatalf("%v: Words' head or tail is not the span's own", dt)
+		}
+		if len(w) == 0 {
+			continue
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(w))); p%8 != 0 || p != addr(v[len(head):]) {
+			t.Fatalf("%v: Words' words start at %#x, element %d at %#x", dt, p, len(head), addr(v[len(head):]))
+		}
+		mid := v[len(head) : len(head)+nw]
+		orig := make([]uint64, len(mid))
+		for i := range mid {
+			orig[i] = mid.Bits(int64(i))
+		}
+		for i := range w {
+			w[i] = ^w[i]
+		}
+		for i := range mid {
+			if got, want := mid.Bits(int64(i)), ^orig[i]&dt.maskU(); got != want {
+				t.Fatalf("%v: inverted its word, element %d reads back %#x, want %#x", dt, len(head)+i, got, want)
+			}
+		}
+		for i := range w {
+			w[i] = ^w[i]
 		}
 	}
 }

@@ -4,9 +4,29 @@ package kernels
 // the whole semantics of one (op, type) pair over storage of machine type T:
 // T arithmetic wraps natively at the element width. Comparison ops write
 // 0/1 masks into a destination of width class D, which holds the same bits
-// for either signedness of that width.
+// for either signedness of that width. No loop branches on element data:
+// compares store bit(cond), min and max are the builtins (CMOV).
+//
+// The bitwise ops run word-wise (words.go) at every width narrower than a
+// word, add, sub and the scalar mul at 8 and 16 bits, and eq at 8 bits
+// into an 8-bit mask. In the word steps H is the lanes' high bits: add
+// sums the low bits of each lane, which cannot carry out of it, and puts
+// the high bit back as x^y^carry; sub does the same with the high bits set
+// in the minuend, so no lane borrows from the next.
 
 func addK[T lane](dst, a, b []T, lo, hi int64) {
+	if w := laneBits[T](); w <= 16 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			hb := highs(w)
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = (x&^hb + y&^hb) ^ (x^y)&hb
+			}
+			addK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -15,6 +35,18 @@ func addK[T lane](dst, a, b []T, lo, hi int64) {
 }
 
 func subK[T lane](dst, a, b []T, lo, hi int64) {
+	if w := laneBits[T](); w <= 16 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			hb := highs(w)
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = ((x | hb) - y&^hb) ^ (x^^y)&hb
+			}
+			subK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -31,6 +63,17 @@ func mulK[T lane](dst, a, b []T, lo, hi int64) {
 }
 
 func andK[T lane](dst, a, b []T, lo, hi int64) {
+	if laneBits[T]() < 64 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = x & y
+			}
+			andK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -39,6 +82,17 @@ func andK[T lane](dst, a, b []T, lo, hi int64) {
 }
 
 func orK[T lane](dst, a, b []T, lo, hi int64) {
+	if laneBits[T]() < 64 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = x | y
+			}
+			orK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -47,6 +101,17 @@ func orK[T lane](dst, a, b []T, lo, hi int64) {
 }
 
 func xorK[T lane](dst, a, b []T, lo, hi int64) {
+	if laneBits[T]() < 64 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = x ^ y
+			}
+			xorK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -55,6 +120,17 @@ func xorK[T lane](dst, a, b []T, lo, hi int64) {
 }
 
 func xnorK[T lane](dst, a, b []T, lo, hi int64) {
+	if laneBits[T]() < 64 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			for i := range wd {
+				x, y := wa[i], wb[i]
+				wd[i] = ^(x ^ y)
+			}
+			xnorK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
@@ -62,17 +138,13 @@ func xnorK[T lane](dst, a, b []T, lo, hi int64) {
 	}
 }
 
-// minK/maxK store the operand they pick, matching the reference's
-// Compare-and-pick.
+// minK/maxK store the value the reference's compare-and-pick stores: for
+// integers, the builtin's.
 func minK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if a[i] <= b[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
+		dst[i] = min(a[i], b[i])
 	}
 }
 
@@ -80,11 +152,7 @@ func maxK[T lane](dst, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if a[i] >= b[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
+		dst[i] = max(a[i], b[i])
 	}
 }
 
@@ -92,11 +160,7 @@ func ltK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if a[i] < b[i] {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] < b[i]))
 	}
 }
 
@@ -104,23 +168,27 @@ func gtK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if a[i] > b[i] {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] > b[i]))
 	}
 }
 
+// eqK and eqSK at 8 bits into an 8-bit mask run word-wise: a lane is
+// equal where the lanes' xor is a zero byte.
 func eqK[D unsignedLane, T lane](dst []D, a, b []T, lo, hi int64) {
+	if laneBits[T]() == 8 && laneBits[D]() == 8 && long[T](hi-lo) {
+		if wd, wa, wb, h, t, ok := words3(dst[lo:hi], a[lo:hi], b[lo:hi]); ok {
+			wa, wb = wa[:len(wd)], wb[:len(wd)]
+			for i := range wd {
+				wd[i] = zeroBytes(wa[i] ^ wb[i])
+			}
+			eqK(dst, a, b, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		if a[i] == b[i] {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] == b[i]))
 	}
 }
 
@@ -160,6 +228,19 @@ func divUK[T unsignedLane](dst, a, b []T, lo, hi int64) {
 // Scalar-broadcast forms: the scalar converts to T once, outside the loop.
 
 func addSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w <= 16 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			hb, y := highs(w), splat(uint64(T(s)), w)
+			yl, yh := y&^hb, y&hb
+			for i := range wd {
+				x := wa[i]
+				wd[i] = (x&^hb + yl) ^ (x&hb ^ yh)
+			}
+			addSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -169,6 +250,19 @@ func addSK[T lane](dst, a []T, s int64, lo, hi int64) {
 }
 
 func subSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w <= 16 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			hb, y := highs(w), splat(uint64(T(s)), w)
+			yl, yh := y&^hb, ^y&hb
+			for i := range wd {
+				x := wa[i]
+				wd[i] = ((x | hb) - yl) ^ (x&hb ^ yh)
+			}
+			subSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -177,7 +271,23 @@ func subSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	}
 }
 
+// mulSK at 8 and 16 bits multiplies the even and the odd lanes apart,
+// each lane widened to a double-width lane: a lane's product with the
+// scalar's lane bits fits there, so none carries into the next, and its
+// low b bits are the element's wrapped product at either signedness.
 func mulSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w <= 16 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			ev, y := evens(w), uint64(T(s))&(uint64(1)<<w-1)
+			for i := range wd {
+				x := wa[i]
+				wd[i] = (x&ev*y)&ev | (x>>w&ev*y)&ev<<w
+			}
+			mulSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -187,6 +297,18 @@ func mulSK[T lane](dst, a []T, s int64, lo, hi int64) {
 }
 
 func andSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w < 64 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			y := splat(uint64(T(s)), w)
+			for i := range wd {
+				x := wa[i]
+				wd[i] = x & y
+			}
+			andSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -196,6 +318,18 @@ func andSK[T lane](dst, a []T, s int64, lo, hi int64) {
 }
 
 func orSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w < 64 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			y := splat(uint64(T(s)), w)
+			for i := range wd {
+				x := wa[i]
+				wd[i] = x | y
+			}
+			orSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -205,6 +339,18 @@ func orSK[T lane](dst, a []T, s int64, lo, hi int64) {
 }
 
 func xorSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w < 64 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			y := splat(uint64(T(s)), w)
+			for i := range wd {
+				x := wa[i]
+				wd[i] = x ^ y
+			}
+			xorSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -214,6 +360,18 @@ func xorSK[T lane](dst, a []T, s int64, lo, hi int64) {
 }
 
 func xnorSK[T lane](dst, a []T, s int64, lo, hi int64) {
+	if w := laneBits[T](); w < 64 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			y := splat(uint64(T(s)), w)
+			for i := range wd {
+				x := wa[i]
+				wd[i] = ^(x ^ y)
+			}
+			xnorSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
@@ -227,11 +385,7 @@ func minSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if a[i] <= y {
-			dst[i] = a[i]
-		} else {
-			dst[i] = y
-		}
+		dst[i] = min(a[i], y)
 	}
 }
 
@@ -240,11 +394,7 @@ func maxSK[T lane](dst, a []T, s int64, lo, hi int64) {
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if a[i] >= y {
-			dst[i] = a[i]
-		} else {
-			dst[i] = y
-		}
+		dst[i] = max(a[i], y)
 	}
 }
 
@@ -253,11 +403,7 @@ func ltSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if a[i] < y {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] < y))
 	}
 }
 
@@ -266,24 +412,27 @@ func gtSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if a[i] > y {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] > y))
 	}
 }
 
 func eqSK[D unsignedLane, T lane](dst []D, a []T, s int64, lo, hi int64) {
+	if laneBits[T]() == 8 && laneBits[D]() == 8 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			y := splat(uint64(T(s)), 8)
+			for i := range wd {
+				wd[i] = zeroBytes(wa[i] ^ y)
+			}
+			eqSK(dst, a, s, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	y := T(s)
 	for i := range dst {
-		if a[i] == y {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+		dst[i] = D(bit(a[i] == y))
 	}
 }
 

@@ -160,19 +160,15 @@ func absDiffK[T signedLane](dst, a, b []T, lo, hi int64) {
 	}
 }
 
-// addMaxSK is the single-pass ReLU-style dst[i] = max(a[i]+b[i], s),
-// replicating maxSK's write-the-original-operand semantics.
+// addMaxSK is the single-pass ReLU-style dst[i] = max(a[i]+b[i], s), as
+// addK then maxSK store it.
 func addMaxSK[T lane](s int64) binaryFn[T] {
 	y := T(s)
 	return func(dst, a, b []T, lo, hi int64) {
 		dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 		a, b = a[:len(dst)], b[:len(dst)]
 		for i := range dst {
-			if v := a[i] + b[i]; v >= y {
-				dst[i] = v
-			} else {
-				dst[i] = y
-			}
+			dst[i] = max(a[i]+b[i], y)
 		}
 	}
 }

@@ -7,7 +7,11 @@
 // once per command, and the kernel body is a tight slice loop whose
 // truncation and signedness semantics are compiled in by Go generics —
 // add/mul/and on power-of-two widths become mask-free native arithmetic on
-// the width's machine type.
+// the width's machine type. No loop branches on element data. Where lanes
+// narrower than a word allow it, a body runs word-at-a-time (words.go):
+// the bitwise ops at every narrower width, add, sub, scalar mul and sum at
+// 8 and 16 bits, and eq at 8 bits step a 64-bit word of lanes at once, and
+// the element loop takes the span's unaligned ends.
 //
 // Value representation contract (shared with internal/device): an element
 // has one form in the kernels, its type's machine integer, exactly Bits()
@@ -135,17 +139,14 @@ func Shift(op isa.Op, dt isa.DataType) ShiftKernel {
 }
 
 // Select computes dst[i] = cond[i] != 0 ? a[i] : b[i] for i in [lo, hi)
-// over carriers.
+// over carriers, picking by mask as selectK does.
 func Select(dst, cond, a, b []int64, lo, hi int64) {
 	dst, a, b = dst[lo:hi], a[lo:hi], b[lo:hi]
 	a, b = a[:len(dst)], b[:len(dst)]
 	cond = cond[lo:hi][:len(dst)]
 	for i, c := range cond {
-		if c != 0 {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
+		x, y := a[i], b[i]
+		dst[i] = y ^ (x^y)&-int64(bit(c != 0))
 	}
 }
 

@@ -5,6 +5,16 @@ import "math/bits"
 // Unary and shift kernels.
 
 func notK[T lane](dst, a []T, lo, hi int64) {
+	if laneBits[T]() < 64 && long[T](hi-lo) {
+		if wd, wa, h, t, ok := words2(dst[lo:hi], a[lo:hi]); ok {
+			wa = wa[:len(wd)]
+			for i := range wd {
+				wd[i] = ^wa[i]
+			}
+			notK(dst, a, lo, lo+h)
+			lo += t
+		}
+	}
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]
 	for i := range dst {
@@ -13,7 +23,8 @@ func notK[T lane](dst, a []T, lo, hi int64) {
 }
 
 // absSK negates negative values; -MinInt wraps back to MinInt, matching the
-// reference's truncated negation.
+// reference's truncated negation. The compiler already makes the branch a
+// conditional move (TEST+CMOV); a sign-mask form measured slower.
 func absSK[T signedLane](dst, a []T, lo, hi int64) {
 	dst, a = dst[lo:hi], a[lo:hi]
 	a = a[:len(dst)]

@@ -41,6 +41,9 @@ go test -race -short -run 'TestRecoveryBattery' ./benchmarks/suite/replaytest/
 go test -race -run 'TestSnapshot|TestResume' ./internal/device/
 go test -race ./internal/chaos/
 
+echo "==> word-at-a-time kernels and the isa word view (race, checkptr)"
+go test -race -run 'TestKernels|FuzzElementConversions' ./internal/kernels/ ./internal/isa/
+
 echo "==> object storage width, recycling and fault bits (race)"
 go test -race -run 'TestObjectStorage|TestFaultGolden' ./internal/device/ ./internal/device/paralleltest/
 
