@@ -10,10 +10,16 @@ import (
 	"pimeval/internal/perf"
 )
 
-// CopyHostToDevice loads values into the object (the functional payload is
-// required to match the object's length). In model-only mode only the
-// transfer is charged.
-func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
+// CopyHostToDevice loads int64 carriers into the object: CopyIn at int64.
+func (d *Device) CopyHostToDevice(id ObjID, values []int64) error {
+	return CopyIn(d, id, values)
+}
+
+// CopyIn is the one h2d body of a whole host slice: on a functional device
+// it stores values, which must have the object's length, straight into
+// storage as isa.StoreInts does; in model-only mode it only charges the
+// transfer. A recorded copy carries the values widened (Record.Data).
+func CopyIn[T isa.Integer](d *Device, id ObjID, values []T) (err error) {
 	if d.guarded() {
 		defer guard(&err)
 	}
@@ -29,16 +35,19 @@ func (d *Device) CopyHostToDevice(id ObjID, values []int64) (err error) {
 		if int64(len(values)) != o.n {
 			return fmt.Errorf("%w: copy of %d values into object of %d", ErrShapeMismatch, len(values), o.n)
 		}
-		err = d.forSpans(o, func(lo, hi int64) {
-			o.data.Store(lo, values[lo:hi])
-		})
-		if err != nil {
+		if err := d.forSpans(o, func(lo, hi int64) { isa.StoreInts(o.data, lo, values[lo:hi]) }); err != nil {
 			return err
 		}
 		o.stale = false
-		if d.pipe.wantRecord() {
-			// The copy detaches the record from the caller's slice.
-			data = append([]int64(nil), values...)
+		if d.pipe.wantRecord() && len(values) > 0 {
+			// The record's own carriers, detached from the caller's slice;
+			// a clone fills its new array without clearing it first.
+			if vals, ok := any(values).([]int64); ok {
+				data = slices.Clone(vals)
+			} else {
+				data = make([]int64, len(values))
+				isa.StoreInts(isa.Slice[int64](data), 0, values)
+			}
 		}
 	}
 	return d.finishH2D(id, o, data, nil)
@@ -167,7 +176,7 @@ func (d *Device) copyInFrames(id ObjID, frames func(land func(h2dFrame) error) e
 		case inType:
 			o.data.Unpack(raw, off, off+n)
 		default:
-			o.data.Store(off, vals)
+			isa.StoreInts(o.data, off, vals)
 		}
 		switch {
 		case recordPacked && n > 0:
@@ -228,9 +237,19 @@ func (d *Device) finishH2D(id ObjID, o *Object, data []int64, pay *cmdstream.Pay
 	return ferr
 }
 
-// CopyDeviceToHost copies the object's values out. In model-only mode it
-// returns nil data after charging the transfer.
-func (d *Device) CopyDeviceToHost(id ObjID) (_ []int64, err error) {
+// CopyDeviceToHost copies the object's values out as carriers; it is
+// CopyOut into a fresh slice. In model-only mode it returns nil data after
+// charging the transfer.
+func (d *Device) CopyDeviceToHost(id ObjID) ([]int64, error) {
+	return CopyOut[int64](d, id, nil, true)
+}
+
+// CopyOut is the one d2h body: it charges the transfer, then, on a
+// functional device, converts the object's elements into dst as
+// isa.LoadInts does and returns it; dst must have the object's length,
+// checked after the charge, unless fresh asks for a new slice of that
+// length. In model-only mode it returns nil and leaves dst untouched.
+func CopyOut[T isa.Integer](d *Device, id ObjID, dst []T, fresh bool) (_ []T, err error) {
 	if d.guarded() {
 		defer guard(&err)
 	}
@@ -251,9 +270,15 @@ func (d *Device) CopyDeviceToHost(id ObjID) (_ []int64, err error) {
 		return nil, nil
 	}
 	o.zero()
-	out := make([]int64, o.n)
-	o.data.Load(out, 0)
-	return out, nil
+	if fresh {
+		dst = make([]T, o.n)
+	}
+	if int64(len(dst)) != o.n {
+		return nil, fmt.Errorf("%w: destination slice length %d, object length %d",
+			ErrShapeMismatch, len(dst), o.n)
+	}
+	isa.LoadInts(o.data, dst, 0)
+	return dst, nil
 }
 
 // CopyDeviceToDevice copies src into dst. If dst is larger, src is tiled

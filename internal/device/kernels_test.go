@@ -70,7 +70,7 @@ func TestKernelsBinaryMatchReference(t *testing.T) {
 				t.Fatalf("no kernel for %v.%v", op, dt)
 			}
 			k(out, ea, eb, 0, n)
-			out.Load(got, 0)
+			isa.LoadInts(out, got, 0)
 			for i := int64(0); i < n; i++ {
 				want := kernels.RefBinary(op, dt, a[i], b[i])
 				if got[i] != want {
@@ -82,7 +82,7 @@ func TestKernelsBinaryMatchReference(t *testing.T) {
 			for _, s := range []int64{0, 1, -1, 3, math.MinInt64, math.MaxInt64, 255} {
 				s := dt.Truncate(s)
 				sk(out, ea, s, 0, n)
-				out.Load(got, 0)
+				isa.LoadInts(out, got, 0)
 				for i := int64(0); i < n; i++ {
 					want := kernels.RefBinary(op, dt, a[i], s)
 					if got[i] != want {
@@ -113,7 +113,7 @@ func TestKernelsUnaryMatchReference(t *testing.T) {
 				t.Fatalf("no kernel for %v.%v", op, dt)
 			}
 			k(out, ea, 0, n)
-			out.Load(got, 0)
+			isa.LoadInts(out, got, 0)
 			for i := int64(0); i < n; i++ {
 				want := kernels.RefUnary(op, dt, a[i])
 				if got[i] != want {
@@ -140,7 +140,7 @@ func TestKernelsShiftMatchReference(t *testing.T) {
 			}
 			for _, amount := range amounts {
 				k(out, ea, amount, 0, n)
-				out.Load(got, 0)
+				isa.LoadInts(out, got, 0)
 				for i := int64(0); i < n; i++ {
 					want := kernels.RefShift(op, dt, a[i], amount)
 					if got[i] != want {
@@ -245,13 +245,13 @@ func elem(dt isa.DataType, v int64) isa.Elems {
 // stored returns fresh dt storage holding v.
 func stored(dt isa.DataType, v []int64) isa.Elems {
 	e := dt.MakeElems(int64(len(v)))
-	e.Store(0, v)
+	isa.StoreInts(e, 0, v)
 	return e
 }
 
 // load returns the canonical value of one-element storage.
 func load(e isa.Elems) int64 {
 	var v [1]int64
-	e.Load(v[:], 0)
+	isa.LoadInts(e, v[:], 0)
 	return v[0]
 }

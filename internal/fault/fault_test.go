@@ -25,7 +25,7 @@ func region(dt isa.DataType, n int64) Region {
 // values returns the region's elements as canonical carriers.
 func values(r Region) []int64 {
 	v := make([]int64, r.Data.Len())
-	r.Data.Load(v, 0)
+	isa.LoadInts(r.Data, v, 0)
 	return v
 }
 
@@ -35,7 +35,7 @@ func fill(r Region, f func(j int) int64) {
 	for j := range v {
 		v[j] = f(j)
 	}
-	r.Data.Store(0, v)
+	isa.StoreInts(r.Data, 0, v)
 }
 
 func TestConfigValidate(t *testing.T) {

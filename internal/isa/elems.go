@@ -13,14 +13,22 @@ type Lane interface {
 	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64
 }
 
+// Integer is the set of host integer types that move to and from element
+// storage (StoreInts, LoadInts): the Lane types, int and uint, and every
+// type defined over one of them.
+type Integer interface {
+	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int | ~uint
+}
+
 // Elems is one functional object's element storage: a Slice of the object
 // type's machine type, Bytes() bytes per element, so a uint8 object of n
-// elements holds n bytes. Element i holds the low Bits() bits of its value;
-// reading it back through Load gives the canonical int64 carrier (Truncate's
-// result), which is the only form the host boundary sees. The methods are
-// the type-independent movements on storage (host copies, device copies,
-// packing, fault bit access); the element-wise ops live in internal/kernels,
-// which resolves each command's kernel at the storage's machine type.
+// elements holds n bytes. Element i holds the low Bits() bits of its value.
+// Host slices of any Integer type move in and out through StoreInts and
+// LoadInts, element by element at the storage's width; loading into
+// []int64 gives the canonical carrier (Truncate's result). The methods are
+// the type-independent movements on storage (device copies, packing, fault
+// bit access); the element-wise ops live in internal/kernels, which
+// resolves each command's kernel at the storage's machine type.
 type Elems interface {
 	// Type returns the element type whose machine type the storage holds.
 	Type() DataType
@@ -35,11 +43,6 @@ type Elems interface {
 	Recast(t DataType, n int64) Elems
 	// Clear zeroes elements [lo, hi).
 	Clear(lo, hi int64)
-	// Load widens elements [lo, lo+len(dst)) into canonical carriers.
-	Load(dst []int64, lo int64)
-	// Store narrows src into elements [lo, lo+len(src)), keeping each
-	// value's low Bits() bits: a later Load reads Truncate(src[i]).
-	Store(lo int64, src []int64)
 	// CopyFrom copies n elements of src, which must have the same Type,
 	// from srcLo into lo. The ranges may overlap.
 	CopyFrom(lo int64, src Elems, srcLo, n int64)
@@ -156,19 +159,81 @@ func recast[S, T Lane](s []S, n int64) Elems {
 
 func (s Slice[S]) Clear(lo, hi int64) { clear(s[lo:hi]) }
 
-func (s Slice[S]) Load(dst []int64, lo int64) {
-	src := s[lo : lo+int64(len(dst))]
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = int64(v)
+// StoreInts converts src into elements [lo, lo+len(src)) of e, each keeping
+// its value's low Bits() bits: element lo+i takes S(src[i]) for e's machine
+// type S, the same bits as S(int64(src[i])), since Go sign- or zero-extends
+// before it truncates. A later LoadInts into []int64 reads
+// Truncate(int64(src[i])). Where T is S, the store is a copy.
+func StoreInts[T Integer](e Elems, lo int64, src []T) {
+	switch s := e.(type) {
+	case Slice[int8]:
+		storeInts(s, lo, src)
+	case Slice[int16]:
+		storeInts(s, lo, src)
+	case Slice[int32]:
+		storeInts(s, lo, src)
+	case Slice[int64]:
+		storeInts(s, lo, src)
+	case Slice[uint8]:
+		storeInts(s, lo, src)
+	case Slice[uint16]:
+		storeInts(s, lo, src)
+	case Slice[uint32]:
+		storeInts(s, lo, src)
+	case Slice[uint64]:
+		storeInts(s, lo, src)
+	default:
+		panic("isa: StoreInts into foreign storage")
 	}
 }
 
-func (s Slice[S]) Store(lo int64, src []int64) {
+// LoadInts converts elements [lo, lo+len(dst)) of e into dst: dst[i] takes
+// T(s) of the stored element s, the same value as T(Truncate(s)) read
+// through an int64 carrier. Where T is e's machine type, the load is a copy.
+func LoadInts[T Integer](e Elems, dst []T, lo int64) {
+	switch s := e.(type) {
+	case Slice[int8]:
+		loadInts(dst, s, lo)
+	case Slice[int16]:
+		loadInts(dst, s, lo)
+	case Slice[int32]:
+		loadInts(dst, s, lo)
+	case Slice[int64]:
+		loadInts(dst, s, lo)
+	case Slice[uint8]:
+		loadInts(dst, s, lo)
+	case Slice[uint16]:
+		loadInts(dst, s, lo)
+	case Slice[uint32]:
+		loadInts(dst, s, lo)
+	case Slice[uint64]:
+		loadInts(dst, s, lo)
+	default:
+		panic("isa: LoadInts from foreign storage")
+	}
+}
+
+func storeInts[S Lane, T Integer](s []S, lo int64, src []T) {
 	dst := s[lo : lo+int64(len(src))]
+	if same, ok := any(dst).([]T); ok {
+		copy(same, src)
+		return
+	}
 	src = src[:len(dst)]
 	for i, v := range src {
 		dst[i] = S(v)
+	}
+}
+
+func loadInts[T Integer, S Lane](dst []T, s []S, lo int64) {
+	src := s[lo : lo+int64(len(dst))]
+	if same, ok := any(src).([]T); ok {
+		copy(dst, same)
+		return
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = T(v)
 	}
 }
 

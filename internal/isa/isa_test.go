@@ -165,7 +165,7 @@ func TestCommandName(t *testing.T) {
 
 // FuzzElementConversions checks the bulk element conversions against their
 // per-element definitions for a fuzzed type and fuzzed values: element
-// storage's Store then Load against Truncate (also at an offset), Fits
+// storage's StoreInts then LoadInts against Truncate (also at an offset), Fits
 // against "Truncate(v) == v for every v", Unpack(Pack(v)) against
 // Truncate(v) with Pack writing exactly len(v)*Bytes() bytes, and storage's
 // Pack writing the same bytes as DataType.Pack, Unpack restoring the stored
@@ -178,8 +178,10 @@ func TestCommandName(t *testing.T) {
 // a write through it read back through Bits, and a view of another width
 // refused. The word view (Words) of the storage and of each of its
 // suffixes up to a word in must partition it exactly, with its words
-// aligned and aliasing it. The value count is len(data)/8 rounded up, so
-// odd counts are covered.
+// aligned and aliasing it. For every pair of host type and lane type,
+// StoreInts and LoadInts of the values converted to the host type must
+// match the carrier round trip (checkHostInts). The value count is
+// len(data)/8 rounded up, so odd counts are covered.
 func FuzzElementConversions(f *testing.F) {
 	f.Add(uint8(Int8), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f})
 	f.Add(uint8(UInt16), []byte{0xff, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1})
@@ -209,9 +211,9 @@ func FuzzElementConversions(f *testing.F) {
 		if store.Type() != dt || store.Len() != n+3 {
 			t.Fatalf("%v: MakeElems made %v of %d", dt, store.Type(), store.Len())
 		}
-		store.Store(2, vals)
+		StoreInts(store, 2, vals)
 		got := make([]int64, n+3)
-		store.Load(got, 0)
+		LoadInts(store, got, 0)
 		if !slices.Equal(got[2:2+n], want) || got[0] != 0 || got[1] != 0 || got[n+2] != 0 {
 			t.Fatalf("%v: Load(Store(%v) at 2) = %v, want %v inside zeros", dt, vals, got, want)
 		}
@@ -255,7 +257,7 @@ func FuzzElementConversions(f *testing.F) {
 			back.SetBits(i, back.Bits(i)^1)
 			back.SetBits(i, back.Bits(i)^1)
 		}
-		back.Load(got[:n], 0)
+		LoadInts(back, got[:n], 0)
 		if !slices.Equal(got[:n], want) {
 			t.Fatalf("%v: storage Unpack = %v, want %v", dt, got[:n], want)
 		}
@@ -290,6 +292,20 @@ func FuzzElementConversions(f *testing.F) {
 			checkWords(t, s)
 		}
 
+		for lane := Int8; lane <= UInt64; lane++ {
+			checkHostInts[int8](t, lane, vals)
+			checkHostInts[int16](t, lane, vals)
+			checkHostInts[int32](t, lane, vals)
+			checkHostInts[int64](t, lane, vals)
+			checkHostInts[uint8](t, lane, vals)
+			checkHostInts[uint16](t, lane, vals)
+			checkHostInts[uint32](t, lane, vals)
+			checkHostInts[uint64](t, lane, vals)
+			checkHostInts[int](t, lane, vals)
+			checkHostInts[uint](t, lane, vals)
+			checkHostInts[celsius](t, lane, vals)
+		}
+
 		loopPack, loopUnpack := loops(store)
 		looped := make([]byte, len(buf))
 		copy(looped, buf)
@@ -317,6 +333,44 @@ func FuzzElementConversions(f *testing.F) {
 			}
 		}
 	})
+}
+
+// celsius is a named host type over int32.
+type celsius int32
+
+// checkHostInts checks StoreInts and LoadInts of host type T on storage of
+// type dt against the carrier round trip, widening each value x of T to
+// int64 and truncating it at dt: stored at an offset, x must leave the
+// bits of Truncate(int64(x)), and loaded back it must read
+// T(Truncate(int64(x))). Storage elements and host entries outside the
+// span keep their sentinels.
+func checkHostInts[T Integer](t *testing.T, dt DataType, vals []int64) {
+	t.Helper()
+	n := int64(len(vals))
+	host := make([]T, n)
+	for i, v := range vals {
+		host[i] = T(v)
+	}
+	var sentinel uint64 = 0xa5a5a5a5a5a5a5a5
+	e := dt.MakeElems(n + 2)
+	back := make([]T, n+2)
+	for i := range n + 2 {
+		e.SetBits(i, sentinel)
+		back[i] = T(sentinel)
+	}
+	StoreInts(e, 1, host)
+	LoadInts(e, back[1:1+n], 1)
+	for i := range n + 2 {
+		bits, want := sentinel&dt.maskU(), T(sentinel)
+		if i >= 1 && i <= n {
+			c := dt.Truncate(int64(host[i-1]))
+			bits, want = uint64(c)&dt.maskU(), T(c)
+		}
+		if e.Bits(i) != bits || back[i] != want {
+			t.Fatalf("%T through %v: element %d holds bits %#x and loads %v, carrier round trip %#x and %v",
+				T(0), dt, i, e.Bits(i), back[i], bits, want)
+		}
+	}
 }
 
 // checkUnsignedView checks that Unsigned[U] aliases e, whose width is U's,
@@ -519,7 +573,7 @@ func BenchmarkStore(b *testing.B) {
 	benchTypes(b, func(b *testing.B, dt DataType, vals []int64) {
 		dst := dt.MakeElems(int64(len(vals)))
 		for i := 0; i < b.N; i++ {
-			dst.Store(0, vals)
+			StoreInts(dst, 0, vals)
 		}
 	})
 }

@@ -102,7 +102,7 @@ func Binary(op isa.Op, dt isa.DataType) BinaryKernel {
 	return func(dst, a, b []int64, lo, hi int64) {
 		ea, eb := stored(dt, a[lo:hi]), stored(dt, b[lo:hi])
 		k(ea, ea, eb, 0, hi-lo)
-		ea.Load(dst[lo:hi], 0)
+		isa.LoadInts(ea, dst[lo:hi], 0)
 	}
 }
 
@@ -118,7 +118,7 @@ func Unary(op isa.Op, dt isa.DataType) UnaryKernel {
 	return func(dst, a []int64, lo, hi int64) {
 		ea := stored(dt, a[lo:hi])
 		k(ea, ea, 0, hi-lo)
-		ea.Load(dst[lo:hi], 0)
+		isa.LoadInts(ea, dst[lo:hi], 0)
 	}
 }
 
@@ -134,7 +134,7 @@ func Shift(op isa.Op, dt isa.DataType) ShiftKernel {
 	return func(dst, a []int64, amount int, lo, hi int64) {
 		ea := stored(dt, a[lo:hi])
 		k(ea, ea, amount, 0, hi-lo)
-		ea.Load(dst[lo:hi], 0)
+		isa.LoadInts(ea, dst[lo:hi], 0)
 	}
 }
 
@@ -153,7 +153,7 @@ func Select(dst, cond, a, b []int64, lo, hi int64) {
 // stored returns fresh dt storage holding v.
 func stored(dt isa.DataType, v []int64) isa.Elems {
 	e := dt.MakeElems(int64(len(v)))
-	e.Store(0, v)
+	isa.StoreInts(e, 0, v)
 	return e
 }
 

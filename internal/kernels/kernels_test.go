@@ -35,7 +35,7 @@ func asBinary(k ElemsBinary, dt, dstType isa.DataType) BinaryKernel {
 			ea = stored(dt, a)
 		}
 		k(ed, ea, stored(dt, b), lo, hi)
-		ed.Load(dst, 0)
+		isa.LoadInts(ed, dst, 0)
 	}
 }
 
@@ -50,7 +50,7 @@ func asScalar(k ElemsScalar, dt, dstType isa.DataType) func(dst, a []int64, s in
 			ea = stored(dt, a)
 		}
 		k(ed, ea, s, lo, hi)
-		ed.Load(dst, 0)
+		isa.LoadInts(ed, dst, 0)
 	}
 }
 
@@ -65,7 +65,7 @@ func asUnary(k ElemsUnary, dt isa.DataType) UnaryKernel {
 			ea = stored(dt, a)
 		}
 		k(ed, ea, lo, hi)
-		ed.Load(dst, 0)
+		isa.LoadInts(ed, dst, 0)
 	}
 }
 
@@ -80,7 +80,7 @@ func asShift(k ElemsShift, dt isa.DataType) ShiftKernel {
 			ea = stored(dt, a)
 		}
 		k(ed, ea, amount, lo, hi)
-		ed.Load(dst, 0)
+		isa.LoadInts(ed, dst, 0)
 	}
 }
 
@@ -93,7 +93,7 @@ func asSelect(k ElemsSelect, condType, dt isa.DataType) func(dst, cond, a, b []i
 			ec = stored(condType, cond)
 		}
 		k(ed, ec, stored(dt, a), stored(dt, b), lo, hi)
-		ed.Load(dst, 0)
+		isa.LoadInts(ed, dst, 0)
 	}
 }
 

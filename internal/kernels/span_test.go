@@ -191,7 +191,7 @@ func TestKernelsSpanBoundaries(t *testing.T) {
 			func(dst, _, _ []int64, lo, hi int64) {
 				ed := stored(dt, dst)
 				On(dt).Fill(ed, s1, lo, hi)
-				ed.Load(dst, 0)
+				isa.LoadInts(ed, dst, 0)
 			},
 			func(int) int64 { return s1 })
 		// Compares into, and selects on, every other type.

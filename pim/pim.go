@@ -20,7 +20,6 @@ package pim
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"pimeval/internal/device"
@@ -237,48 +236,24 @@ func (v *Device) Len(id ObjID) (int64, error) {
 }
 
 // Integer is the constraint for host slices exchanged with PIM objects.
-type Integer interface {
-	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int | ~uint
-}
+type Integer = isa.Integer
 
 // CopyToDevice copies a host slice into a PIM object
-// (pimCopyHostToDevice). In model-only mode pass nil to charge the
-// transfer without materializing data.
+// (pimCopyHostToDevice), converting each element straight into the
+// object's storage at its element type; a value wider than the type keeps
+// its low bits. In model-only mode pass nil to charge the transfer without
+// materializing data.
 func CopyToDevice[T Integer](v *Device, id ObjID, data []T) error {
-	if data == nil {
-		return v.d.CopyHostToDevice(id, nil)
-	}
-	// The device only reads values and recordings copy them, so an
-	// []int64 goes through without a conversion buffer.
-	if vals, ok := any(data).([]int64); ok {
-		return v.d.CopyHostToDevice(id, vals)
-	}
-	vals := make([]int64, len(data))
-	for i, x := range data {
-		vals[i] = int64(x)
-	}
-	return v.d.CopyHostToDevice(id, vals)
+	return device.CopyIn(v.d, id, data)
 }
 
 // CopyFromDevice copies a PIM object back into the host slice
-// (pimCopyDeviceToHost). dst must have the object's length. In model-only
-// mode the transfer is charged and dst is left untouched.
+// (pimCopyDeviceToHost), converting each element straight into dst. dst
+// must have the object's length. In model-only mode the transfer is
+// charged and dst is left untouched.
 func CopyFromDevice[T Integer](v *Device, id ObjID, dst []T) error {
-	vals, err := v.d.CopyDeviceToHost(id)
-	if err != nil {
-		return err
-	}
-	if vals == nil {
-		return nil
-	}
-	if len(dst) != len(vals) {
-		return fmt.Errorf("%w: destination slice length %d, object length %d",
-			ErrTypeMismatch, len(dst), len(vals))
-	}
-	for i, x := range vals {
-		dst[i] = T(x)
-	}
-	return nil
+	_, err := device.CopyOut(v.d, id, dst, false)
+	return err
 }
 
 // CopyDeviceToDevice copies (or tiles, when dst is an exact multiple larger)

@@ -45,7 +45,7 @@ echo "==> word-at-a-time kernels and the isa word view (race, checkptr)"
 go test -race -run 'TestKernels|FuzzElementConversions' ./internal/kernels/ ./internal/isa/
 
 echo "==> object storage width, recycling and fault bits (race)"
-go test -race -run 'TestObjectStorage|TestFaultGolden' ./internal/device/ ./internal/device/paralleltest/
+go test -race -run 'TestObjectStorage|TestFaultGolden|TestHostCopyConformance' ./internal/device/ ./internal/device/paralleltest/ ./pim/
 
 echo "==> core package size (informational, see ROADMAP.md)"
 sh scripts/loc.sh
